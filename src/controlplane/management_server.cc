@@ -50,6 +50,9 @@ struct ManagementServer::OpCtx
     /** Provisional VM records to destroy if the task fails. */
     std::vector<VmId> created_vms;
 
+    /** Provisional disk (a base-disk replica) to destroy on failure. */
+    DiskId created_disk;
+
     /** Raw datastore reservation to undo if the task fails. */
     DatastoreId reserved_ds;
     Bytes reserved_bytes = 0;
@@ -84,6 +87,7 @@ struct ManagementServer::OpCtx
         committed_vcpus = 0;
         committed_memory = 0;
         created_vms.clear();
+        created_disk = DiskId();
         reserved_ds = DatastoreId();
         reserved_bytes = 0;
         next.reset();
@@ -619,6 +623,10 @@ ManagementServer::finish(CtxPtr ctx, TaskError err)
             vm.forcePowerState(PowerState::PoweredOff);
             if (!inv.destroyVm(v))
                 panic("ManagementServer: rollback destroy failed");
+        }
+        if (ctx->created_disk.valid() && inv.hasDisk(ctx->created_disk) &&
+            !inv.destroyDisk(ctx->created_disk)) {
+            panic("ManagementServer: rollback disk destroy failed");
         }
     }
     ctx->committed_host = HostId();
@@ -1345,6 +1353,10 @@ ManagementServer::execRegister(CtxPtr ctx)
             finish(ctx, TaskError::HostUnavailable);
             return;
         }
+    } else if (!inv.vm(req.vm).host.valid()) {
+        // Nothing to unregister (a template, or already unregistered).
+        finish(ctx, TaskError::InvalidState);
+        return;
     }
 
     VmId vm_id = req.vm;
@@ -1918,6 +1930,10 @@ ManagementServer::execReplicateBaseDisk(CtxPtr ctx)
             finish(ctx, TaskError::HostUnavailable);
             return;
         }
+        if (!host.hasDatastore(req.datastore)) {
+            finish(ctx, TaskError::BadRequest);
+            return;
+        }
     }
 
     acquireLocks(
@@ -1946,6 +1962,7 @@ ManagementServer::execReplicateBaseDisk(CtxPtr ctx)
                     finish(ctx, TaskError::OutOfSpace);
                     return;
                 }
+                ctx->created_disk = copy;
                 ctx->task->setResultDisk(copy);
                 Bytes bytes = base.allocated;
                 runAgentDataPhase(

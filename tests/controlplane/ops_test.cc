@@ -338,6 +338,20 @@ TEST_F(OpsTest, UnregisterThenRegisterElsewhere)
     EXPECT_TRUE(inv->host(h1).hasVm(vm));
 }
 
+TEST_F(OpsTest, UnregisterOfUnhostedVmFails)
+{
+    // A template has no host; neither has a VM that was already
+    // unregistered.  Both fail before locking, as Snapshot does.
+    OpRequest unreg;
+    unreg.type = OpType::UnregisterVm;
+    unreg.vm = tmpl;
+    EXPECT_EQ(runOp(unreg).error(), TaskError::InvalidState);
+
+    unreg.vm = makeVm(h0, ds0);
+    ASSERT_TRUE(runOp(unreg).succeeded());
+    EXPECT_EQ(runOp(unreg).error(), TaskError::InvalidState);
+}
+
 TEST_F(OpsTest, RegisterAlreadyRegisteredFails)
 {
     VmId vm = makeVm(h0, ds0);
@@ -616,6 +630,20 @@ TEST_F(OpsTest, ReplicateToSameDatastoreUsesDatastorePipe)
         inv->datastore(ds0).copyPipe().bytesCompleted() - pipe_before,
         gib(4));
     EXPECT_EQ(net->fabric().bytesCompleted(), fabric_before);
+}
+
+TEST_F(OpsTest, ReplicateToDatastoreHostCannotSeeFails)
+{
+    OpRequest req;
+    req.type = OpType::ReplicateBaseDisk;
+    req.base_disk = base;
+    req.host = h0;
+    std::size_t disks_before = inv->numDisks();
+    // No datastore at all, then one that does not exist.
+    EXPECT_EQ(runOp(req).error(), TaskError::BadRequest);
+    req.datastore = DatastoreId(999);
+    EXPECT_EQ(runOp(req).error(), TaskError::BadRequest);
+    EXPECT_EQ(inv->numDisks(), disks_before);
 }
 
 TEST_F(OpsTest, ConsolidateDiskDetachesFromBase)

@@ -504,5 +504,29 @@ TEST_F(FabricIntegrationTest, UnreachableMidCopyFailsWithNetworkError)
     EXPECT_TRUE(local[0].succeeded());
 }
 
+TEST_F(FabricIntegrationTest, FailedReplicaReleasesItsCopy)
+{
+    build(/*spines=*/1);
+    OpRequest req;
+    req.type = OpType::ReplicateBaseDisk;
+    req.base_disk = inv->vm(storm_tmpl).disks[0];
+    req.host = h1;
+    req.datastore = storm_dst;
+    std::vector<Task> done;
+    srv->submit(req, [&done](const Task &t) { done.push_back(t); });
+    // The cross-rack copy rides the only uplink; cut it mid-copy.
+    sim->schedule(seconds(5), [this] {
+        Fabric &fab = net->topology();
+        fab.setLinkUp(fab.findLink("up:tor0-spine0"), false);
+    });
+    sim->run();
+    ASSERT_EQ(done.size(), 1u);
+    EXPECT_EQ(done[0].error(), TaskError::NetworkUnreachable);
+    EXPECT_EQ(net->topology().failedTransfers(), 1u);
+    // The provisional copy is rolled back with the task.
+    EXPECT_FALSE(inv->hasDisk(done[0].resultDisk()));
+    EXPECT_EQ(inv->datastore(storm_dst).used(), 0);
+}
+
 } // namespace
 } // namespace vcp
