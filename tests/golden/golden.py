@@ -1,14 +1,16 @@
 #!/usr/bin/env python3
 """Behaviour oracle: vcpsim output compared byte for byte.
 
-Each case runs vcpsim in its own work directory and compares what the
-run writes with the files recorded next to this script:
+Each case runs vcpsim (or golden_opstorm) in its own work directory
+and compares what the run writes with the files recorded next to this
+script:
 
     <case>.stdout     vcpsim's stdout
     <case>.stats.csv  the --stats CSV
     <case>.ops.csv    the --dump-ops CSV
-    digests.sha256    SHA-256 of the larger outputs (the traced run's
-                      Perfetto trace and metrics exports)
+    digests.sha256    SHA-256 of the larger outputs: the traced run's
+                      Perfetto trace and metrics exports, and the
+                      op-storm's finished-task stream
 
 Output names are fixed and relative, because stdout prints the paths
 of the trace and metrics files.
@@ -22,7 +24,8 @@ A mismatch prints the first moved row of every file that moved.
 Re-record cases after an intended behaviour change, listing every row
 that moved (all cases unless --case is given):
 
-    tests/golden/golden.py rebaseline --vcpsim build/tools/vcpsim
+    tests/golden/golden.py rebaseline --vcpsim build/tools/vcpsim \
+        --opstorm build/tests/golden/golden_opstorm
 
 Exit status: 0 identical (or re-recorded), 1 moved, 2 usage/run error.
 Stdlib only.
@@ -43,58 +46,70 @@ DIGESTS = os.path.join(HERE, "digests.sha256")
 CHAOS = ("crash:mtbf=30m,duration=5m;disconnect:mtbf=20m,duration=4m;"
          "db-stall:mtbf=40m,duration=90s;link-down:mtbf=30m,duration=3m")
 
-# Recorded outputs of a plain case: (file the run writes, recorded
-# suffix).  stdout is captured, not written.
-PLAIN = [("stats.csv", "stats.csv"), ("ops.csv", "ops.csv")]
-PLAIN_ARGS = ["--stats", "stats.csv", "--dump-ops", "ops.csv"]
+# A case's outputs are (source, recorded as) pairs: the source is
+# "stdout" or a file the run writes; it is recorded as <case>.<suffix>,
+# or as a SHA-256 digest in digests.sha256 when the suffix is None.
+PLAIN = [("stdout", "stdout"), ("stats.csv", "stats.csv"),
+         ("ops.csv", "ops.csv")]
 
-# name -> (vcpsim arguments, text outputs, digested outputs)
+
+def plain(*args):
+    """A vcpsim case recording stdout, the stats CSV and the op trace."""
+    return ("vcpsim", list(args) + ["--stats", "stats.csv",
+                                    "--dump-ops", "ops.csv"], PLAIN)
+
+
+# name -> (program, arguments, outputs)
 CASES = {
-    "cloud-a": (["cloud-a", "--hours", "2"], PLAIN, []),
-    "cloud-b": (["cloud-b", "--hours", "2"], PLAIN, []),
-    "cloud-b-full": (["cloud-b", "--hours", "2", "--full-clones"],
-                     PLAIN, []),
-    "cloud-a-full-leafspine": (
-        ["cloud-a", "--hours", "2", "--full-clones", "--fabric",
-         "leaf-spine"], PLAIN, []),
-    "cloud-a-shards4": (
-        ["cloud-a", "--hours", "2", "--parallel-shards", "4"], PLAIN,
-        []),
-    "cloud-a-chaos": (
-        ["cloud-a", "--hours", "2", "--fabric", "leaf-spine", "--chaos",
-         CHAOS], PLAIN, []),
-    "cloud-a-rate2000": (["cloud-a", "--hours", "2", "--rate", "2000"],
-                         PLAIN, []),
-    "cloud-a-mtbf1": (["cloud-a", "--hours", "2", "--mtbf", "1"], PLAIN,
-                      []),
-    "traced": (
-        ["cloud-a", "--hours", "1", "--full-clones", "--fabric",
-         "leaf-spine", "--trace-out", "trace.json", "--metrics-out",
-         "metrics.ndjson", "--metrics-interval", "600"], [],
-        ["trace.json", "metrics.ndjson", "metrics.ndjson.prom"]),
+    "cloud-a": plain("cloud-a", "--hours", "2"),
+    "cloud-b": plain("cloud-b", "--hours", "2"),
+    "cloud-b-full": plain("cloud-b", "--hours", "2", "--full-clones"),
+    "cloud-a-full-leafspine": plain("cloud-a", "--hours", "2",
+                                    "--full-clones", "--fabric",
+                                    "leaf-spine"),
+    "cloud-a-shards4": plain("cloud-a", "--hours", "2",
+                             "--parallel-shards", "4"),
+    "cloud-a-chaos": plain("cloud-a", "--hours", "2", "--fabric",
+                           "leaf-spine", "--chaos", CHAOS),
+    "cloud-a-rate2000": plain("cloud-a", "--hours", "2", "--rate",
+                              "2000"),
+    "cloud-a-mtbf1": plain("cloud-a", "--hours", "2", "--mtbf", "1"),
+    "traced": ("vcpsim",
+               ["cloud-a", "--hours", "1", "--full-clones", "--fabric",
+                "leaf-spine", "--trace-out", "trace.json",
+                "--metrics-out", "metrics.ndjson", "--metrics-interval",
+                "600"],
+               [("stdout", "stdout"), ("trace.json", None),
+                ("metrics.ndjson", None), ("metrics.ndjson.prom", None)]),
+    "opstorm": ("opstorm", ["17"], [("stdout", None)]),
 }
 
 
-def run_case(name, vcpsim, workdir):
-    """Run one case in @p workdir; return {recorded name: bytes}."""
-    args, texts, digested = CASES[name]
-    if texts:
-        args = args + PLAIN_ARGS
+def run_case(name, programs, workdir):
+    """Run one case in @p workdir; return {recorded key: bytes/digest}."""
+    program, args, outputs = CASES[name]
+    if not programs.get(program):
+        raise RuntimeError(f"{name}: needs --{program}")
     os.makedirs(workdir, exist_ok=True)
     for f in os.listdir(workdir):
         os.remove(os.path.join(workdir, f))
-    proc = subprocess.run([os.path.abspath(vcpsim)] + args, cwd=workdir,
-                          stdout=subprocess.PIPE)
+    proc = subprocess.run([os.path.abspath(programs[program])] + args,
+                          cwd=workdir, stdout=subprocess.PIPE)
     if proc.returncode != 0:
-        raise RuntimeError(f"{name}: vcpsim exited {proc.returncode}")
-    out = {f"{name}.stdout": proc.stdout}
-    for written, suffix in texts:
-        with open(os.path.join(workdir, written), "rb") as f:
-            out[f"{name}.{suffix}"] = f.read()
-    for written in digested:
-        with open(os.path.join(workdir, written), "rb") as f:
-            digest = hashlib.sha256(f.read()).hexdigest()
-        out[f"{name}/{written}"] = digest
+        raise RuntimeError(f"{name}: {program} exited {proc.returncode}")
+    with open(os.path.join(workdir, "stdout"), "wb") as f:
+        f.write(proc.stdout)
+    out = {}
+    for source, suffix in outputs:
+        if source == "stdout":
+            data = proc.stdout
+        else:
+            with open(os.path.join(workdir, source), "rb") as f:
+                data = f.read()
+        if suffix is None:
+            out[f"{name}/{source}"] = hashlib.sha256(data).hexdigest()
+        else:
+            out[f"{name}.{suffix}"] = data
     return out
 
 
@@ -159,7 +174,7 @@ def check(args):
     digests = read_digests()
     workdir = args.workdir or tempfile.mkdtemp(prefix="golden-")
     try:
-        got = run_case(args.case, args.vcpsim, workdir)
+        got = run_case(args.case, programs(args), workdir)
     except (OSError, RuntimeError) as e:
         print(f"golden: {e}", file=sys.stderr)
         return 2
@@ -191,7 +206,12 @@ def rebaseline(args):
     any_moved = False
     with tempfile.TemporaryDirectory(prefix="golden-") as tmp:
         for name in names:
-            got = run_case(name, args.vcpsim, os.path.join(tmp, name))
+            try:
+                got = run_case(name, programs(args),
+                               os.path.join(tmp, name))
+            except (OSError, RuntimeError) as e:
+                print(f"golden: {e}", file=sys.stderr)
+                return 2
             for key, data in got.items():
                 want = recorded(key, digests)
                 if want == data:
@@ -215,17 +235,23 @@ def rebaseline(args):
     return 0
 
 
+def programs(args):
+    return {"vcpsim": args.vcpsim, "opstorm": args.opstorm}
+
+
 def main():
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     sub = p.add_subparsers(dest="cmd", required=True)
     c = sub.add_parser("check", help="compare one case")
     c.add_argument("case", choices=sorted(CASES))
-    c.add_argument("--vcpsim", required=True)
+    c.add_argument("--vcpsim")
+    c.add_argument("--opstorm")
     c.add_argument("--workdir",
                    help="run here and keep the outputs (default: a "
                         "temporary directory, removed on success)")
     r = sub.add_parser("rebaseline", help="re-record and list moved rows")
-    r.add_argument("--vcpsim", required=True)
+    r.add_argument("--vcpsim")
+    r.add_argument("--opstorm")
     r.add_argument("--case", action="append", choices=sorted(CASES),
                    help="re-record only this case (repeatable)")
     r.add_argument("--limit", type=int, default=40,
