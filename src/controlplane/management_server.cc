@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <string>
+#include <utility>
 
 #include "sim/logging.hh"
 #include "telemetry/telemetry.hh"
@@ -11,30 +13,35 @@
 
 namespace vcp {
 
-/**
- * Per-task execution context.
- *
- * Tracks which resources the pipeline currently holds so that
- * finish() can release them exactly once on every path — including
- * the failure paths, where provisional inventory records and resource
- * commitments are also rolled back.
- *
- * Rule enforced throughout this file: lambdas capture entity *ids*,
- * never references; entities are re-fetched (and re-checked) after
- * every asynchronous boundary, because the inventory may have changed
- * while the task waited.
- *
- * Contexts are pooled (allocCtx()/releaseCtx()) and carry scratch
- * space for the pipeline helpers, so each asynchronous hop captures
- * only {this, ctx} and stays inside InlineAction's inline buffer.
- */
-struct ManagementServer::OpCtx
+/** The scalar part of an OpCtx: everything reset() restores. */
+struct OpState
 {
     Task *task = nullptr;
-    TaskCallback cb;
 
-    /** Locks currently held (empty if none). */
-    std::vector<LockRequest> held_locks;
+    /** @{ Entities the recipe pinned; later steps re-fetch them. */
+    VmId vm;
+    DiskId disk;
+    DiskId parent;
+    /** Host the host phase runs on; none skips the host phase. */
+    HostId host;
+    /** @} */
+
+    /**
+     * @{ Data phase, selected by a valid slot_ds: take a slot on
+     * slot_ds and an agent slot on host, run the host-side setup,
+     * then move @c bytes (0 = no copy).  A same-datastore copy charges
+     * that datastore's own pipe; anything else crosses the routed
+     * fabric between the datastores' nodes, or between the hosts
+     * net_src -> net_dst when the recipe pinned them (live
+     * migration's memory stream).
+     */
+    DatastoreId slot_ds;
+    DatastoreId src_ds;
+    DatastoreId dst_ds;
+    Bytes bytes = 0;
+    HostId net_src;
+    HostId net_dst;
+    /** @} */
 
     /** Host-agent slot held across an async data copy. */
     HostAgent *held_agent = nullptr;
@@ -47,9 +54,6 @@ struct ManagementServer::OpCtx
     int committed_vcpus = 0;
     Bytes committed_memory = 0;
 
-    /** Provisional VM records to destroy if the task fails. */
-    std::vector<VmId> created_vms;
-
     /** Provisional disk (a base-disk replica) to destroy on failure. */
     DiskId created_disk;
 
@@ -57,57 +61,120 @@ struct ManagementServer::OpCtx
     DatastoreId reserved_ds;
     Bytes reserved_bytes = 0;
 
-    /** @{ Pipeline-helper scratch.  The continuation chain of one
-     *  operation is strictly linear, so a single parked continuation
-     *  and one phase timestamp suffice. */
-    InlineAction next;
+    /** Start of the phase in progress; sampled agent execution time. */
     SimTime phase_start = 0;
-    TaskPhase db_phase = TaskPhase::Db;
     SimDuration agent_service = 0;
-    std::vector<LockRequest> pending_locks;
-    HostId data_host;
-    DatastoreId data_slot_ds;
-    DatastoreId data_src_ds;
-    DatastoreId data_dst_ds;
-    Bytes data_bytes = 0;
-    HostId data_net_src;
-    HostId data_net_dst;
-    /** @} */
+};
+
+/**
+ * Per-task execution context: what one op's recipe steps and the
+ * interpreter's stations share.
+ *
+ * Tracks which resources the pipeline currently holds so that
+ * finish() can release them exactly once on every path — including
+ * the failure paths, where provisional inventory records and resource
+ * commitments are also rolled back.
+ *
+ * Rule enforced throughout this file: the context pins entity *ids*,
+ * never references; steps re-fetch (and re-check) entities after
+ * every asynchronous boundary, because the inventory may have changed
+ * while the task waited.
+ *
+ * Contexts are pooled (allocCtx()/releaseCtx()), so each asynchronous
+ * hop captures only {this, ctx} and stays inside InlineAction's
+ * inline buffer.
+ */
+struct OpCtx : OpState
+{
+    OpCtx(Inventory &i, const OpCostModel &c) : inv(i), costs(c) {}
+
+    /** What steps read and change.  The cost model is const: a step
+     *  never draws a sample. */
+    Inventory &inv;
+    const OpCostModel &costs;
+
+    TaskCallback cb;
+
+    /** Lock set the check step builds; held_locks once granted. */
+    std::vector<LockRequest> locks;
+    std::vector<LockRequest> held_locks;
+
+    /** Provisional VM records to destroy if the task fails. */
+    std::vector<VmId> created_vms;
+
+    /** Destroy: the disk set the VM had when its locks were built. */
+    std::vector<DiskId> disks;
+
+    const OpRequest &req() const { return task->request(); }
+    OpType type() const { return task->type(); }
+
+    /** Commit @p vm's shape on host @p h, to be released on failure. */
+    bool
+    commitOn(HostId h, const Vm &vm)
+    {
+        if (!inv.host(h).commit(vm.vcpus, vm.memory))
+            return false;
+        committed_host = h;
+        committed_vcpus = vm.vcpus;
+        committed_memory = vm.memory;
+        return true;
+    }
+
+    /** Reserve @p b raw bytes on @p d, to be released on failure. */
+    bool
+    reserveOn(DatastoreId d, Bytes b)
+    {
+        if (!inv.datastore(d).reserve(b))
+            return false;
+        reserved_ds = d;
+        reserved_bytes = b;
+        return true;
+    }
 
     /** Return to pool-fresh state (vectors keep their capacity). */
     void
     reset()
     {
-        task = nullptr;
+        static_cast<OpState &>(*this) = OpState{};
         cb = nullptr;
+        locks.clear();
         held_locks.clear();
-        held_agent = nullptr;
-        held_ds_slot = nullptr;
-        committed_host = HostId();
-        committed_vcpus = 0;
-        committed_memory = 0;
         created_vms.clear();
-        created_disk = DiskId();
-        reserved_ds = DatastoreId();
-        reserved_bytes = 0;
-        next.reset();
-        phase_start = 0;
-        db_phase = TaskPhase::Db;
-        agent_service = 0;
-        pending_locks.clear();
-        data_host = HostId();
-        data_slot_ds = DatastoreId();
-        data_src_ds = DatastoreId();
-        data_dst_ds = DatastoreId();
-        data_bytes = 0;
-        data_net_src = HostId();
-        data_net_dst = HostId();
+        disks.clear();
     }
 };
 
+namespace {
+
+/**
+ * An op family's recipe: four synchronous steps the interpreter runs
+ * at fixed points of the pipeline (see DESIGN.md "Model
+ * performance").  A null step does nothing.
+ */
+struct Recipe
+{
+    /** At dispatch: validate, pin ids into the context, build the
+     *  lock set. */
+    OpStep check;
+
+    /** Once the locks are held: re-validate, commit or reserve. */
+    OpStep relock;
+
+    /** After the DB txns: create provisional records, point the host
+     *  phase at a datastore slot. */
+    OpStep prepare;
+
+    /** After the host phase: change the inventory. */
+    OpStep apply;
+};
+
+const Recipe &recipeFor(OpType t);
+
+} // namespace
+
 ManagementServer::~ManagementServer() = default;
 
-ManagementServer::OpCtx *
+OpCtx *
 ManagementServer::allocCtx()
 {
     if (!ctx_free.empty()) {
@@ -115,7 +182,7 @@ ManagementServer::allocCtx()
         ctx_free.pop_back();
         return ctx;
     }
-    ctx_pool.push_back(std::make_unique<OpCtx>());
+    ctx_pool.push_back(std::make_unique<OpCtx>(inv, costs));
     return ctx_pool.back().get();
 }
 
@@ -482,8 +549,9 @@ ManagementServer::datastoreMeanUtilization() const
 }
 
 void
-ManagementServer::tracePhase(CtxPtr ctx, TaskPhase phase)
+ManagementServer::endPhase(CtxPtr ctx, TaskPhase phase)
 {
+    ctx->task->addPhaseTime(phase, sim.now() - ctx->phase_start);
     if (!VCP_TRACER_ON(tracer_))
         return;
     tracer_->recordPhase(static_cast<std::uint8_t>(ctx->task->type()),
@@ -574,9 +642,7 @@ ManagementServer::submit(const OpRequest &req, TaskCallback on_done)
 
     ctx->phase_start = sim.now();
     api.submit(costs.sampleApi(req.type), [this, ctx]() {
-        ctx->task->addPhaseTime(TaskPhase::Api,
-                                sim.now() - ctx->phase_start);
-        tracePhase(ctx, TaskPhase::Api);
+        endPhase(ctx, TaskPhase::Api);
         sched.enqueue(ctx->task, [this, ctx]() {
             ctx->task->markStarted(sim.now());
             if (ctx->task->cancelRequested()) {
@@ -590,10 +656,10 @@ ManagementServer::submit(const OpRequest &req, TaskCallback on_done)
 }
 
 void
-ManagementServer::finish(CtxPtr ctx, TaskError err)
+ManagementServer::releaseSlots(CtxPtr ctx)
 {
-    // Release held execution resources (order: agent, then slot —
-    // the reverse of acquisition).
+    // Agent first, then the datastore slot: the reverse of
+    // acquisition.
     if (ctx->held_agent) {
         ctx->held_agent->release();
         ctx->held_agent = nullptr;
@@ -602,6 +668,12 @@ ManagementServer::finish(CtxPtr ctx, TaskError err)
         ctx->held_ds_slot->release();
         ctx->held_ds_slot = nullptr;
     }
+}
+
+void
+ManagementServer::finish(CtxPtr ctx, TaskError err)
+{
+    releaseSlots(ctx);
 
     if (err != TaskError::None) {
         // Roll back provisional state.
@@ -629,14 +701,9 @@ ManagementServer::finish(CtxPtr ctx, TaskError err)
             panic("ManagementServer: rollback disk destroy failed");
         }
     }
-    ctx->committed_host = HostId();
-    ctx->reserved_bytes = 0;
-    ctx->created_vms.clear();
 
-    if (!ctx->held_locks.empty()) {
+    if (!ctx->held_locks.empty())
         locks.releaseAll(ctx->held_locks);
-        ctx->held_locks.clear();
-    }
 
     Task &t = *ctx->task;
     t.markFinished(sim.now(), err);
@@ -684,94 +751,98 @@ ManagementServer::finish(CtxPtr ctx, TaskError err)
         tasks.destroy(tid);
 }
 
-void
-ManagementServer::acquireLocks(CtxPtr ctx,
-                               std::vector<LockRequest> reqs,
-                               InlineAction then)
+/*
+ * The interpreter.  Every op runs through the same stations —
+ * dispatch, locks granted, DB done, host phase done, finalize done —
+ * and only they schedule events, sample costs or finish the task.
+ * Between them they run the op's recipe steps, which are synchronous.
+ */
+
+bool
+ManagementServer::runStep(CtxPtr ctx, OpStep step)
 {
-    ctx->next = std::move(then);
-    ctx->phase_start = sim.now();
-    ctx->pending_locks = std::move(reqs);
-    locks.acquireAll(ctx->pending_locks, [this, ctx]() {
-        ctx->held_locks = std::move(ctx->pending_locks);
-        ctx->task->addPhaseTime(TaskPhase::Locks,
-                                sim.now() - ctx->phase_start);
-        tracePhase(ctx, TaskPhase::Locks);
-        InlineAction then = std::move(ctx->next);
-        then();
-    });
+    TaskError err = step ? step(*ctx) : TaskError::None;
+    if (err == TaskError::None)
+        return true;
+    finish(ctx, err);
+    return false;
 }
 
 void
-ManagementServer::runDbPhase(CtxPtr ctx, int txns, TaskPhase phase,
-                             InlineAction then)
+ManagementServer::runTask(CtxPtr ctx)
 {
-    ctx->next = std::move(then);
+    if (!runStep(ctx, recipeFor(ctx->task->type()).check))
+        return;
     ctx->phase_start = sim.now();
-    ctx->db_phase = phase;
-    db.runTxns(txns, [this, ctx]() {
-        ctx->task->addPhaseTime(ctx->db_phase,
-                                sim.now() - ctx->phase_start);
-        tracePhase(ctx, ctx->db_phase);
-        InlineAction then = std::move(ctx->next);
-        then();
-    });
+    locks.acquireAll(ctx->locks, [this, ctx]() { locksGranted(ctx); });
 }
 
 void
-ManagementServer::runAgentPhase(CtxPtr ctx, HostId host,
-                                InlineAction then)
+ManagementServer::locksGranted(CtxPtr ctx)
 {
-    ctx->next = std::move(then);
+    ctx->held_locks = std::move(ctx->locks);
+    endPhase(ctx, TaskPhase::Locks);
+    if (!runStep(ctx, recipeFor(ctx->task->type()).relock))
+        return;
     ctx->phase_start = sim.now();
-    SimDuration service = costs.sampleHost(ctx->task->type());
-    ctx->agent_service = service;
-    hostAgent(host).execute(service, [this, ctx]() {
-        ctx->task->addPhaseTime(TaskPhase::HostAgent,
-                                sim.now() - ctx->phase_start);
-        tracePhase(ctx, TaskPhase::HostAgent);
+    db.runTxns(costs.dbTxns(ctx->task->type()),
+               [this, ctx]() { dbDone(ctx); });
+}
+
+void
+ManagementServer::dbDone(CtxPtr ctx)
+{
+    endPhase(ctx, TaskPhase::Db);
+    if (!runStep(ctx, recipeFor(ctx->task->type()).prepare))
+        return;
+    // The host phase follows from what the recipe pinned: no host
+    // goes straight on to apply, a datastore slot selects the data
+    // phase, a host alone the agent phase.
+    if (!ctx->host.valid()) {
+        hostDone(ctx);
+        return;
+    }
+    ctx->phase_start = sim.now();
+    if (ctx->slot_ds.valid()) {
+        datastoreSlots(ctx->slot_ds)
+            .acquire([this, ctx]() { dataSlotGranted(ctx); });
+        return;
+    }
+    ctx->agent_service = costs.sampleHost(ctx->task->type());
+    hostAgent(ctx->host).execute(ctx->agent_service, [this, ctx]() {
+        endPhase(ctx, TaskPhase::HostAgent);
         traceAgentSplit(ctx, ctx->agent_service);
-        InlineAction then = std::move(ctx->next);
-        then();
+        hostDone(ctx);
     });
 }
 
 void
-ManagementServer::runAgentDataPhase(CtxPtr ctx, HostId host,
-                                    DatastoreId slot_ds,
-                                    DatastoreId src_ds,
-                                    DatastoreId dst_ds, Bytes bytes,
-                                    InlineAction then,
-                                    HostId net_src, HostId net_dst)
+ManagementServer::hostDone(CtxPtr ctx)
 {
-    ctx->next = std::move(then);
+    if (!runStep(ctx, recipeFor(ctx->task->type()).apply))
+        return;
     ctx->phase_start = sim.now();
-    ctx->data_host = host;
-    ctx->data_slot_ds = slot_ds;
-    ctx->data_src_ds = src_ds;
-    ctx->data_dst_ds = dst_ds;
-    ctx->data_bytes = bytes;
-    ctx->data_net_src = net_src;
-    ctx->data_net_dst = net_dst;
-    datastoreSlots(slot_ds).acquire(
-        [this, ctx]() { dataSlotGranted(ctx); });
+    db.runTxns(costs.finalizeTxns(ctx->task->type()), [this, ctx]() {
+        endPhase(ctx, TaskPhase::Finalize);
+        finish(ctx, TaskError::None);
+    });
 }
 
 void
 ManagementServer::dataSlotGranted(CtxPtr ctx)
 {
-    ctx->held_ds_slot = &datastoreSlots(ctx->data_slot_ds);
-    hostAgent(ctx->data_host)
+    ctx->held_ds_slot = &datastoreSlots(ctx->slot_ds);
+    hostAgent(ctx->host)
         .acquireSlot([this, ctx]() { dataAgentGranted(ctx); });
 }
 
 void
 ManagementServer::dataAgentGranted(CtxPtr ctx)
 {
-    ctx->held_agent = &hostAgent(ctx->data_host);
-    SimDuration setup = costs.sampleHost(ctx->task->type());
-    ctx->agent_service = setup;
-    sim.schedule(setup, [this, ctx]() { dataSetupDone(ctx); });
+    ctx->held_agent = &hostAgent(ctx->host);
+    ctx->agent_service = costs.sampleHost(ctx->task->type());
+    sim.schedule(ctx->agent_service,
+                 [this, ctx]() { dataSetupDone(ctx); });
 }
 
 void
@@ -782,47 +853,39 @@ ManagementServer::dataSetupDone(CtxPtr ctx)
     // datastore slot stay held — the host-side work really is
     // occupying them — and the parked window lands in this op's
     // HostAgent phase time.
-    if (hostAgent(ctx->data_host)
+    if (hostAgent(ctx->host)
             .parkIfDisconnected([this, ctx] { dataSetupDone(ctx); })) {
         return;
     }
-    ctx->task->addPhaseTime(TaskPhase::HostAgent,
-                            sim.now() - ctx->phase_start);
-    tracePhase(ctx, TaskPhase::HostAgent);
+    endPhase(ctx, TaskPhase::HostAgent);
     traceAgentSplit(ctx, ctx->agent_service);
-    if (ctx->data_bytes <= 0) {
-        ctx->held_agent->release();
-        ctx->held_agent = nullptr;
-        ctx->held_ds_slot->release();
-        ctx->held_ds_slot = nullptr;
-        InlineAction then = std::move(ctx->next);
-        then();
+    if (ctx->bytes <= 0) {
+        releaseSlots(ctx);
+        hostDone(ctx);
         return;
     }
     ctx->phase_start = sim.now();
-    if (ctx->data_src_ds == ctx->data_dst_ds) {
-        inv.datastore(ctx->data_dst_ds)
+    // Host-pinned endpoints always cross the fabric.
+    bool host_to_host = ctx->net_src.valid();
+    if (!host_to_host && ctx->src_ds == ctx->dst_ds) {
+        inv.datastore(ctx->dst_ds)
             .copyPipe()
-            .startTransfer(ctx->data_bytes,
+            .startTransfer(ctx->bytes,
                            [this, ctx]() { dataCopyDone(ctx); });
         return;
     }
-    // Everything else moves over the routed fabric.  Endpoints are
-    // the datastores' bound nodes unless the op pinned hosts (live
-    // migration); the degenerate single-link topology ignores them.
+    // The degenerate single-link topology ignores the endpoints.
     Fabric &fab = net.topology();
     FabricNodeId src = kInvalidFabricNode;
     FabricNodeId dst = kInvalidFabricNode;
     if (!fab.degenerate()) {
-        src = ctx->data_net_src.valid()
-                  ? fab.hostNode(ctx->data_net_src)
-                  : fab.datastoreNode(ctx->data_src_ds);
-        dst = ctx->data_net_dst.valid()
-                  ? fab.hostNode(ctx->data_net_dst)
-                  : fab.datastoreNode(ctx->data_dst_ds);
+        src = host_to_host ? fab.hostNode(ctx->net_src)
+                           : fab.datastoreNode(ctx->src_ds);
+        dst = host_to_host ? fab.hostNode(ctx->net_dst)
+                           : fab.datastoreNode(ctx->dst_ds);
     }
     fab.startTransfer(
-        src, dst, ctx->data_bytes,
+        src, dst, ctx->bytes,
         [this, ctx]() { dataCopyDone(ctx); },
         [this, ctx]() { dataCopyFailed(ctx); },
         ctx->task->id().value,
@@ -834,287 +897,197 @@ ManagementServer::dataCopyDone(CtxPtr ctx)
 {
     // Same parking rule as dataSetupDone: a copy that finished
     // against a dark agent cannot report back until reconciliation.
-    if (hostAgent(ctx->data_host)
+    if (hostAgent(ctx->host)
             .parkIfDisconnected([this, ctx] { dataCopyDone(ctx); })) {
         return;
     }
-    ctx->task->addPhaseTime(TaskPhase::DataCopy,
-                            sim.now() - ctx->phase_start);
-    tracePhase(ctx, TaskPhase::DataCopy);
-    bytes_moved += ctx->data_bytes;
+    endPhase(ctx, TaskPhase::DataCopy);
+    bytes_moved += ctx->bytes;
     if (!bytes_moved_stat)
         bytes_moved_stat = &stats.counter("cp.bytes_moved");
-    bytes_moved_stat->inc(static_cast<std::uint64_t>(ctx->data_bytes));
-    ctx->held_agent->release();
-    ctx->held_agent = nullptr;
-    ctx->held_ds_slot->release();
-    ctx->held_ds_slot = nullptr;
-    InlineAction then = std::move(ctx->next);
-    then();
+    bytes_moved_stat->inc(static_cast<std::uint64_t>(ctx->bytes));
+    releaseSlots(ctx);
+    hostDone(ctx);
 }
 
 void
 ManagementServer::dataCopyFailed(CtxPtr ctx)
 {
-    ctx->task->addPhaseTime(TaskPhase::DataCopy,
-                            sim.now() - ctx->phase_start);
-    tracePhase(ctx, TaskPhase::DataCopy);
+    endPhase(ctx, TaskPhase::DataCopy);
     // finish() releases the held agent and datastore slot and rolls
     // back the op's provisional records.
     finish(ctx, TaskError::NetworkUnreachable);
 }
 
-void
-ManagementServer::runTask(CtxPtr ctx)
+/*
+ * The recipes.  Steps validate against and change the inventory only;
+ * each reads it at the same point of the pipeline the op's semantics
+ * need (e.g. Migrate picks its slot datastore after the DB phase,
+ * RemoveSnapshot sizes its copy once its locks are held).
+ */
+
+namespace {
+
+constexpr TaskError kOk = TaskError::None;
+
+/** True if host @p h can take new work. */
+bool
+hostUsable(const Host &h)
 {
-    switch (ctx->task->type()) {
-      case OpType::PowerOn:
-      case OpType::PowerOff:
-      case OpType::Suspend:
-      case OpType::Reset:
-        execPower(ctx);
-        return;
-      case OpType::CreateVm:
-        execCreateVm(ctx);
-        return;
-      case OpType::CloneFull:
-      case OpType::CloneLinked:
-        execClone(ctx);
-        return;
-      case OpType::Destroy:
-        execDestroy(ctx);
-        return;
-      case OpType::RegisterVm:
-      case OpType::UnregisterVm:
-        execRegister(ctx);
-        return;
-      case OpType::Reconfigure:
-        execReconfigure(ctx);
-        return;
-      case OpType::Snapshot:
-        execSnapshot(ctx);
-        return;
-      case OpType::RemoveSnapshot:
-        execRemoveSnapshot(ctx);
-        return;
-      case OpType::Relocate:
-        execRelocate(ctx);
-        return;
-      case OpType::Migrate:
-        execMigrate(ctx);
-        return;
-      case OpType::AddHost:
-      case OpType::RemoveHost:
-      case OpType::EnterMaintenance:
-      case OpType::ExitMaintenance:
-        execHostLifecycle(ctx);
-        return;
-      case OpType::ReplicateBaseDisk:
-        execReplicateBaseDisk(ctx);
-        return;
-      case OpType::ConsolidateDisk:
-        execConsolidateDisk(ctx);
-        return;
-      case OpType::NumOpTypes:
-        break;
-    }
-    panic("ManagementServer: unhandled op type");
+    return h.connected() && !h.inMaintenance();
 }
 
 /*
  * Power verbs: exclusive VM lock + shared host lock; PowerOn commits
  * host resources before the host agent runs (admission control).
  */
-void
-ManagementServer::execPower(CtxPtr ctx)
+TaskError
+powerCheck(OpCtx &c)
 {
-    const OpRequest &req = ctx->task->request();
-    OpType t = req.type;
-
-    if (!inv.hasVm(req.vm)) {
-        finish(ctx, TaskError::NoSuchEntity);
-        return;
+    const OpRequest &req = c.req();
+    if (!c.inv.hasVm(req.vm))
+        return TaskError::NoSuchEntity;
+    const Vm &vm = c.inv.vm(req.vm);
+    if (!vm.host.valid() || vm.is_template)
+        return TaskError::InvalidState;
+    const Host &host = c.inv.host(vm.host);
+    if (!host.connected() ||
+        (req.type == OpType::PowerOn && host.inMaintenance())) {
+        return TaskError::HostUnavailable;
     }
-    {
-        Vm &vm = inv.vm(req.vm);
-        if (!vm.host.valid() || vm.is_template) {
-            finish(ctx, TaskError::InvalidState);
-            return;
-        }
-        Host &host = inv.host(vm.host);
-        if (!host.connected() ||
-            (t == OpType::PowerOn && host.inMaintenance())) {
-            finish(ctx, TaskError::HostUnavailable);
-            return;
-        }
+    c.vm = req.vm;
+    c.host = vm.host;
+    c.locks = {{lockKey(c.vm), LockMode::Exclusive},
+               {lockKey(c.host), LockMode::Shared}};
+    return kOk;
+}
+
+TaskError
+powerRelock(OpCtx &c)
+{
+    // Re-validate: the VM may have been destroyed, moved to another
+    // host (a migrate beat us to the lock), or changed power state
+    // while we waited.  Acting on a stale host id would release the
+    // commitment on the wrong host.
+    if (!c.inv.hasVm(c.vm))
+        return TaskError::NoSuchEntity;
+    Vm &vm = c.inv.vm(c.vm);
+    if (vm.host != c.host)
+        return TaskError::InvalidState;
+    OpType t = c.type();
+    if (t == OpType::Reset) // stays on
+        return vm.powerState() == PowerState::PoweredOn
+                   ? kOk
+                   : TaskError::InvalidState;
+    PowerState target = (t == OpType::PowerOn) ? PowerState::PoweringOn
+        : (t == OpType::PowerOff)              ? PowerState::PoweringOff
+                                               : PowerState::Suspended;
+    if (!vm.canTransitionTo(target))
+        return TaskError::InvalidState;
+    if (t == OpType::PowerOn) {
+        if (!c.commitOn(c.host, vm))
+            return TaskError::PlacementFailed;
+        vm.transitionTo(PowerState::PoweringOn);
+    } else if (t == OpType::PowerOff) {
+        vm.transitionTo(PowerState::PoweringOff);
     }
+    return kOk;
+}
 
-    VmId vm_id = req.vm;
-    HostId host_id = inv.vm(vm_id).host;
-    acquireLocks(
-        ctx,
-        {{lockKey(vm_id), LockMode::Exclusive},
-         {lockKey(host_id), LockMode::Shared}},
-        [this, ctx, t, vm_id, host_id]() {
-            // Re-validate: the VM may have been destroyed, moved to
-            // another host (a migrate beat us to the lock), or
-            // changed power state while we waited.  Acting on a
-            // stale host id would release the commitment on the
-            // wrong host.
-            if (!inv.hasVm(vm_id)) {
-                finish(ctx, TaskError::NoSuchEntity);
-                return;
-            }
-            Vm &vm = inv.vm(vm_id);
-            if (vm.host != host_id) {
-                finish(ctx, TaskError::InvalidState);
-                return;
-            }
-            PowerState target = (t == OpType::PowerOn)
-                ? PowerState::PoweringOn
-                : (t == OpType::PowerOff) ? PowerState::PoweringOff
-                : (t == OpType::Suspend) ? PowerState::Suspended
-                : PowerState::PoweredOn /* Reset: stays on */;
+TaskError
+powerApply(OpCtx &c)
+{
+    Vm &vm = c.inv.vm(c.vm);
+    switch (c.type()) {
+      case OpType::PowerOn:
+        // A host crash may have forced the VM off mid-flight and
+        // released the commitment already, so the clear must happen
+        // on both branches; the failed transition then turns into a
+        // task failure instead of a phantom "restarted" success for a
+        // VM that is off.
+        c.committed_host = HostId();
+        if (!vm.transitionTo(PowerState::PoweredOn))
+            return TaskError::InvalidState;
+        break;
+      case OpType::PowerOff:
+      case OpType::Suspend:
+        // A host crash may have forced the VM off (and released its
+        // commitment) already; the failed transition tells us not to
+        // double-release.
+        if (vm.transitionTo(c.type() == OpType::PowerOff
+                                ? PowerState::PoweredOff
+                                : PowerState::Suspended)) {
+            c.inv.host(c.host).release(vm.vcpus, vm.memory);
+        }
+        break;
+      default:
+        break; // Reset: no state change
+    }
+    return kOk;
+}
 
-            if (t == OpType::Reset) {
-                if (vm.powerState() != PowerState::PoweredOn) {
-                    finish(ctx, TaskError::InvalidState);
-                    return;
-                }
-            } else if (!vm.canTransitionTo(target)) {
-                finish(ctx, TaskError::InvalidState);
-                return;
-            }
+/** Create a provisional VM record (destroyed if the task fails). */
+VmId
+provisionalVm(OpCtx &c, int vcpus, Bytes memory)
+{
+    const OpRequest &req = c.req();
+    VmConfig vc;
+    vc.name = req.name;
+    vc.vcpus = vcpus;
+    vc.memory = memory;
+    vc.tenant = req.tenant;
+    VmId v = c.inv.createVm(vc);
+    c.created_vms.push_back(v);
+    return v;
+}
 
-            if (t == OpType::PowerOn) {
-                Host &host = inv.host(host_id);
-                if (!host.commit(vm.vcpus, vm.memory)) {
-                    finish(ctx, TaskError::PlacementFailed);
-                    return;
-                }
-                ctx->committed_host = host_id;
-                ctx->committed_vcpus = vm.vcpus;
-                ctx->committed_memory = vm.memory;
-                vm.transitionTo(PowerState::PoweringOn);
-            } else if (t == OpType::PowerOff) {
-                vm.transitionTo(PowerState::PoweringOff);
-            }
-
-            runDbPhase(ctx, costs.dbTxns(t), TaskPhase::Db,
-                       [this, ctx, t, vm_id, host_id]() {
-                runAgentPhase(ctx, host_id, [this, ctx, t, vm_id,
-                                             host_id]() {
-                    Vm &vm = inv.vm(vm_id);
-                    switch (t) {
-                      case OpType::PowerOn:
-                        // A host crash may have forced the VM off
-                        // mid-flight and released the commitment
-                        // already, so the clear must happen on both
-                        // branches; the failed transition then turns
-                        // into a task failure instead of a phantom
-                        // "restarted" success for a VM that is off.
-                        ctx->committed_host = HostId();
-                        if (!vm.transitionTo(PowerState::PoweredOn)) {
-                            finish(ctx, TaskError::InvalidState);
-                            return;
-                        }
-                        break;
-                      case OpType::PowerOff:
-                        // A host crash may have forced the VM off
-                        // (and released its commitment) already; the
-                        // failed transition tells us not to
-                        // double-release.
-                        if (vm.transitionTo(PowerState::PoweredOff)) {
-                            inv.host(host_id).release(vm.vcpus,
-                                                      vm.memory);
-                        }
-                        break;
-                      case OpType::Suspend:
-                        if (vm.transitionTo(PowerState::Suspended)) {
-                            inv.host(host_id).release(vm.vcpus,
-                                                      vm.memory);
-                        }
-                        break;
-                      default:
-                        break; // Reset: no state change
-                    }
-                    runDbPhase(ctx, costs.finalizeTxns(t),
-                               TaskPhase::Finalize, [this, ctx]() {
-                        finish(ctx, TaskError::None);
-                    });
-                });
-            });
-        });
+/** Give provisional VM @p v its disk and register it on c.host. */
+TaskError
+placeVm(OpCtx &c, VmId v, DiskConfig dc)
+{
+    dc.owner = v;
+    DiskId disk = c.inv.createDisk(dc);
+    if (!disk.valid())
+        return TaskError::OutOfSpace;
+    Vm &vm = c.inv.vm(v);
+    vm.disks.push_back(disk);
+    vm.host = c.host;
+    c.inv.host(c.host).registerVm(v);
+    c.task->setResultVm(v);
+    return kOk;
 }
 
 /*
  * CreateVm: from-scratch creation with a flat disk; shared host and
  * datastore locks; the record is provisional until the task succeeds.
  */
-void
-ManagementServer::execCreateVm(CtxPtr ctx)
+TaskError
+createCheck(OpCtx &c)
 {
-    const OpRequest &req = ctx->task->request();
-    if (!inv.hasHost(req.host)) {
-        finish(ctx, TaskError::NoSuchEntity);
-        return;
-    }
-    {
-        Host &host = inv.host(req.host);
-        if (!host.connected() || host.inMaintenance()) {
-            finish(ctx, TaskError::HostUnavailable);
-            return;
-        }
-        if (!host.hasDatastore(req.datastore)) {
-            finish(ctx, TaskError::BadRequest);
-            return;
-        }
-    }
+    const OpRequest &req = c.req();
+    if (!c.inv.hasHost(req.host))
+        return TaskError::NoSuchEntity;
+    const Host &host = c.inv.host(req.host);
+    if (!hostUsable(host))
+        return TaskError::HostUnavailable;
+    if (!host.hasDatastore(req.datastore))
+        return TaskError::BadRequest;
+    c.host = req.host;
+    c.locks = {{lockKey(req.host), LockMode::Shared},
+               {lockKey(req.datastore), LockMode::Shared}};
+    return kOk;
+}
 
-    acquireLocks(
-        ctx,
-        {{lockKey(req.host), LockMode::Shared},
-         {lockKey(req.datastore), LockMode::Shared}},
-        [this, ctx]() {
-            const OpRequest &req = ctx->task->request();
-            runDbPhase(ctx, costs.dbTxns(req.type), TaskPhase::Db,
-                       [this, ctx]() {
-                const OpRequest &req = ctx->task->request();
-                VmConfig vc;
-                vc.name = req.name;
-                vc.vcpus = req.vcpus;
-                vc.memory = req.memory;
-                vc.tenant = req.tenant;
-                VmId vm_id = inv.createVm(vc);
-                ctx->created_vms.push_back(vm_id);
-
-                DiskConfig dc;
-                dc.kind = DiskKind::Flat;
-                dc.datastore = req.datastore;
-                dc.capacity = req.disk_size;
-                dc.owner = vm_id;
-                DiskId disk = inv.createDisk(dc);
-                if (!disk.valid()) {
-                    finish(ctx, TaskError::OutOfSpace);
-                    return;
-                }
-                Vm &vm = inv.vm(vm_id);
-                vm.disks.push_back(disk);
-                vm.host = req.host;
-                inv.host(req.host).registerVm(vm_id);
-                ctx->task->setResultVm(vm_id);
-
-                runAgentPhase(ctx, req.host, [this, ctx]() {
-                    const OpRequest &req = ctx->task->request();
-                    runDbPhase(ctx, costs.finalizeTxns(req.type),
-                               TaskPhase::Finalize, [this, ctx]() {
-                        // Success: the records are permanent.
-                        ctx->created_vms.clear();
-                        finish(ctx, TaskError::None);
-                    });
-                });
-            });
-        });
+TaskError
+createPrepare(OpCtx &c)
+{
+    const OpRequest &req = c.req();
+    VmId v = provisionalVm(c, req.vcpus, req.memory);
+    DiskConfig dc;
+    dc.kind = DiskKind::Flat;
+    dc.datastore = req.datastore;
+    dc.capacity = req.disk_size;
+    return placeVm(c, v, dc);
 }
 
 /*
@@ -1124,492 +1097,346 @@ ManagementServer::execCreateVm(CtxPtr ctx)
  * pipe, while a linked clone creates only a delta disk backed by a
  * prepared base disk — no bulk data at all.
  */
-void
-ManagementServer::execClone(CtxPtr ctx)
+TaskError
+cloneCheck(OpCtx &c)
 {
-    const OpRequest &req = ctx->task->request();
-    OpType t = req.type;
-
-    if (!inv.hasVm(req.vm) || !inv.hasHost(req.host)) {
-        finish(ctx, TaskError::NoSuchEntity);
-        return;
-    }
-    {
-        Host &host = inv.host(req.host);
-        if (!host.connected() || host.inMaintenance()) {
-            finish(ctx, TaskError::HostUnavailable);
-            return;
-        }
-        if (!host.hasDatastore(req.datastore)) {
-            finish(ctx, TaskError::BadRequest);
-            return;
-        }
-    }
-    if (t == OpType::CloneLinked) {
-        if (!req.base_disk.valid() || !inv.hasDisk(req.base_disk)) {
-            finish(ctx, TaskError::BadRequest);
-            return;
-        }
-        const VirtualDisk &base = inv.disk(req.base_disk);
+    const OpRequest &req = c.req();
+    if (!c.inv.hasVm(req.vm) || !c.inv.hasHost(req.host))
+        return TaskError::NoSuchEntity;
+    const Host &host = c.inv.host(req.host);
+    if (!hostUsable(host))
+        return TaskError::HostUnavailable;
+    if (!host.hasDatastore(req.datastore))
+        return TaskError::BadRequest;
+    bool linked = req.type == OpType::CloneLinked;
+    if (linked) {
+        if (!req.base_disk.valid() || !c.inv.hasDisk(req.base_disk))
+            return TaskError::BadRequest;
+        const VirtualDisk &base = c.inv.disk(req.base_disk);
         if (base.kind != DiskKind::Flat ||
             base.datastore != req.datastore) {
-            finish(ctx, TaskError::BadRequest);
-            return;
+            return TaskError::BadRequest;
         }
     }
+    c.host = req.host;
+    c.locks = {{lockKey(req.vm), LockMode::Shared},
+               {lockKey(req.host), LockMode::Shared},
+               {lockKey(req.datastore), LockMode::Shared}};
+    if (linked)
+        c.locks.push_back({lockKey(req.base_disk), LockMode::Shared});
+    return kOk;
+}
 
-    std::vector<LockRequest> lock_reqs = {
-        {lockKey(req.vm), LockMode::Shared},
-        {lockKey(req.host), LockMode::Shared},
-        {lockKey(req.datastore), LockMode::Shared},
-    };
-    if (t == OpType::CloneLinked)
-        lock_reqs.push_back({lockKey(req.base_disk), LockMode::Shared});
+TaskError
+cloneRelock(OpCtx &c)
+{
+    // The source (and base) may have been destroyed while we waited;
+    // once the shared locks are held they are safe.
+    const OpRequest &req = c.req();
+    if (!c.inv.hasVm(req.vm) ||
+        (req.type == OpType::CloneLinked &&
+         !c.inv.hasDisk(req.base_disk))) {
+        return TaskError::NoSuchEntity;
+    }
+    return kOk;
+}
 
-    acquireLocks(ctx, std::move(lock_reqs), [this, ctx, t]() {
-        // The source (and base) may have been destroyed while we
-        // waited; once the shared locks are held they are safe.
-        const OpRequest &req0 = ctx->task->request();
-        if (!inv.hasVm(req0.vm) ||
-            (t == OpType::CloneLinked &&
-             !inv.hasDisk(req0.base_disk))) {
-            finish(ctx, TaskError::NoSuchEntity);
-            return;
+TaskError
+clonePrepare(OpCtx &c)
+{
+    const OpRequest &req = c.req();
+    const Vm &src = c.inv.vm(req.vm);
+    // Shape is inherited from the source.
+    VmId v = provisionalVm(c, src.vcpus, src.memory);
+    c.slot_ds = c.src_ds = c.dst_ds = req.datastore;
+    DiskConfig dc;
+    dc.datastore = req.datastore;
+    if (req.type == OpType::CloneFull) {
+        dc.kind = DiskKind::Flat;
+        for (DiskId d : src.disks) {
+            const VirtualDisk &sd = c.inv.disk(d);
+            dc.capacity += sd.capacity;
+            c.bytes += sd.allocated;
+            c.src_ds = sd.datastore;
         }
-        runDbPhase(ctx, costs.dbTxns(t), TaskPhase::Db,
-                   [this, ctx, t]() {
-            const OpRequest &req = ctx->task->request();
-            const Vm &src = inv.vm(req.vm);
-
-            // Shape is inherited from the source.
-            VmConfig vc;
-            vc.name = req.name;
-            vc.vcpus = src.vcpus;
-            vc.memory = src.memory;
-            vc.tenant = req.tenant;
-            VmId vm_id = inv.createVm(vc);
-            ctx->created_vms.push_back(vm_id);
-
-            Bytes copy_bytes = 0;
-            DatastoreId src_ds = req.datastore;
-            DiskId new_disk;
-            if (t == OpType::CloneFull) {
-                Bytes total_cap = 0;
-                for (DiskId d : src.disks) {
-                    const VirtualDisk &sd = inv.disk(d);
-                    total_cap += sd.capacity;
-                    copy_bytes += sd.allocated;
-                    src_ds = sd.datastore;
-                }
-                if (src.disks.empty()) {
-                    total_cap = req.disk_size;
-                    copy_bytes = req.disk_size;
-                }
-                DiskConfig dc;
-                dc.kind = DiskKind::Flat;
-                dc.datastore = req.datastore;
-                dc.capacity = total_cap;
-                dc.owner = vm_id;
-                new_disk = inv.createDisk(dc);
-            } else {
-                const VirtualDisk &base = inv.disk(req.base_disk);
-                DiskConfig dc;
-                dc.kind = DiskKind::LinkedCloneDelta;
-                dc.datastore = req.datastore;
-                dc.capacity = base.capacity;
-                dc.initial_allocation =
-                    costs.linkedDeltaAllocation(base.capacity);
-                dc.parent = req.base_disk;
-                dc.owner = vm_id;
-                new_disk = inv.createDisk(dc);
-            }
-            if (!new_disk.valid()) {
-                finish(ctx, TaskError::OutOfSpace);
-                return;
-            }
-            Vm &vm = inv.vm(vm_id);
-            vm.disks.push_back(new_disk);
-            vm.host = req.host;
-            inv.host(req.host).registerVm(vm_id);
-            ctx->task->setResultVm(vm_id);
-
-            runAgentDataPhase(
-                ctx, req.host, req.datastore, src_ds, req.datastore,
-                copy_bytes, [this, ctx, t]() {
-                    runDbPhase(ctx, costs.finalizeTxns(t),
-                               TaskPhase::Finalize, [this, ctx]() {
-                        ctx->created_vms.clear();
-                        finish(ctx, TaskError::None);
-                    });
-                });
-        });
-    });
+        if (src.disks.empty())
+            dc.capacity = c.bytes = req.disk_size;
+    } else {
+        const VirtualDisk &base = c.inv.disk(req.base_disk);
+        dc.kind = DiskKind::LinkedCloneDelta;
+        dc.capacity = base.capacity;
+        dc.initial_allocation =
+            c.costs.linkedDeltaAllocation(base.capacity);
+        dc.parent = req.base_disk;
+    }
+    return placeVm(c, v, dc);
 }
 
 /*
  * Destroy: exclusive VM lock; the VM must be powered off and its
  * disks must not back any linked clones.
  */
-void
-ManagementServer::execDestroy(CtxPtr ctx)
+TaskError
+destroyCheck(OpCtx &c)
 {
-    const OpRequest &req = ctx->task->request();
-    if (!inv.hasVm(req.vm)) {
-        finish(ctx, TaskError::NoSuchEntity);
-        return;
-    }
-    VmId vm_id = req.vm;
-    HostId host_id = inv.vm(vm_id).host;
-
+    const OpRequest &req = c.req();
+    if (!c.inv.hasVm(req.vm))
+        return TaskError::NoSuchEntity;
+    const Vm &vm = c.inv.vm(req.vm);
+    c.vm = req.vm;
+    c.host = vm.host;
+    c.disks = vm.disks;
     // Lock the VM's disks exclusively too: replication and
     // consolidation hold shared disk locks, and deleting a disk out
     // from under them would corrupt their copies.
-    std::vector<DiskId> disk_set = inv.vm(vm_id).disks;
-    std::vector<LockRequest> lock_reqs = {
-        {lockKey(vm_id), LockMode::Exclusive}};
-    if (host_id.valid())
-        lock_reqs.push_back({lockKey(host_id), LockMode::Shared});
-    for (DiskId d : disk_set)
-        lock_reqs.push_back({lockKey(d), LockMode::Exclusive});
+    c.locks = {{lockKey(c.vm), LockMode::Exclusive}};
+    if (c.host.valid())
+        c.locks.push_back({lockKey(c.host), LockMode::Shared});
+    for (DiskId d : c.disks)
+        c.locks.push_back({lockKey(d), LockMode::Exclusive});
+    return kOk;
+}
 
-    acquireLocks(ctx, std::move(lock_reqs), [this, ctx, vm_id,
-                                             host_id, disk_set]() {
-        // The VM (or its disk list) may have changed while waiting;
-        // the lock set would no longer match, so bail out.
-        if (!inv.hasVm(vm_id)) {
-            finish(ctx, TaskError::NoSuchEntity);
-            return;
+TaskError
+destroyRelock(OpCtx &c)
+{
+    // The VM (or its disk list) may have changed while waiting; the
+    // lock set would no longer match, so bail out.
+    if (!c.inv.hasVm(c.vm))
+        return TaskError::NoSuchEntity;
+    const Vm &vm = c.inv.vm(c.vm);
+    if (vm.disks != c.disks || vm.host != c.host ||
+        vm.powerState() != PowerState::PoweredOff) {
+        return TaskError::InvalidState;
+    }
+    // References from the VM's own snapshot chain are fine (the
+    // destroy tears the chain down); only external linked-clone
+    // children block it.
+    for (DiskId d : vm.disks) {
+        int refs_within_vm = 0;
+        for (DiskId other : vm.disks) {
+            if (c.inv.disk(other).parent == d)
+                ++refs_within_vm;
         }
-        Vm &vm = inv.vm(vm_id);
-        if (vm.disks != disk_set || vm.host != host_id) {
-            finish(ctx, TaskError::InvalidState);
-            return;
-        }
-        if (vm.powerState() != PowerState::PoweredOff) {
-            finish(ctx, TaskError::InvalidState);
-            return;
-        }
-        // References from the VM's own snapshot chain are fine (the
-        // destroy tears the chain down); only external linked-clone
-        // children block it.
-        for (DiskId d : vm.disks) {
-            int refs_within_vm = 0;
-            for (DiskId other : vm.disks) {
-                if (inv.disk(other).parent == d)
-                    ++refs_within_vm;
-            }
-            if (inv.disk(d).ref_count > refs_within_vm) {
-                finish(ctx, TaskError::InvalidState);
-                return;
-            }
-        }
-        OpType t = ctx->task->type();
-        runDbPhase(ctx, costs.dbTxns(t), TaskPhase::Db,
-                   [this, ctx, t, vm_id, host_id]() {
-            auto destroy_records = [this, ctx, t, vm_id, host_id]() {
-                Vm &vm = inv.vm(vm_id);
-                if (host_id.valid()) {
-                    inv.host(host_id).unregisterVm(vm_id);
-                    vm.host = HostId();
-                }
-                if (!inv.destroyVm(vm_id)) {
-                    finish(ctx, TaskError::InvalidState);
-                    return;
-                }
-                runDbPhase(ctx, costs.finalizeTxns(t),
-                           TaskPhase::Finalize, [this, ctx]() {
-                    finish(ctx, TaskError::None);
-                });
-            };
-            if (host_id.valid()) {
-                runAgentPhase(ctx, host_id, destroy_records);
-            } else {
-                destroy_records();
-            }
-        });
-    });
+        if (c.inv.disk(d).ref_count > refs_within_vm)
+            return TaskError::InvalidState;
+    }
+    return kOk;
+}
+
+TaskError
+destroyApply(OpCtx &c)
+{
+    if (c.host.valid()) {
+        c.inv.host(c.host).unregisterVm(c.vm);
+        c.inv.vm(c.vm).host = HostId();
+    }
+    return c.inv.destroyVm(c.vm) ? kOk : TaskError::InvalidState;
 }
 
 /*
  * RegisterVm / UnregisterVm: light record operations.
  */
-void
-ManagementServer::execRegister(CtxPtr ctx)
+TaskError
+registerCheck(OpCtx &c)
 {
-    const OpRequest &req = ctx->task->request();
-    OpType t = req.type;
-    if (!inv.hasVm(req.vm)) {
-        finish(ctx, TaskError::NoSuchEntity);
-        return;
-    }
-
-    if (t == OpType::RegisterVm) {
-        if (!inv.hasHost(req.host)) {
-            finish(ctx, TaskError::NoSuchEntity);
-            return;
-        }
-        Host &host = inv.host(req.host);
-        if (!host.connected() || host.inMaintenance()) {
-            finish(ctx, TaskError::HostUnavailable);
-            return;
-        }
-    } else if (!inv.vm(req.vm).host.valid()) {
+    const OpRequest &req = c.req();
+    if (!c.inv.hasVm(req.vm))
+        return TaskError::NoSuchEntity;
+    if (req.type == OpType::RegisterVm) {
+        if (!c.inv.hasHost(req.host))
+            return TaskError::NoSuchEntity;
+        if (!hostUsable(c.inv.host(req.host)))
+            return TaskError::HostUnavailable;
+        c.host = req.host;
+    } else {
+        c.host = c.inv.vm(req.vm).host;
         // Nothing to unregister (a template, or already unregistered).
-        finish(ctx, TaskError::InvalidState);
-        return;
+        if (!c.host.valid())
+            return TaskError::InvalidState;
     }
+    c.vm = req.vm;
+    c.locks = {{lockKey(c.vm), LockMode::Exclusive},
+               {lockKey(c.host), LockMode::Shared}};
+    return kOk;
+}
 
-    VmId vm_id = req.vm;
-    HostId host_id = (t == OpType::RegisterVm) ? req.host
-                                               : inv.vm(vm_id).host;
-    std::vector<LockRequest> lock_reqs = {
-        {lockKey(vm_id), LockMode::Exclusive}};
-    if (host_id.valid())
-        lock_reqs.push_back({lockKey(host_id), LockMode::Shared});
+TaskError
+registerRelock(OpCtx &c)
+{
+    if (!c.inv.hasVm(c.vm))
+        return TaskError::NoSuchEntity;
+    const Vm &vm = c.inv.vm(c.vm);
+    bool ok = (c.type() == OpType::RegisterVm)
+                  ? !vm.host.valid()
+                  : vm.host == c.host &&
+                        vm.powerState() == PowerState::PoweredOff;
+    return ok ? kOk : TaskError::InvalidState;
+}
 
-    acquireLocks(ctx, std::move(lock_reqs), [this, ctx, t, vm_id,
-                                             host_id]() {
-        if (!inv.hasVm(vm_id)) {
-            finish(ctx, TaskError::NoSuchEntity);
-            return;
-        }
-        Vm &vm = inv.vm(vm_id);
-        if (t == OpType::RegisterVm) {
-            if (vm.host.valid()) {
-                finish(ctx, TaskError::InvalidState);
-                return;
-            }
-        } else {
-            if (vm.host != host_id ||
-                vm.powerState() != PowerState::PoweredOff) {
-                finish(ctx, TaskError::InvalidState);
-                return;
-            }
-        }
-        runDbPhase(ctx, costs.dbTxns(t), TaskPhase::Db,
-                   [this, ctx, t, vm_id, host_id]() {
-            auto apply = [this, ctx, t, vm_id, host_id]() {
-                Vm &vm = inv.vm(vm_id);
-                if (t == OpType::RegisterVm) {
-                    vm.host = host_id;
-                    inv.host(host_id).registerVm(vm_id);
-                } else {
-                    inv.host(vm.host).unregisterVm(vm_id);
-                    vm.host = HostId();
-                }
-                runDbPhase(ctx, costs.finalizeTxns(t),
-                           TaskPhase::Finalize, [this, ctx]() {
-                    finish(ctx, TaskError::None);
-                });
-            };
-            if (host_id.valid()) {
-                runAgentPhase(ctx, host_id, apply);
-            } else {
-                apply();
-            }
-        });
-    });
+TaskError
+registerApply(OpCtx &c)
+{
+    Vm &vm = c.inv.vm(c.vm);
+    if (c.type() == OpType::RegisterVm) {
+        vm.host = c.host;
+        c.inv.host(c.host).registerVm(c.vm);
+    } else {
+        c.inv.host(vm.host).unregisterVm(c.vm);
+        vm.host = HostId();
+    }
+    return kOk;
+}
+
+/** Pin a VM and its current host, locking both (Reconfigure,
+ *  Snapshot, RemoveSnapshot). */
+void
+pinVmOnHost(OpCtx &c)
+{
+    c.vm = c.req().vm;
+    c.host = c.inv.vm(c.vm).host;
+    c.locks = {{lockKey(c.vm), LockMode::Exclusive}};
+    if (c.host.valid())
+        c.locks.push_back({lockKey(c.host), LockMode::Shared});
 }
 
 /*
  * Reconfigure: change a VM's shape.  A powered-on VM re-passes host
  * admission with its new shape.
  */
-void
-ManagementServer::execReconfigure(CtxPtr ctx)
+TaskError
+reconfigureCheck(OpCtx &c)
 {
-    const OpRequest &req = ctx->task->request();
-    if (!inv.hasVm(req.vm)) {
-        finish(ctx, TaskError::NoSuchEntity);
-        return;
+    if (!c.inv.hasVm(c.req().vm))
+        return TaskError::NoSuchEntity;
+    pinVmOnHost(c);
+    return kOk;
+}
+
+TaskError
+reconfigureRelock(OpCtx &c)
+{
+    if (!c.inv.hasVm(c.vm))
+        return TaskError::NoSuchEntity;
+    // Moved (or [un]registered) while we waited; the locked host no
+    // longer matches.
+    if (c.inv.vm(c.vm).host != c.host)
+        return TaskError::InvalidState;
+    return kOk;
+}
+
+TaskError
+reconfigureApply(OpCtx &c)
+{
+    const OpRequest &req = c.req();
+    Vm &vm = c.inv.vm(c.vm);
+    if (vm.powerState() == PowerState::PoweredOn) {
+        Host &host = c.inv.host(c.host);
+        host.release(vm.vcpus, vm.memory);
+        if (!host.commit(req.vcpus, req.memory)) {
+            // Restore the old commitment (always fits).
+            if (!host.commit(vm.vcpus, vm.memory))
+                panic("Reconfigure: restore failed");
+            return TaskError::PlacementFailed;
+        }
     }
-    VmId vm_id = req.vm;
-    HostId host_id = inv.vm(vm_id).host;
-
-    std::vector<LockRequest> lock_reqs = {
-        {lockKey(vm_id), LockMode::Exclusive}};
-    if (host_id.valid())
-        lock_reqs.push_back({lockKey(host_id), LockMode::Shared});
-
-    acquireLocks(ctx, std::move(lock_reqs), [this, ctx, vm_id,
-                                             host_id]() {
-        if (!inv.hasVm(vm_id)) {
-            finish(ctx, TaskError::NoSuchEntity);
-            return;
-        }
-        if (inv.vm(vm_id).host != host_id) {
-            // Moved (or [un]registered) while we waited; the locked
-            // host no longer matches.
-            finish(ctx, TaskError::InvalidState);
-            return;
-        }
-        OpType t = ctx->task->type();
-        runDbPhase(ctx, costs.dbTxns(t), TaskPhase::Db,
-                   [this, ctx, t, vm_id, host_id]() {
-            auto apply = [this, ctx, t, vm_id, host_id]() {
-                const OpRequest &req = ctx->task->request();
-                Vm &vm = inv.vm(vm_id);
-                if (vm.powerState() == PowerState::PoweredOn) {
-                    Host &host = inv.host(host_id);
-                    host.release(vm.vcpus, vm.memory);
-                    if (!host.commit(req.vcpus, req.memory)) {
-                        // Restore the old commitment (always fits).
-                        if (!host.commit(vm.vcpus, vm.memory))
-                            panic("Reconfigure: restore failed");
-                        finish(ctx, TaskError::PlacementFailed);
-                        return;
-                    }
-                }
-                vm.vcpus = req.vcpus;
-                vm.memory = req.memory;
-                runDbPhase(ctx, costs.finalizeTxns(t),
-                           TaskPhase::Finalize, [this, ctx]() {
-                    finish(ctx, TaskError::None);
-                });
-            };
-            if (host_id.valid()) {
-                runAgentPhase(ctx, host_id, apply);
-            } else {
-                apply();
-            }
-        });
-    });
+    vm.vcpus = req.vcpus;
+    vm.memory = req.memory;
+    return kOk;
 }
 
 /*
  * Snapshot: appends a copy-on-write delta to the VM's disk chain.
  */
-void
-ManagementServer::execSnapshot(CtxPtr ctx)
+TaskError
+snapshotCheck(OpCtx &c)
 {
-    const OpRequest &req = ctx->task->request();
-    if (!inv.hasVm(req.vm)) {
-        finish(ctx, TaskError::NoSuchEntity);
-        return;
-    }
-    VmId vm_id = req.vm;
-    HostId host_id = inv.vm(vm_id).host;
-    if (!host_id.valid() || inv.vm(vm_id).disks.empty()) {
-        finish(ctx, TaskError::InvalidState);
-        return;
-    }
+    if (!c.inv.hasVm(c.req().vm))
+        return TaskError::NoSuchEntity;
+    const Vm &vm = c.inv.vm(c.req().vm);
+    if (!vm.host.valid() || vm.disks.empty())
+        return TaskError::InvalidState;
+    pinVmOnHost(c);
+    return kOk;
+}
 
-    acquireLocks(
-        ctx,
-        {{lockKey(vm_id), LockMode::Exclusive},
-         {lockKey(host_id), LockMode::Shared}},
-        [this, ctx, vm_id, host_id]() {
-            if (!inv.hasVm(vm_id) || inv.vm(vm_id).disks.empty()) {
-                finish(ctx, TaskError::NoSuchEntity);
-                return;
-            }
-            if (inv.vm(vm_id).host != host_id) {
-                finish(ctx, TaskError::InvalidState);
-                return;
-            }
-            OpType t = ctx->task->type();
-            runDbPhase(ctx, costs.dbTxns(t), TaskPhase::Db,
-                       [this, ctx, t, vm_id, host_id]() {
-                runAgentPhase(ctx, host_id, [this, ctx, t, vm_id]() {
-                    Vm &vm = inv.vm(vm_id);
-                    DiskId tip = vm.disks.back();
-                    const VirtualDisk &tip_disk = inv.disk(tip);
-                    DiskConfig dc;
-                    dc.kind = DiskKind::SnapshotDelta;
-                    dc.datastore = tip_disk.datastore;
-                    dc.capacity = tip_disk.capacity;
-                    dc.initial_allocation =
-                        costs.linkedDeltaAllocation(tip_disk.capacity);
-                    dc.parent = tip;
-                    dc.owner = vm_id;
-                    DiskId delta = inv.createDisk(dc);
-                    if (!delta.valid()) {
-                        finish(ctx, TaskError::OutOfSpace);
-                        return;
-                    }
-                    vm.disks.push_back(delta);
-                    runDbPhase(ctx, costs.finalizeTxns(t),
-                               TaskPhase::Finalize, [this, ctx]() {
-                        finish(ctx, TaskError::None);
-                    });
-                });
-            });
-        });
+TaskError
+snapshotRelock(OpCtx &c)
+{
+    if (!c.inv.hasVm(c.vm) || c.inv.vm(c.vm).disks.empty())
+        return TaskError::NoSuchEntity;
+    if (c.inv.vm(c.vm).host != c.host)
+        return TaskError::InvalidState;
+    return kOk;
+}
+
+TaskError
+snapshotApply(OpCtx &c)
+{
+    Vm &vm = c.inv.vm(c.vm);
+    DiskId tip = vm.disks.back();
+    const VirtualDisk &tip_disk = c.inv.disk(tip);
+    DiskConfig dc;
+    dc.kind = DiskKind::SnapshotDelta;
+    dc.datastore = tip_disk.datastore;
+    dc.capacity = tip_disk.capacity;
+    dc.initial_allocation = c.costs.linkedDeltaAllocation(tip_disk.capacity);
+    dc.parent = tip;
+    dc.owner = c.vm;
+    DiskId delta = c.inv.createDisk(dc);
+    if (!delta.valid())
+        return TaskError::OutOfSpace;
+    vm.disks.push_back(delta);
+    return kOk;
 }
 
 /*
  * RemoveSnapshot: consolidates the newest snapshot delta back into
  * its parent (a data-moving operation on the datastore pipe).
  */
-void
-ManagementServer::execRemoveSnapshot(CtxPtr ctx)
+TaskError
+removeSnapshotCheck(OpCtx &c)
 {
-    const OpRequest &req = ctx->task->request();
-    if (!inv.hasVm(req.vm)) {
-        finish(ctx, TaskError::NoSuchEntity);
-        return;
-    }
-    VmId vm_id = req.vm;
-    HostId host_id = inv.vm(vm_id).host;
-    if (!host_id.valid()) {
-        finish(ctx, TaskError::InvalidState);
-        return;
-    }
-    if (inv.vm(vm_id).disks.empty()) {
-        finish(ctx, TaskError::InvalidState);
-        return;
-    }
+    if (!c.inv.hasVm(c.req().vm))
+        return TaskError::NoSuchEntity;
+    const Vm &vm = c.inv.vm(c.req().vm);
+    if (!vm.host.valid() || vm.disks.empty())
+        return TaskError::InvalidState;
+    pinVmOnHost(c);
     // Lock the delta being consolidated too, so concurrent disk
     // operations (consolidate) cannot race its destruction.
-    DiskId tip = inv.vm(vm_id).disks.back();
+    c.disk = vm.disks.back();
+    c.locks.push_back({lockKey(c.disk), LockMode::Exclusive});
+    return kOk;
+}
 
-    acquireLocks(
-        ctx,
-        {{lockKey(vm_id), LockMode::Exclusive},
-         {lockKey(host_id), LockMode::Shared},
-         {lockKey(tip), LockMode::Exclusive}},
-        [this, ctx, vm_id, host_id, tip]() {
-            // The chain may have changed while waiting; the locked
-            // tip must still be the newest disk.
-            if (!inv.hasVm(vm_id)) {
-                finish(ctx, TaskError::NoSuchEntity);
-                return;
-            }
-            Vm &vm = inv.vm(vm_id);
-            if (vm.host != host_id) {
-                finish(ctx, TaskError::InvalidState);
-                return;
-            }
-            if (vm.disks.empty() || vm.disks.back() != tip ||
-                inv.disk(vm.disks.back()).kind !=
-                    DiskKind::SnapshotDelta ||
-                inv.disk(vm.disks.back()).ref_count > 0) {
-                finish(ctx, TaskError::InvalidState);
-                return;
-            }
-            DiskId delta = vm.disks.back();
-            const VirtualDisk &dd = inv.disk(delta);
-            DatastoreId ds = dd.datastore;
-            Bytes bytes = dd.allocated;
-            OpType t = ctx->task->type();
-            runDbPhase(ctx, costs.dbTxns(t), TaskPhase::Db,
-                       [this, ctx, t, vm_id, host_id, delta, ds,
-                        bytes]() {
-                runAgentDataPhase(
-                    ctx, host_id, ds, ds, ds, bytes,
-                    [this, ctx, t, vm_id, delta]() {
-                        Vm &vm = inv.vm(vm_id);
-                        vm.disks.pop_back();
-                        if (!inv.destroyDisk(delta))
-                            panic("RemoveSnapshot: destroy failed");
-                        runDbPhase(ctx, costs.finalizeTxns(t),
-                                   TaskPhase::Finalize,
-                                   [this, ctx]() {
-                            finish(ctx, TaskError::None);
-                        });
-                    });
-            });
-        });
+TaskError
+removeSnapshotRelock(OpCtx &c)
+{
+    // The chain may have changed while waiting; the locked tip must
+    // still be the newest disk.
+    if (!c.inv.hasVm(c.vm))
+        return TaskError::NoSuchEntity;
+    const Vm &vm = c.inv.vm(c.vm);
+    if (vm.host != c.host || vm.disks.empty() ||
+        vm.disks.back() != c.disk ||
+        c.inv.disk(c.disk).kind != DiskKind::SnapshotDelta ||
+        c.inv.disk(c.disk).ref_count > 0) {
+        return TaskError::InvalidState;
+    }
+    const VirtualDisk &delta = c.inv.disk(c.disk);
+    c.slot_ds = c.src_ds = c.dst_ds = delta.datastore;
+    c.bytes = delta.allocated;
+    return kOk;
+}
+
+TaskError
+removeSnapshotApply(OpCtx &c)
+{
+    c.inv.vm(c.vm).disks.pop_back();
+    if (!c.inv.destroyDisk(c.disk))
+        panic("RemoveSnapshot: destroy failed");
+    return kOk;
 }
 
 /*
@@ -1617,198 +1444,140 @@ ManagementServer::execRemoveSnapshot(CtxPtr ctx)
  * datastore.  Linked-clone VMs must be consolidated first (their
  * delta depends on a base disk that stays behind).
  */
-void
-ManagementServer::execRelocate(CtxPtr ctx)
+TaskError
+relocateCheck(OpCtx &c)
 {
-    const OpRequest &req = ctx->task->request();
-    if (!inv.hasVm(req.vm)) {
-        finish(ctx, TaskError::NoSuchEntity);
-        return;
+    const OpRequest &req = c.req();
+    if (!c.inv.hasVm(req.vm))
+        return TaskError::NoSuchEntity;
+    const Vm &vm = c.inv.vm(req.vm);
+    if (!vm.host.valid() || vm.powerState() != PowerState::PoweredOff)
+        return TaskError::InvalidState;
+    for (DiskId d : vm.disks) {
+        if (c.inv.disk(d).isDelta() || c.inv.disk(d).ref_count > 0)
+            return TaskError::InvalidState;
     }
-    VmId vm_id = req.vm;
-    Vm &vm0 = inv.vm(vm_id);
-    HostId host_id = vm0.host;
-    if (!host_id.valid() ||
-        vm0.powerState() != PowerState::PoweredOff) {
-        finish(ctx, TaskError::InvalidState);
-        return;
+    if (vm.disks.empty())
+        return TaskError::InvalidState;
+    DatastoreId src = c.inv.disk(vm.disks.front()).datastore;
+    if (src == req.datastore ||
+        !c.inv.host(vm.host).hasDatastore(req.datastore)) {
+        return TaskError::BadRequest;
     }
-    for (DiskId d : vm0.disks) {
-        if (inv.disk(d).isDelta() || inv.disk(d).ref_count > 0) {
-            finish(ctx, TaskError::InvalidState);
-            return;
-        }
-    }
-    if (vm0.disks.empty()) {
-        finish(ctx, TaskError::InvalidState);
-        return;
-    }
-    DatastoreId dst = req.datastore;
-    DatastoreId src = inv.disk(vm0.disks.front()).datastore;
-    if (src == dst) {
-        finish(ctx, TaskError::BadRequest);
-        return;
-    }
-    if (!inv.host(host_id).hasDatastore(dst)) {
-        finish(ctx, TaskError::BadRequest);
-        return;
-    }
+    c.vm = req.vm;
+    c.host = vm.host;
+    c.src_ds = src;
+    c.slot_ds = c.dst_ds = req.datastore;
+    c.locks = {{lockKey(c.vm), LockMode::Exclusive},
+               {lockKey(src), LockMode::Shared},
+               {lockKey(c.dst_ds), LockMode::Shared}};
+    return kOk;
+}
 
-    acquireLocks(
-        ctx,
-        {{lockKey(vm_id), LockMode::Exclusive},
-         {lockKey(src), LockMode::Shared},
-         {lockKey(dst), LockMode::Shared}},
-        [this, ctx, vm_id, host_id, src, dst]() {
-            if (!inv.hasVm(vm_id)) {
-                finish(ctx, TaskError::NoSuchEntity);
-                return;
-            }
-            Vm &vm = inv.vm(vm_id);
-            if (vm.host != host_id ||
-                vm.powerState() != PowerState::PoweredOff ||
-                vm.disks.empty() ||
-                inv.disk(vm.disks.front()).datastore != src) {
-                finish(ctx, TaskError::InvalidState);
-                return;
-            }
-            Bytes total = 0;
-            for (DiskId d : vm.disks)
-                total += inv.disk(d).allocated;
-            if (!inv.datastore(dst).reserve(total)) {
-                finish(ctx, TaskError::OutOfSpace);
-                return;
-            }
-            ctx->reserved_ds = dst;
-            ctx->reserved_bytes = total;
+TaskError
+relocateRelock(OpCtx &c)
+{
+    if (!c.inv.hasVm(c.vm))
+        return TaskError::NoSuchEntity;
+    const Vm &vm = c.inv.vm(c.vm);
+    if (vm.host != c.host ||
+        vm.powerState() != PowerState::PoweredOff ||
+        vm.disks.empty() ||
+        c.inv.disk(vm.disks.front()).datastore != c.src_ds) {
+        return TaskError::InvalidState;
+    }
+    for (DiskId d : vm.disks)
+        c.bytes += c.inv.disk(d).allocated;
+    return c.reserveOn(c.dst_ds, c.bytes) ? kOk : TaskError::OutOfSpace;
+}
 
-            OpType t = ctx->task->type();
-            runDbPhase(ctx, costs.dbTxns(t), TaskPhase::Db,
-                       [this, ctx, t, vm_id, host_id, src, dst,
-                        total]() {
-                runAgentDataPhase(
-                    ctx, host_id, dst, src, dst, total,
-                    [this, ctx, t, vm_id, dst]() {
-                        Vm &vm = inv.vm(vm_id);
-                        for (DiskId did : vm.disks) {
-                            VirtualDisk &d = inv.disk(did);
-                            inv.datastore(d.datastore)
-                                .release(d.allocated);
-                            d.datastore = dst;
-                        }
-                        // The raw reservation is now owned by the
-                        // relocated disk records.
-                        ctx->reserved_bytes = 0;
-                        ctx->reserved_ds = DatastoreId();
-                        runDbPhase(ctx, costs.finalizeTxns(t),
-                                   TaskPhase::Finalize,
-                                   [this, ctx]() {
-                            finish(ctx, TaskError::None);
-                        });
-                    });
-            });
-        });
+TaskError
+relocateApply(OpCtx &c)
+{
+    for (DiskId did : c.inv.vm(c.vm).disks) {
+        VirtualDisk &d = c.inv.disk(did);
+        c.inv.datastore(d.datastore).release(d.allocated);
+        d.datastore = c.dst_ds;
+    }
+    // The raw reservation is now owned by the relocated disk records.
+    c.reserved_bytes = 0;
+    c.reserved_ds = DatastoreId();
+    return kOk;
 }
 
 /*
  * Migrate: live-migrate a powered-on VM's memory image to another
- * host over the management network (shared storage stays put).
+ * host over the management network (shared storage stays put).  The
+ * agent and the copy's endpoints are the hosts: net_src is the source,
+ * host = net_dst the destination.
  */
-void
-ManagementServer::execMigrate(CtxPtr ctx)
+TaskError
+migrateCheck(OpCtx &c)
 {
-    const OpRequest &req = ctx->task->request();
-    if (!inv.hasVm(req.vm) || !inv.hasHost(req.host)) {
-        finish(ctx, TaskError::NoSuchEntity);
-        return;
+    const OpRequest &req = c.req();
+    if (!c.inv.hasVm(req.vm) || !c.inv.hasHost(req.host))
+        return TaskError::NoSuchEntity;
+    const Vm &vm = c.inv.vm(req.vm);
+    if (!vm.host.valid() || vm.host == req.host ||
+        vm.powerState() != PowerState::PoweredOn) {
+        return TaskError::InvalidState;
     }
-    VmId vm_id = req.vm;
-    HostId dst = req.host;
-    Vm &vm0 = inv.vm(vm_id);
-    HostId src = vm0.host;
-    if (!src.valid() || src == dst ||
-        vm0.powerState() != PowerState::PoweredOn) {
-        finish(ctx, TaskError::InvalidState);
-        return;
+    const Host &dhost = c.inv.host(req.host);
+    if (!hostUsable(dhost))
+        return TaskError::HostUnavailable;
+    for (DiskId d : vm.disks) {
+        if (!dhost.hasDatastore(c.inv.disk(d).datastore))
+            return TaskError::BadRequest;
     }
-    {
-        Host &dhost = inv.host(dst);
-        if (!dhost.connected() || dhost.inMaintenance()) {
-            finish(ctx, TaskError::HostUnavailable);
-            return;
-        }
-        for (DiskId d : vm0.disks) {
-            if (!dhost.hasDatastore(inv.disk(d).datastore)) {
-                finish(ctx, TaskError::BadRequest);
-                return;
-            }
-        }
+    c.vm = req.vm;
+    c.net_src = vm.host;
+    c.host = c.net_dst = req.host;
+    c.locks = {{lockKey(c.vm), LockMode::Exclusive},
+               {lockKey(c.net_src), LockMode::Shared},
+               {lockKey(c.host), LockMode::Shared}};
+    return kOk;
+}
+
+TaskError
+migrateRelock(OpCtx &c)
+{
+    if (!c.inv.hasVm(c.vm))
+        return TaskError::NoSuchEntity;
+    const Vm &vm = c.inv.vm(c.vm);
+    if (vm.powerState() != PowerState::PoweredOn ||
+        vm.host != c.net_src || vm.disks.empty()) {
+        return TaskError::InvalidState;
     }
+    if (!c.commitOn(c.host, vm))
+        return TaskError::PlacementFailed;
+    // Pre-copy overhead: dirty pages are retransmitted.
+    c.bytes = static_cast<Bytes>(static_cast<double>(vm.memory) * 1.2);
+    return kOk;
+}
 
-    acquireLocks(
-        ctx,
-        {{lockKey(vm_id), LockMode::Exclusive},
-         {lockKey(src), LockMode::Shared},
-         {lockKey(dst), LockMode::Shared}},
-        [this, ctx, vm_id, src, dst]() {
-            if (!inv.hasVm(vm_id)) {
-                finish(ctx, TaskError::NoSuchEntity);
-                return;
-            }
-            Vm &vm = inv.vm(vm_id);
-            if (vm.powerState() != PowerState::PoweredOn ||
-                vm.host != src || vm.disks.empty()) {
-                finish(ctx, TaskError::InvalidState);
-                return;
-            }
-            Host &dhost = inv.host(dst);
-            if (!dhost.commit(vm.vcpus, vm.memory)) {
-                finish(ctx, TaskError::PlacementFailed);
-                return;
-            }
-            ctx->committed_host = dst;
-            ctx->committed_vcpus = vm.vcpus;
-            ctx->committed_memory = vm.memory;
+TaskError
+migratePrepare(OpCtx &c)
+{
+    // Slot accounting on the VM's datastore, at the destination host.
+    c.slot_ds = c.inv.disk(c.inv.vm(c.vm).disks.front()).datastore;
+    return kOk;
+}
 
-            // Pre-copy overhead: dirty pages are retransmitted.
-            Bytes wire_bytes = static_cast<Bytes>(
-                static_cast<double>(vm.memory) * 1.2);
-
-            OpType t = ctx->task->type();
-            runDbPhase(ctx, costs.dbTxns(t), TaskPhase::Db,
-                       [this, ctx, t, vm_id, src, dst, wire_bytes]() {
-                // Slot accounting on the destination host; the copy
-                // crosses the network fabric (src != dst datastores
-                // trick: pass distinct ids to force the fabric).
-                runAgentDataPhase(
-                    ctx, dst, inv.disk(inv.vm(vm_id).disks.front())
-                                  .datastore,
-                    DatastoreId(-2), DatastoreId(-3), wire_bytes,
-                    [this, ctx, t, vm_id, src, dst]() {
-                        Vm &vm = inv.vm(vm_id);
-                        if (vm.powerState() !=
-                            PowerState::PoweredOn) {
-                            // The VM died mid-migration (source
-                            // host crash); the rollback in finish()
-                            // returns the destination commitment.
-                            finish(ctx, TaskError::InvalidState);
-                            return;
-                        }
-                        inv.host(src).release(vm.vcpus, vm.memory);
-                        inv.host(src).unregisterVm(vm_id);
-                        inv.host(dst).registerVm(vm_id);
-                        vm.host = dst;
-                        // Commitment now owned by the power state.
-                        ctx->committed_host = HostId();
-                        runDbPhase(ctx, costs.finalizeTxns(t),
-                                   TaskPhase::Finalize,
-                                   [this, ctx]() {
-                            finish(ctx, TaskError::None);
-                        });
-                    },
-                    /*net_src=*/src, /*net_dst=*/dst);
-            });
-        });
+TaskError
+migrateApply(OpCtx &c)
+{
+    Vm &vm = c.inv.vm(c.vm);
+    // The VM died mid-migration (source host crash); the rollback in
+    // finish() returns the destination commitment.
+    if (vm.powerState() != PowerState::PoweredOn)
+        return TaskError::InvalidState;
+    c.inv.host(c.net_src).release(vm.vcpus, vm.memory);
+    c.inv.host(c.net_src).unregisterVm(c.vm);
+    c.inv.host(c.host).registerVm(c.vm);
+    vm.host = c.host;
+    // Commitment now owned by the power state.
+    c.committed_host = HostId();
+    return kOk;
 }
 
 /*
@@ -1817,89 +1586,58 @@ ManagementServer::execMigrate(CtxPtr ctx)
  * transitions gate on the host being empty of powered-on VMs —
  * evacuating them is the cloud layer's job.
  */
-void
-ManagementServer::execHostLifecycle(CtxPtr ctx)
+TaskError
+hostCheck(OpCtx &c)
 {
-    const OpRequest &req = ctx->task->request();
-    OpType t = req.type;
-    if (!inv.hasHost(req.host)) {
-        finish(ctx, TaskError::NoSuchEntity);
-        return;
-    }
-    HostId host_id = req.host;
-
-    std::vector<LockRequest> lock_reqs = {
-        {lockKey(host_id), LockMode::Exclusive}};
-    if (t == OpType::AddHost || t == OpType::RemoveHost) {
-        lock_reqs.push_back(
+    const OpRequest &req = c.req();
+    if (!c.inv.hasHost(req.host))
+        return TaskError::NoSuchEntity;
+    c.host = req.host;
+    c.locks = {{lockKey(c.host), LockMode::Exclusive}};
+    if (req.type == OpType::AddHost || req.type == OpType::RemoveHost) {
+        c.locks.push_back(
             {{LockKind::Global, 0}, LockMode::Exclusive});
     }
+    return kOk;
+}
 
-    acquireLocks(ctx, std::move(lock_reqs), [this, ctx, t, host_id]() {
-        Host &host = inv.host(host_id);
-        switch (t) {
-          case OpType::AddHost:
-            if (host.connected()) {
-                finish(ctx, TaskError::InvalidState);
-                return;
-            }
-            break;
-          case OpType::RemoveHost:
-            if (!host.connected() || host.numVms() > 0) {
-                finish(ctx, TaskError::InvalidState);
-                return;
-            }
-            break;
-          case OpType::EnterMaintenance: {
-            if (!host.connected() || host.inMaintenance()) {
-                finish(ctx, TaskError::InvalidState);
-                return;
-            }
-            for (VmId v : host.vms()) {
-                if (inv.vm(v).powerState() == PowerState::PoweredOn) {
-                    finish(ctx, TaskError::InvalidState);
-                    return;
-                }
-            }
-            break;
-          }
-          case OpType::ExitMaintenance:
-            if (!host.inMaintenance()) {
-                finish(ctx, TaskError::InvalidState);
-                return;
-            }
-            break;
-          default:
-            panic("execHostLifecycle: bad op");
-        }
+TaskError
+hostRelock(OpCtx &c)
+{
+    const Host &host = c.inv.host(c.host);
+    bool ok;
+    switch (c.type()) {
+      case OpType::AddHost:
+        ok = !host.connected();
+        break;
+      case OpType::RemoveHost:
+        ok = host.connected() && host.numVms() == 0;
+        break;
+      case OpType::EnterMaintenance:
+        ok = hostUsable(host) &&
+             std::none_of(host.vms().begin(), host.vms().end(),
+                          [&c](VmId v) {
+                              return c.inv.vm(v).powerState() ==
+                                     PowerState::PoweredOn;
+                          });
+        break;
+      default: // ExitMaintenance
+        ok = host.inMaintenance();
+        break;
+    }
+    return ok ? kOk : TaskError::InvalidState;
+}
 
-        runDbPhase(ctx, costs.dbTxns(t), TaskPhase::Db,
-                   [this, ctx, t, host_id]() {
-            runAgentPhase(ctx, host_id, [this, ctx, t, host_id]() {
-                Host &host = inv.host(host_id);
-                switch (t) {
-                  case OpType::AddHost:
-                    host.setConnected(true);
-                    break;
-                  case OpType::RemoveHost:
-                    host.setConnected(false);
-                    break;
-                  case OpType::EnterMaintenance:
-                    host.setMaintenance(true);
-                    break;
-                  case OpType::ExitMaintenance:
-                    host.setMaintenance(false);
-                    break;
-                  default:
-                    break;
-                }
-                runDbPhase(ctx, costs.finalizeTxns(t),
-                           TaskPhase::Finalize, [this, ctx]() {
-                    finish(ctx, TaskError::None);
-                });
-            });
-        });
-    });
+TaskError
+hostApply(OpCtx &c)
+{
+    Host &host = c.inv.host(c.host);
+    OpType t = c.type();
+    if (t == OpType::AddHost || t == OpType::RemoveHost)
+        host.setConnected(t == OpType::AddHost);
+    else
+        host.setMaintenance(t == OpType::EnterMaintenance);
+    return kOk;
 }
 
 /*
@@ -1907,75 +1645,57 @@ ManagementServer::execHostLifecycle(CtxPtr ctx)
  * datastore — the unit step of "cloud reconfiguration" (spreading
  * base disks so linked clones can land on more datastores).
  */
-void
-ManagementServer::execReplicateBaseDisk(CtxPtr ctx)
+TaskError
+replicateCheck(OpCtx &c)
 {
-    const OpRequest &req = ctx->task->request();
-    if (!req.base_disk.valid() || !inv.hasDisk(req.base_disk) ||
-        !inv.hasHost(req.host)) {
-        finish(ctx, TaskError::NoSuchEntity);
-        return;
+    const OpRequest &req = c.req();
+    if (!req.base_disk.valid() || !c.inv.hasDisk(req.base_disk) ||
+        !c.inv.hasHost(req.host)) {
+        return TaskError::NoSuchEntity;
     }
-    {
-        const VirtualDisk &base = inv.disk(req.base_disk);
-        if (base.kind != DiskKind::Flat) {
-            finish(ctx, TaskError::BadRequest);
-            return;
-        }
-        // Same-datastore replication is legal (additional shadow
-        // copies on one datastore); the copy then runs through that
-        // datastore's own pipe instead of the network fabric.
-        Host &host = inv.host(req.host);
-        if (!host.connected() || host.inMaintenance()) {
-            finish(ctx, TaskError::HostUnavailable);
-            return;
-        }
-        if (!host.hasDatastore(req.datastore)) {
-            finish(ctx, TaskError::BadRequest);
-            return;
-        }
-    }
+    if (c.inv.disk(req.base_disk).kind != DiskKind::Flat)
+        return TaskError::BadRequest;
+    // Same-datastore replication is legal (additional shadow copies
+    // on one datastore); the copy then runs through that datastore's
+    // own pipe instead of the network fabric.
+    const Host &host = c.inv.host(req.host);
+    if (!hostUsable(host))
+        return TaskError::HostUnavailable;
+    if (!host.hasDatastore(req.datastore))
+        return TaskError::BadRequest;
+    c.disk = req.base_disk;
+    c.host = req.host;
+    c.locks = {{lockKey(c.disk), LockMode::Shared},
+               {lockKey(req.datastore), LockMode::Shared}};
+    return kOk;
+}
 
-    acquireLocks(
-        ctx,
-        {{lockKey(req.base_disk), LockMode::Shared},
-         {lockKey(req.datastore), LockMode::Shared}},
-        [this, ctx]() {
-            const OpRequest &req = ctx->task->request();
-            // The base may have been destroyed while we waited for
-            // the shared lock; holding it now protects the copy.
-            if (!inv.hasDisk(req.base_disk)) {
-                finish(ctx, TaskError::NoSuchEntity);
-                return;
-            }
-            OpType t = req.type;
-            runDbPhase(ctx, costs.dbTxns(t), TaskPhase::Db,
-                       [this, ctx, t]() {
-                const OpRequest &req = ctx->task->request();
-                const VirtualDisk &base = inv.disk(req.base_disk);
-                DiskConfig dc;
-                dc.kind = DiskKind::Flat;
-                dc.datastore = req.datastore;
-                dc.capacity = base.capacity;
-                DiskId copy = inv.createDisk(dc);
-                if (!copy.valid()) {
-                    finish(ctx, TaskError::OutOfSpace);
-                    return;
-                }
-                ctx->created_disk = copy;
-                ctx->task->setResultDisk(copy);
-                Bytes bytes = base.allocated;
-                runAgentDataPhase(
-                    ctx, req.host, req.datastore, base.datastore,
-                    req.datastore, bytes, [this, ctx, t]() {
-                        runDbPhase(ctx, costs.finalizeTxns(t),
-                                   TaskPhase::Finalize,
-                                   [this, ctx]() {
-                            finish(ctx, TaskError::None);
-                        });
-                    });
-            });
-        });
+TaskError
+replicateRelock(OpCtx &c)
+{
+    // The base may have been destroyed while we waited for the shared
+    // lock; holding it now protects the copy.
+    return c.inv.hasDisk(c.disk) ? kOk : TaskError::NoSuchEntity;
+}
+
+TaskError
+replicatePrepare(OpCtx &c)
+{
+    const OpRequest &req = c.req();
+    const VirtualDisk &base = c.inv.disk(c.disk);
+    DiskConfig dc;
+    dc.kind = DiskKind::Flat;
+    dc.datastore = req.datastore;
+    dc.capacity = base.capacity;
+    DiskId copy = c.inv.createDisk(dc);
+    if (!copy.valid())
+        return TaskError::OutOfSpace;
+    c.created_disk = copy;
+    c.task->setResultDisk(copy);
+    c.slot_ds = c.dst_ds = req.datastore;
+    c.src_ds = base.datastore;
+    c.bytes = base.allocated;
+    return kOk;
 }
 
 /*
@@ -1983,85 +1703,139 @@ ManagementServer::execReplicateBaseDisk(CtxPtr ctx)
  * disk, detaching it from its base (bounds chain depth; frees the
  * base for retirement).
  */
-void
-ManagementServer::execConsolidateDisk(CtxPtr ctx)
+TaskError
+consolidateCheck(OpCtx &c)
 {
-    const OpRequest &req = ctx->task->request();
-    if (!req.base_disk.valid() || !inv.hasDisk(req.base_disk) ||
-        !inv.hasHost(req.host)) {
-        finish(ctx, TaskError::NoSuchEntity);
-        return;
+    const OpRequest &req = c.req();
+    if (!req.base_disk.valid() || !c.inv.hasDisk(req.base_disk) ||
+        !c.inv.hasHost(req.host)) {
+        return TaskError::NoSuchEntity;
     }
-    DiskId disk_id = req.base_disk;
-    {
-        const VirtualDisk &d = inv.disk(disk_id);
-        if (!d.isDelta() || d.ref_count > 0) {
-            finish(ctx, TaskError::BadRequest);
-            return;
-        }
-    }
-
-    DiskId parent_id = inv.disk(disk_id).parent;
-    acquireLocks(
-        ctx,
-        {{lockKey(disk_id), LockMode::Exclusive},
-         {lockKey(parent_id), LockMode::Shared}},
-        [this, ctx, disk_id, parent_id]() {
-            // Either end of the chain may have vanished while we
-            // waited (the disks are not ours until the locks are).
-            if (!inv.hasDisk(disk_id) || !inv.hasDisk(parent_id)) {
-                finish(ctx, TaskError::NoSuchEntity);
-                return;
-            }
-            if (!inv.disk(disk_id).isDelta() ||
-                inv.disk(disk_id).parent != parent_id ||
-                inv.disk(disk_id).ref_count > 0) {
-                finish(ctx, TaskError::InvalidState);
-                return;
-            }
-            const OpRequest &req = ctx->task->request();
-            OpType t = req.type;
-            VirtualDisk &d = inv.disk(disk_id);
-            const VirtualDisk &parent = inv.disk(parent_id);
-
-            // Space for the base content being copied in.
-            Bytes extra = parent.allocated;
-            if (!inv.datastore(d.datastore).reserve(extra)) {
-                finish(ctx, TaskError::OutOfSpace);
-                return;
-            }
-            ctx->reserved_ds = d.datastore;
-            ctx->reserved_bytes = extra;
-
-            DatastoreId ds = d.datastore;
-            Bytes bytes = parent.allocated;
-            runDbPhase(ctx, costs.dbTxns(t), TaskPhase::Db,
-                       [this, ctx, t, disk_id, parent_id, ds, bytes]() {
-                const OpRequest &req = ctx->task->request();
-                runAgentDataPhase(
-                    ctx, req.host, ds,
-                    inv.disk(parent_id).datastore, ds, bytes,
-                    [this, ctx, t, disk_id, parent_id]() {
-                        VirtualDisk &d = inv.disk(disk_id);
-                        VirtualDisk &parent = inv.disk(parent_id);
-                        d.allocated += ctx->reserved_bytes;
-                        d.kind = DiskKind::Flat;
-                        d.parent = DiskId();
-                        d.chain_depth = 1;
-                        parent.ref_count -= 1;
-                        if (parent.ref_count < 0)
-                            panic("Consolidate: ref underflow");
-                        // Reservation now owned by the disk record.
-                        ctx->reserved_bytes = 0;
-                        ctx->reserved_ds = DatastoreId();
-                        runDbPhase(ctx, costs.finalizeTxns(t),
-                                   TaskPhase::Finalize,
-                                   [this, ctx]() {
-                            finish(ctx, TaskError::None);
-                        });
-                    });
-            });
-        });
+    const VirtualDisk &d = c.inv.disk(req.base_disk);
+    if (!d.isDelta() || d.ref_count > 0)
+        return TaskError::BadRequest;
+    c.disk = req.base_disk;
+    c.parent = d.parent;
+    c.host = req.host;
+    c.locks = {{lockKey(c.disk), LockMode::Exclusive},
+               {lockKey(c.parent), LockMode::Shared}};
+    return kOk;
 }
+
+TaskError
+consolidateRelock(OpCtx &c)
+{
+    // Either end of the chain may have vanished while we waited (the
+    // disks are not ours until the locks are).
+    if (!c.inv.hasDisk(c.disk) || !c.inv.hasDisk(c.parent))
+        return TaskError::NoSuchEntity;
+    const VirtualDisk &d = c.inv.disk(c.disk);
+    if (!d.isDelta() || d.parent != c.parent || d.ref_count > 0)
+        return TaskError::InvalidState;
+    // Space for the base content being copied in.
+    Bytes extra = c.inv.disk(c.parent).allocated;
+    if (!c.reserveOn(d.datastore, extra))
+        return TaskError::OutOfSpace;
+    c.slot_ds = c.dst_ds = d.datastore;
+    c.bytes = extra;
+    return kOk;
+}
+
+TaskError
+consolidatePrepare(OpCtx &c)
+{
+    c.src_ds = c.inv.disk(c.parent).datastore;
+    return kOk;
+}
+
+TaskError
+consolidateApply(OpCtx &c)
+{
+    VirtualDisk &d = c.inv.disk(c.disk);
+    VirtualDisk &parent = c.inv.disk(c.parent);
+    d.allocated += c.reserved_bytes;
+    d.kind = DiskKind::Flat;
+    d.parent = DiskId();
+    d.chain_depth = 1;
+    parent.ref_count -= 1;
+    if (parent.ref_count < 0)
+        panic("Consolidate: ref underflow");
+    // Reservation now owned by the disk record.
+    c.reserved_bytes = 0;
+    c.reserved_ds = DatastoreId();
+    return kOk;
+}
+
+constexpr Recipe kPower{powerCheck, powerRelock, nullptr, powerApply};
+constexpr Recipe kCreateVm{createCheck, nullptr, createPrepare, nullptr};
+constexpr Recipe kClone{cloneCheck, cloneRelock, clonePrepare, nullptr};
+constexpr Recipe kDestroy{destroyCheck, destroyRelock, nullptr,
+                          destroyApply};
+constexpr Recipe kRegister{registerCheck, registerRelock, nullptr,
+                           registerApply};
+constexpr Recipe kReconfigure{reconfigureCheck, reconfigureRelock,
+                              nullptr, reconfigureApply};
+constexpr Recipe kSnapshot{snapshotCheck, snapshotRelock, nullptr,
+                           snapshotApply};
+constexpr Recipe kRemoveSnapshot{removeSnapshotCheck,
+                                 removeSnapshotRelock, nullptr,
+                                 removeSnapshotApply};
+constexpr Recipe kRelocate{relocateCheck, relocateRelock, nullptr,
+                           relocateApply};
+constexpr Recipe kMigrate{migrateCheck, migrateRelock, migratePrepare,
+                          migrateApply};
+constexpr Recipe kHostLifecycle{hostCheck, hostRelock, nullptr,
+                                hostApply};
+constexpr Recipe kReplicate{replicateCheck, replicateRelock,
+                            replicatePrepare, nullptr};
+constexpr Recipe kConsolidate{consolidateCheck, consolidateRelock,
+                              consolidatePrepare, consolidateApply};
+
+/** The recipe of every op type, in OpType order. */
+constexpr std::pair<OpType, const Recipe *> kRecipes[] = {
+    {OpType::PowerOn, &kPower},
+    {OpType::PowerOff, &kPower},
+    {OpType::Suspend, &kPower},
+    {OpType::Reset, &kPower},
+    {OpType::CreateVm, &kCreateVm},
+    {OpType::CloneFull, &kClone},
+    {OpType::CloneLinked, &kClone},
+    {OpType::Destroy, &kDestroy},
+    {OpType::RegisterVm, &kRegister},
+    {OpType::UnregisterVm, &kRegister},
+    {OpType::Reconfigure, &kReconfigure},
+    {OpType::Snapshot, &kSnapshot},
+    {OpType::RemoveSnapshot, &kRemoveSnapshot},
+    {OpType::Relocate, &kRelocate},
+    {OpType::Migrate, &kMigrate},
+    {OpType::AddHost, &kHostLifecycle},
+    {OpType::RemoveHost, &kHostLifecycle},
+    {OpType::EnterMaintenance, &kHostLifecycle},
+    {OpType::ExitMaintenance, &kHostLifecycle},
+    {OpType::ReplicateBaseDisk, &kReplicate},
+    {OpType::ConsolidateDisk, &kConsolidate},
+};
+
+constexpr bool
+recipesInOpTypeOrder()
+{
+    for (std::size_t i = 0; i < std::size(kRecipes); ++i) {
+        if (kRecipes[i].first != static_cast<OpType>(i))
+            return false;
+    }
+    return true;
+}
+
+static_assert(std::size(kRecipes) == kNumOpTypes &&
+                  recipesInOpTypeOrder(),
+              "every op type needs a recipe, listed in OpType order");
+
+const Recipe &
+recipeFor(OpType t)
+{
+    return *kRecipes[static_cast<std::size_t>(t)].second;
+}
+
+} // namespace
 
 } // namespace vcp

@@ -43,6 +43,16 @@ namespace vcp {
 class SpanTracer;
 class TelemetryRegistry;
 
+/** One in-flight operation's execution context (defined in the .cc). */
+struct OpCtx;
+
+/**
+ * One step of an op recipe: synchronous, it validates against or
+ * changes the inventory through the context and returns the error
+ * that fails the task (TaskError::None to go on).
+ */
+using OpStep = TaskError (*)(OpCtx &);
+
 /** Sizing and policy of the management server. */
 struct ManagementServerConfig
 {
@@ -250,67 +260,45 @@ class ManagementServer
     /** @} */
 
   private:
-    struct OpCtx;
-
     /**
      * Contexts are owned by a pool on the server and passed around as
-     * raw pointers: the continuation chain of one operation is
-     * strictly linear (at most one pending continuation per context,
-     * finish() is terminal), so the pointer cannot outlive its slot.
+     * raw pointers: one operation's pipeline is strictly linear (at
+     * most one pending callback per context, finish() is terminal),
+     * so the pointer cannot outlive its slot.
      */
     using CtxPtr = OpCtx *;
 
-    /** Dispatch entry: validate and route to the per-op executor. */
+    /**
+     * @{ The op interpreter.  Each op type maps to a recipe of four
+     * steps (check, relock, prepare, apply; see the .cc and DESIGN.md
+     * "Model performance"), and these stations run it:
+     *
+     *   runTask      dispatch: check, then acquire the lock set
+     *   locksGranted relock, then the DB txns
+     *   dbDone       prepare, then the host phase the recipe pinned:
+     *                the data phase (a datastore slot), the agent
+     *                phase (a host alone) or none
+     *   hostDone     apply, then the finalize txns and finish()
+     *
+     * Only the stations schedule events, sample costs or call
+     * finish(); every hop captures just {this, ctx}, so nothing
+     * allocates per hop.
+     */
     void runTask(CtxPtr ctx);
+    void locksGranted(CtxPtr ctx);
+    void dbDone(CtxPtr ctx);
+    void hostDone(CtxPtr ctx);
 
-    /** @{ Per-op executors (documented in the .cc). */
-    void execPower(CtxPtr ctx);
-    void execCreateVm(CtxPtr ctx);
-    void execClone(CtxPtr ctx);
-    void execDestroy(CtxPtr ctx);
-    void execRegister(CtxPtr ctx);
-    void execReconfigure(CtxPtr ctx);
-    void execSnapshot(CtxPtr ctx);
-    void execRemoveSnapshot(CtxPtr ctx);
-    void execRelocate(CtxPtr ctx);
-    void execMigrate(CtxPtr ctx);
-    void execHostLifecycle(CtxPtr ctx);
-    void execReplicateBaseDisk(CtxPtr ctx);
-    void execConsolidateDisk(CtxPtr ctx);
+    /** Run one recipe step; on error finish the task, return false. */
+    bool runStep(CtxPtr ctx, OpStep step);
     /** @} */
 
     /**
-     * @{ Pipeline helpers.
-     *
-     * Each parks the continuation @p then in the context (OpCtx::next)
-     * and chains through callbacks capturing only {this, ctx}, so a
-     * pipeline hop never re-wraps the continuation — the wrapping
-     * would spill InlineAction's inline buffer and allocate per hop.
+     * @{ Data phase stages: datastore slot, then agent slot, host
+     * setup, the copy (skipped for 0 bytes), release both and go on to
+     * hostDone().  A disconnected agent parks the setup and copy
+     * completions until reconciliation.
      */
-    void acquireLocks(CtxPtr ctx, std::vector<LockRequest> reqs,
-                      InlineAction then);
-    void runDbPhase(CtxPtr ctx, int txns, TaskPhase phase,
-                    InlineAction then);
-    void runAgentPhase(CtxPtr ctx, HostId host, InlineAction then);
-
-    /**
-     * Acquire datastore slot + host agent slot, run host setup, then
-     * move @p bytes (0 = no copy), release both, and continue.
-     *
-     * Same-datastore copies charge the datastore's own pipe;
-     * anything else crosses the routed network fabric.  Fabric
-     * endpoints default to the src/dst datastores' bound nodes;
-     * @p net_src / @p net_dst override them with host nodes for
-     * host-to-host movement (live migration's memory stream).
-     */
-    void runAgentDataPhase(CtxPtr ctx, HostId host,
-                           DatastoreId slot_ds, DatastoreId src_ds,
-                           DatastoreId dst_ds, Bytes bytes,
-                           InlineAction then,
-                           HostId net_src = HostId(),
-                           HostId net_dst = HostId());
-
-    /** @{ runAgentDataPhase stages (parameters live in the ctx). */
     void dataSlotGranted(CtxPtr ctx);
     void dataAgentGranted(CtxPtr ctx);
     void dataSetupDone(CtxPtr ctx);
@@ -319,17 +307,20 @@ class ManagementServer
     void dataCopyFailed(CtxPtr ctx);
     /** @} */
 
+    /** Release the agent and datastore slots the ctx holds. */
+    void releaseSlots(CtxPtr ctx);
+
     /** Finish the task, releasing everything the ctx still holds. */
     void finish(CtxPtr ctx, TaskError err);
-    /** @} */
 
     /**
      * @{ Span recording.  No-ops (one branch) without an attached and
      * enabled tracer; see DESIGN.md "Observability".
      */
 
-    /** Record [ctx->phase_start, now] as a @p phase span. */
-    void tracePhase(CtxPtr ctx, TaskPhase phase);
+    /** Add [ctx->phase_start, now] to the task's @p phase time and
+     *  record it as a @p phase span. */
+    void endPhase(CtxPtr ctx, TaskPhase phase);
 
     /**
      * Split the HostAgent phase just recorded into agent-wait /
