@@ -25,14 +25,13 @@ namespace {
 /** Shorthand for building the default cost table. */
 OpCost
 makeCost(SimDuration api_mean, int db_txns, SimDuration host_mean,
-         int finalize_txns, bool moves_data)
+         int finalize_txns)
 {
     OpCost c;
     c.api_mean = api_mean;
     c.db_txns = db_txns;
     c.host_mean = host_mean;
     c.finalize_txns = finalize_txns;
-    c.moves_data = moves_data;
     return c;
 }
 
@@ -46,48 +45,27 @@ CostModelConfig::CostModelConfig()
     // Values are calibrated to the management-operation latencies
     // reported for vSphere-class control planes (ISCA'10 companion
     // study and public vCenter sizing guidance); see DESIGN.md.
-    set(OpType::PowerOn,
-        makeCost(msec(15), 2, seconds(2.0), 1, false));
-    set(OpType::PowerOff,
-        makeCost(msec(12), 2, seconds(1.0), 1, false));
-    set(OpType::Suspend,
-        makeCost(msec(12), 2, seconds(3.0), 1, false));
-    set(OpType::Reset,
-        makeCost(msec(12), 2, seconds(2.0), 1, false));
-    set(OpType::CreateVm,
-        makeCost(msec(25), 5, seconds(1.2), 2, false));
-    set(OpType::CloneFull,
-        makeCost(msec(30), 6, seconds(1.5), 2, true));
-    set(OpType::CloneLinked,
-        makeCost(msec(30), 8, seconds(4.0), 2, false));
-    set(OpType::Destroy,
-        makeCost(msec(15), 3, seconds(0.8), 2, false));
-    set(OpType::RegisterVm,
-        makeCost(msec(15), 2, seconds(0.5), 1, false));
-    set(OpType::UnregisterVm,
-        makeCost(msec(12), 2, seconds(0.4), 1, false));
-    set(OpType::Reconfigure,
-        makeCost(msec(20), 3, seconds(1.0), 1, false));
-    set(OpType::Snapshot,
-        makeCost(msec(20), 3, seconds(1.2), 1, false));
-    set(OpType::RemoveSnapshot,
-        makeCost(msec(20), 3, seconds(2.5), 1, true));
-    set(OpType::Relocate,
-        makeCost(msec(25), 5, seconds(1.2), 2, true));
-    set(OpType::Migrate,
-        makeCost(msec(25), 5, seconds(1.5), 2, true));
-    set(OpType::AddHost,
-        makeCost(msec(50), 20, seconds(15.0), 5, false));
-    set(OpType::RemoveHost,
-        makeCost(msec(30), 10, seconds(5.0), 3, false));
-    set(OpType::EnterMaintenance,
-        makeCost(msec(25), 4, seconds(10.0), 2, false));
-    set(OpType::ExitMaintenance,
-        makeCost(msec(25), 4, seconds(5.0), 2, false));
-    set(OpType::ReplicateBaseDisk,
-        makeCost(msec(25), 4, seconds(1.0), 2, true));
-    set(OpType::ConsolidateDisk,
-        makeCost(msec(25), 4, seconds(2.0), 2, true));
+    set(OpType::PowerOn, makeCost(msec(15), 2, seconds(2.0), 1));
+    set(OpType::PowerOff, makeCost(msec(12), 2, seconds(1.0), 1));
+    set(OpType::Suspend, makeCost(msec(12), 2, seconds(3.0), 1));
+    set(OpType::Reset, makeCost(msec(12), 2, seconds(2.0), 1));
+    set(OpType::CreateVm, makeCost(msec(25), 5, seconds(1.2), 2));
+    set(OpType::CloneFull, makeCost(msec(30), 6, seconds(1.5), 2));
+    set(OpType::CloneLinked, makeCost(msec(30), 8, seconds(4.0), 2));
+    set(OpType::Destroy, makeCost(msec(15), 3, seconds(0.8), 2));
+    set(OpType::RegisterVm, makeCost(msec(15), 2, seconds(0.5), 1));
+    set(OpType::UnregisterVm, makeCost(msec(12), 2, seconds(0.4), 1));
+    set(OpType::Reconfigure, makeCost(msec(20), 3, seconds(1.0), 1));
+    set(OpType::Snapshot, makeCost(msec(20), 3, seconds(1.2), 1));
+    set(OpType::RemoveSnapshot, makeCost(msec(20), 3, seconds(2.5), 1));
+    set(OpType::Relocate, makeCost(msec(25), 5, seconds(1.2), 2));
+    set(OpType::Migrate, makeCost(msec(25), 5, seconds(1.5), 2));
+    set(OpType::AddHost, makeCost(msec(50), 20, seconds(15.0), 5));
+    set(OpType::RemoveHost, makeCost(msec(30), 10, seconds(5.0), 3));
+    set(OpType::EnterMaintenance, makeCost(msec(25), 4, seconds(10.0), 2));
+    set(OpType::ExitMaintenance, makeCost(msec(25), 4, seconds(5.0), 2));
+    set(OpType::ReplicateBaseDisk, makeCost(msec(25), 4, seconds(1.0), 2));
+    set(OpType::ConsolidateDisk, makeCost(msec(25), 4, seconds(2.0), 2));
 }
 
 OpCostModel::OpCostModel(const CostModelConfig &cfg_, Rng rng_)
@@ -169,12 +147,6 @@ OpCostModel::sampleHost(OpType t)
     double us = rng.lognormalMeanCv(
         static_cast<double>(c.host_mean), c.host_cv);
     return static_cast<SimDuration>(us);
-}
-
-bool
-OpCostModel::movesData(OpType t) const
-{
-    return costFor(t).moves_data;
 }
 
 Bytes

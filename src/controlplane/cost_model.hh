@@ -10,7 +10,8 @@
  *              scaled by inventory size per the chosen scaling law)
  *   host     — host-agent (hostd) execution time
  *   data     — bulk bytes moved (0 for linked clones: the paper's
- *              bandwidth-conserving techniques)
+ *              bandwidth-conserving techniques); each op's recipe in
+ *              the management server decides what it copies
  *   finalize — completion-side database transactions
  *
  * Service times are lognormal, parameterized by mean and coefficient
@@ -56,9 +57,6 @@ struct OpCost
 
     /** Completion-side DB transactions. */
     int finalize_txns = 1;
-
-    /** True if the op moves bulk data (clone/relocate/migrate). */
-    bool moves_data = false;
 };
 
 /** Tunable parameters of the whole cost model. */
@@ -122,9 +120,6 @@ class OpCostModel
 
     /** Sample the host-agent execution time for an op. */
     SimDuration sampleHost(OpType t);
-
-    /** True if this op has a bulk-data phase. */
-    bool movesData(OpType t) const;
 
     /** Initial delta allocation for a linked clone of @p base_size. */
     Bytes linkedDeltaAllocation(Bytes base_size) const;

@@ -31,15 +31,6 @@ TEST(CostModelTest, DefaultsCoverEveryOp)
     }
 }
 
-TEST(CostModelTest, LinkedCloneMovesNoDataFullCloneDoes)
-{
-    OpCostModel m = makeModel();
-    EXPECT_FALSE(m.movesData(OpType::CloneLinked));
-    EXPECT_TRUE(m.movesData(OpType::CloneFull));
-    EXPECT_TRUE(m.movesData(OpType::Relocate));
-    EXPECT_FALSE(m.movesData(OpType::PowerOn));
-}
-
 TEST(CostModelTest, SamplesArePositiveAndNearMean)
 {
     OpCostModel m = makeModel();
