@@ -147,9 +147,16 @@ struct OpCtx : OpState
 namespace {
 
 /**
- * An op family's recipe: four synchronous steps the interpreter runs
- * at fixed points of the pipeline (see DESIGN.md "Model
- * performance").  A null step does nothing.
+ * One recipe step: synchronous, it validates against or changes the
+ * inventory through the context and returns the error that fails the
+ * task (TaskError::None to go on).
+ */
+using OpStep = TaskError (*)(OpCtx &);
+
+/**
+ * An op family's recipe: four steps the interpreter runs at fixed
+ * points of the pipeline (see DESIGN.md "Model performance").  A null
+ * step does nothing.
  */
 struct Recipe
 {
@@ -771,7 +778,7 @@ ManagementServer::runStep(CtxPtr ctx, OpStep step)
 void
 ManagementServer::runTask(CtxPtr ctx)
 {
-    if (!runStep(ctx, recipeFor(ctx->task->type()).check))
+    if (!runStep(ctx, recipeFor(ctx->type()).check))
         return;
     ctx->phase_start = sim.now();
     locks.acquireAll(ctx->locks, [this, ctx]() { locksGranted(ctx); });
@@ -782,10 +789,10 @@ ManagementServer::locksGranted(CtxPtr ctx)
 {
     ctx->held_locks = std::move(ctx->locks);
     endPhase(ctx, TaskPhase::Locks);
-    if (!runStep(ctx, recipeFor(ctx->task->type()).relock))
+    if (!runStep(ctx, recipeFor(ctx->type()).relock))
         return;
     ctx->phase_start = sim.now();
-    db.runTxns(costs.dbTxns(ctx->task->type()),
+    db.runTxns(costs.dbTxns(ctx->type()),
                [this, ctx]() { dbDone(ctx); });
 }
 
@@ -793,7 +800,7 @@ void
 ManagementServer::dbDone(CtxPtr ctx)
 {
     endPhase(ctx, TaskPhase::Db);
-    if (!runStep(ctx, recipeFor(ctx->task->type()).prepare))
+    if (!runStep(ctx, recipeFor(ctx->type()).prepare))
         return;
     // The host phase follows from what the recipe pinned: no host
     // goes straight on to apply, a datastore slot selects the data
@@ -808,7 +815,7 @@ ManagementServer::dbDone(CtxPtr ctx)
             .acquire([this, ctx]() { dataSlotGranted(ctx); });
         return;
     }
-    ctx->agent_service = costs.sampleHost(ctx->task->type());
+    ctx->agent_service = costs.sampleHost(ctx->type());
     hostAgent(ctx->host).execute(ctx->agent_service, [this, ctx]() {
         endPhase(ctx, TaskPhase::HostAgent);
         traceAgentSplit(ctx, ctx->agent_service);
@@ -819,10 +826,10 @@ ManagementServer::dbDone(CtxPtr ctx)
 void
 ManagementServer::hostDone(CtxPtr ctx)
 {
-    if (!runStep(ctx, recipeFor(ctx->task->type()).apply))
+    if (!runStep(ctx, recipeFor(ctx->type()).apply))
         return;
     ctx->phase_start = sim.now();
-    db.runTxns(costs.finalizeTxns(ctx->task->type()), [this, ctx]() {
+    db.runTxns(costs.finalizeTxns(ctx->type()), [this, ctx]() {
         endPhase(ctx, TaskPhase::Finalize);
         finish(ctx, TaskError::None);
     });
@@ -840,7 +847,7 @@ void
 ManagementServer::dataAgentGranted(CtxPtr ctx)
 {
     ctx->held_agent = &hostAgent(ctx->host);
-    ctx->agent_service = costs.sampleHost(ctx->task->type());
+    ctx->agent_service = costs.sampleHost(ctx->type());
     sim.schedule(ctx->agent_service,
                  [this, ctx]() { dataSetupDone(ctx); });
 }

@@ -46,13 +46,6 @@ class TelemetryRegistry;
 /** One in-flight operation's execution context (defined in the .cc). */
 struct OpCtx;
 
-/**
- * One step of an op recipe: synchronous, it validates against or
- * changes the inventory through the context and returns the error
- * that fails the task (TaskError::None to go on).
- */
-using OpStep = TaskError (*)(OpCtx &);
-
 /** Sizing and policy of the management server. */
 struct ManagementServerConfig
 {
@@ -290,7 +283,7 @@ class ManagementServer
     void hostDone(CtxPtr ctx);
 
     /** Run one recipe step; on error finish the task, return false. */
-    bool runStep(CtxPtr ctx, OpStep step);
+    bool runStep(CtxPtr ctx, TaskError (*step)(OpCtx &));
     /** @} */
 
     /**
