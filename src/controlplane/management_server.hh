@@ -275,7 +275,10 @@ class ManagementServer
      *
      * Only the stations schedule events, sample costs or call
      * finish(); every hop captures just {this, ctx}, so nothing
-     * allocates per hop.
+     * allocates per hop.  A recipe change that keeps each step's
+     * inventory reads at the same station and adds no event or RNG
+     * draw leaves the output byte-identical; the golden suite
+     * (tests/golden/) checks that.
      */
     void runTask(CtxPtr ctx);
     void locksGranted(CtxPtr ctx);
@@ -306,14 +309,14 @@ class ManagementServer
     /** Finish the task, releasing everything the ctx still holds. */
     void finish(CtxPtr ctx, TaskError err);
 
+    /** Add [ctx->phase_start, now] to the task's @p phase time and
+     *  record it as a @p phase span (when tracing). */
+    void endPhase(CtxPtr ctx, TaskPhase phase);
+
     /**
      * @{ Span recording.  No-ops (one branch) without an attached and
      * enabled tracer; see DESIGN.md "Observability".
      */
-
-    /** Add [ctx->phase_start, now] to the task's @p phase time and
-     *  record it as a @p phase span. */
-    void endPhase(CtxPtr ctx, TaskPhase phase);
 
     /**
      * Split the HostAgent phase just recorded into agent-wait /
