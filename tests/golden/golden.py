@@ -211,6 +211,7 @@ def rebaseline(args):
                                os.path.join(tmp, name))
             except (OSError, RuntimeError) as e:
                 print(f"golden: {e}", file=sys.stderr)
+                write_digests(digests)  # keep the cases already done
                 return 2
             for key, data in got.items():
                 want = recorded(key, digests)
