@@ -74,6 +74,10 @@ CASES = {
     "cloud-a-rate2000": plain("cloud-a", "--hours", "2", "--rate",
                               "2000"),
     "cloud-a-mtbf1": plain("cloud-a", "--hours", "2", "--mtbf", "1"),
+    # Most of the 2048 hosts tie at load 0, so placement's host-id
+    # tie-break decides where VMs land.
+    "cloud-a-hosts2048": plain("cloud-a", "--hours", "2", "--rate",
+                               "1000", "--hosts", "2048"),
     "traced": ("vcpsim",
                ["cloud-a", "--hours", "1", "--full-clones", "--fabric",
                 "leaf-spine", "--trace-out", "trace.json",
