@@ -331,6 +331,7 @@ CloudDirector::finishDeploy(const DeployCtxPtr &ctx)
     if (!ctx->any_failed) {
         va.state = VAppState::Deployed;
         va.deployed_at = sim.now();
+        deployed.push_back(va.id);
         if (ctx->lease > 0) {
             va.lease_expiry = sim.now() + ctx->lease;
             lease_mgr.schedule(va.id, va.lease_expiry);
@@ -387,6 +388,12 @@ CloudDirector::undeployVApp(VAppId id, UndeployCallback cb)
     if (va.state != VAppState::Deployed &&
         va.state != VAppState::DeployFailed) {
         return false;
+    }
+    if (va.state == VAppState::Deployed) {
+        // Erase, not swap-remove: the workload driver draws a rank
+        // from this list, so the survivors must keep their order.
+        deployed.erase(
+            std::find(deployed.begin(), deployed.end(), id));
     }
     lease_mgr.cancel(id);
     va.state = VAppState::Undeploying;

@@ -17,6 +17,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "cloud/catalog.hh"
 #include "cloud/lease_manager.hh"
@@ -129,6 +130,14 @@ class CloudDirector
     bool hasVApp(VAppId id) const { return vapps.count(id) > 0; }
     const VApp &vapp(VAppId id) const;
     std::size_t numVApps() const { return vapps.size(); }
+
+    /**
+     * The Deployed vApps, in the order they reached Deployed.  A vApp
+     * joins when its deploy succeeds and leaves when its undeploy
+     * starts (the only way out of Deployed); the others keep their
+     * order.  Failed deploys never appear.
+     */
+    const std::vector<VAppId> &deployedVApps() const { return deployed; }
     /** @} */
 
     /** The director mutates shared vApp/catalog/pool state on every
@@ -223,6 +232,7 @@ class CloudDirector
 
     std::map<TenantId, std::unique_ptr<Tenant>> tenants;
     std::map<VAppId, VApp> vapps;
+    std::vector<VAppId> deployed;
     std::map<VAppId, DeployCallback> deploy_cbs;
 
     std::int64_t next_cloud_id = 1;

@@ -12,6 +12,9 @@
 #ifndef VCP_CLOUD_PLACEMENT_HH
 #define VCP_CLOUD_PLACEMENT_HH
 
+#include <utility>
+#include <vector>
+
 #include "cloud/pool_manager.hh"
 #include "infra/inventory.hh"
 
@@ -78,9 +81,13 @@ class PlacementEngine
                     DsPolicy policy);
 
     /**
-     * Decide where a VM should go.  On success the query's footprint
-     * is held as pending on the chosen host; the caller must call
-     * resolve() exactly once when the outcome is known.
+     * Decide where a VM should go: the first host, in ascending
+     * (effective load, id) order, that admits the query and has a
+     * usable base replica or a datastore that fits.  The effective
+     * load is (committed + pending vCPUs) / vCPU capacity.  On success
+     * the query's footprint is held as pending on the chosen host;
+     * the caller must call resolve() exactly once when the outcome is
+     * known.
      */
     Placement place(const PlacementQuery &q);
 
@@ -114,6 +121,9 @@ class PlacementEngine
     DsPolicy ds_policy;
     std::size_t rr_cursor = 0;
     std::unordered_map<HostId, PendingLoad> pending;
+
+    /** place()'s min-heap of (effective load, host); reused. */
+    std::vector<std::pair<double, HostId>> by_load;
 };
 
 } // namespace vcp

@@ -1,6 +1,5 @@
 #include "workload/driver.hh"
 
-#include <algorithm>
 #include <limits>
 
 #include "sim/logging.hh"
@@ -116,22 +115,10 @@ WorkloadDriver::issue(CloudAction a, int tenant_idx, int template_idx)
         ++skipped_count;
 }
 
-void
-WorkloadDriver::pruneLive()
-{
-    live.erase(std::remove_if(live.begin(), live.end(),
-                              [this](VAppId id) {
-                                  return !cloud.hasVApp(id) ||
-                                         cloud.vapp(id).state !=
-                                             VAppState::Deployed;
-                              }),
-               live.end());
-}
-
 VAppId
 WorkloadDriver::pickLiveVApp()
 {
-    pruneLive();
+    const std::vector<VAppId> &live = cloud.deployedVApps();
     if (live.empty())
         return VAppId();
     std::size_t i = static_cast<std::size_t>(rng.uniformInt(
@@ -174,11 +161,7 @@ WorkloadDriver::doDeploy(int tenant_idx, int template_idx)
     req.tmpl = template_ids[static_cast<std::size_t>(template_idx) %
                             template_ids.size()];
     req.priority = cfg.priority;
-    VAppId id = cloud.deployVApp(req, [this](const VApp &va) {
-        if (va.state == VAppState::Deployed)
-            live.push_back(va.id);
-    });
-    return id.valid();
+    return cloud.deployVApp(req).valid();
 }
 
 bool
@@ -187,9 +170,7 @@ WorkloadDriver::doEarlyUndeploy()
     VAppId va = pickLiveVApp();
     if (!va.valid())
         return false;
-    bool ok = cloud.undeployVApp(va);
-    pruneLive();
-    return ok;
+    return cloud.undeployVApp(va);
 }
 
 bool
@@ -321,13 +302,6 @@ WorkloadDriver::doAdminMigrate()
     req.priority = cfg.priority;
     srv.submit(req);
     return true;
-}
-
-std::size_t
-WorkloadDriver::livePopulation()
-{
-    pruneLive();
-    return live.size();
 }
 
 } // namespace vcp
