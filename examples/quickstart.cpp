@@ -28,6 +28,8 @@ main()
     CloudSimulation cloud_sim(spec, /*seed=*/42);
 
     // Deploy one vApp by hand before the generated workload starts.
+    // Once Deployed it joins the driver's pool of targets: the
+    // workload may power-cycle, snapshot or undeploy it too.
     DeployRequest req;
     req.tenant = cloud_sim.tenantIds()[0];
     req.tmpl = cloud_sim.templateIds()[0];
