@@ -50,27 +50,23 @@ runPoint(const F3Point &pt, double window_h, int shards,
     CloudSimulation cs(spec, seed);
     cs.start();
     cs.runFor(hours(window_h));
-    // Snapshot utilizations over the loaded window.
-    auto utils = collectUtilizations(cs.server());
+    // Snapshot the verdict over the loaded window.
+    ResourceUtilization top =
+        bottleneckOf(collectUtilizations(cs.server()));
     double provisioned_in_window =
         static_cast<double>(cs.cloud().vmsProvisioned());
     cs.runFor(hours(6)); // drain
 
     OpType op = pt.linked ? OpType::CloneLinked : OpType::CloneFull;
     Histogram &lat = cs.server().latencyHistogram(op);
-    const ResourceUtilization *top = nullptr;
-    for (const auto &u : utils) {
-        if (!top || u.utilization > top->utilization)
-            top = &u;
-    }
 
     F3Result r;
     r.achieved_per_h = provisioned_in_window / window_h;
     r.p50_s = lat.p50() / 1e6;
     r.p95_s = lat.p95() / 1e6;
     r.failed = cs.server().opsFailed();
-    r.bneck_name = top ? top->name : "none";
-    r.bneck_util = top ? top->utilization : 0.0;
+    r.bneck_name = top.name;
+    r.bneck_util = top.utilization;
     return r;
 }
 

@@ -77,9 +77,10 @@ runStorm(bool linked, int n)
                     (unsigned long long)done.bucket(b).count);
     std::printf("\n");
 
-    auto utils = vcp::collectUtilizations(cs.server());
-    std::printf("  bottleneck: %s\n",
-                vcp::bottleneckResource(utils).c_str());
+    std::printf(
+        "  bottleneck: %s\n",
+        vcp::bottleneckOf(vcp::collectUtilizations(cs.server()))
+            .name.c_str());
 }
 
 } // namespace

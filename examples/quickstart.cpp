@@ -67,8 +67,8 @@ main()
     auto utils = collectUtilizations(srv);
     std::printf("\nbusiest resources:\n%s",
                 utilizationTable(utils).toText().c_str());
-    std::printf("bottleneck: %s (%s plane)\n",
-                bottleneckResource(utils).c_str(),
-                controlPlaneLimited(utils) ? "control" : "data");
+    ResourceUtilization top = bottleneckOf(utils);
+    std::printf("bottleneck: %s (%s plane)\n", top.name.c_str(),
+                top.control_plane ? "control" : "data");
     return 0;
 }

@@ -6,81 +6,15 @@
 
 namespace vcp {
 
-std::vector<ResourceUtilization>
-collectUtilizations(ManagementServer &srv)
-{
-    std::vector<ResourceUtilization> out;
-    Inventory &inv = srv.inventory();
-    Simulator &sim = srv.simulator();
-    double elapsed = static_cast<double>(sim.now());
-
-    out.push_back(
-        {"api-threads", true, srv.apiCenter().utilization()});
-    out.push_back(
-        {"dispatch-slots", true, srv.scheduler().utilization()});
-    out.push_back(
-        {"db-connections", true, srv.database().center().utilization()});
-
-    double agent_sum = 0.0;
-    double agent_max = 0.0;
-    std::size_t host_count = 0;
-    for (HostId h : inv.hostIds()) {
-        double u = srv.hostAgent(h).center().utilization();
-        agent_sum += u;
-        agent_max = std::max(agent_max, u);
-        ++host_count;
-    }
-    if (host_count > 0) {
-        out.push_back({"host-agents(mean)", true,
-                       agent_sum / static_cast<double>(host_count)});
-        out.push_back({"host-agents(max)", true, agent_max});
-    }
-
-    double slot_sum = 0.0;
-    double slot_max = 0.0;
-    double pipe_sum = 0.0;
-    double pipe_max = 0.0;
-    std::size_t ds_count = 0;
-    for (DatastoreId d : inv.datastoreIds()) {
-        double su = srv.datastoreSlots(d).utilization();
-        slot_sum += su;
-        slot_max = std::max(slot_max, su);
-        double pu = elapsed > 0.0
-            ? static_cast<double>(
-                  inv.datastore(d).copyPipe().busyTime()) / elapsed
-            : 0.0;
-        pipe_sum += pu;
-        pipe_max = std::max(pipe_max, pu);
-        ++ds_count;
-    }
-    if (ds_count > 0) {
-        double n = static_cast<double>(ds_count);
-        out.push_back({"datastore-slots(mean)", true, slot_sum / n});
-        out.push_back({"datastore-slots(max)", true, slot_max});
-        out.push_back({"datastore-pipes(mean)", false, pipe_sum / n});
-        out.push_back({"datastore-pipes(max)", false, pipe_max});
-    }
-
-    // Busiest link of the routed topology; for the degenerate
-    // single-link fabric this is exactly the old flat-pipe number.
-    double net_u = elapsed > 0.0
-        ? static_cast<double>(
-              srv.network().topology().maxLinkBusyTime()) /
-              elapsed
-        : 0.0;
-    out.push_back({"network-fabric", false, net_u});
-    return out;
-}
-
 Table
 utilizationTable(const std::vector<ResourceUtilization> &u)
 {
     std::vector<ResourceUtilization> sorted = u;
-    std::sort(sorted.begin(), sorted.end(),
-              [](const ResourceUtilization &a,
-                 const ResourceUtilization &b) {
-                  return a.utilization > b.utilization;
-              });
+    std::stable_sort(sorted.begin(), sorted.end(),
+                     [](const ResourceUtilization &a,
+                        const ResourceUtilization &b) {
+                         return a.utilization > b.utilization;
+                     });
     Table t({"resource", "plane", "utilization"});
     for (const auto &r : sorted) {
         t.row()
@@ -89,30 +23,6 @@ utilizationTable(const std::vector<ResourceUtilization> &u)
             .cell(r.utilization, 3);
     }
     return t;
-}
-
-std::string
-bottleneckResource(const std::vector<ResourceUtilization> &u)
-{
-    const ResourceUtilization *best = nullptr;
-    for (const auto &r : u) {
-        if (!best || r.utilization > best->utilization)
-            best = &r;
-    }
-    if (!best || best->utilization <= 0.0)
-        return "none";
-    return best->name;
-}
-
-bool
-controlPlaneLimited(const std::vector<ResourceUtilization> &u)
-{
-    const ResourceUtilization *best = nullptr;
-    for (const auto &r : u) {
-        if (!best || r.utilization > best->utilization)
-            best = &r;
-    }
-    return best && best->utilization > 0.0 && best->control_plane;
 }
 
 std::vector<PhaseAttribution>

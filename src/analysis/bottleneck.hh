@@ -1,8 +1,11 @@
 /**
  * @file
- * Bottleneck attribution: gathers the mean utilization of every
- * bounded control-plane and data-plane resource so a run can answer
- * the paper's central question — *which* plane limits provisioning.
+ * Bottleneck attribution: answers the paper's central question —
+ * *which* plane limits provisioning.  Resource utilizations come from
+ * collectUtilizations() (controlplane/management_server.hh) and the
+ * verdict from bottleneckOf() (telemetry/health.hh), both re-exported
+ * here; this layer adds the table rendering and the span-sourced
+ * phase attribution.
  */
 
 #ifndef VCP_ANALYSIS_BOTTLENECK_HH
@@ -13,38 +16,13 @@
 
 #include "controlplane/management_server.hh"
 #include "stats/table.hh"
+#include "telemetry/health.hh"
 
 namespace vcp {
 
-/** One resource's observed utilization. */
-struct ResourceUtilization
-{
-    std::string name;
-
-    /** Control plane vs data plane, for the headline attribution. */
-    bool control_plane = true;
-
-    /** Mean utilization over the run, in [0, 1]. */
-    double utilization = 0.0;
-};
-
-/**
- * Collect utilizations: API threads, dispatch slots, DB connections,
- * host agents (mean and max across hosts), datastore copy pipes
- * (mean and max), and the network fabric.
- */
-std::vector<ResourceUtilization>
-collectUtilizations(ManagementServer &srv);
-
-/** Render the utilizations as a table, most-loaded first. */
+/** Render the utilizations as a table, most-loaded first (ties in
+ *  list order, so the top row is the bottleneckOf() verdict). */
 Table utilizationTable(const std::vector<ResourceUtilization> &u);
-
-/** Name of the most-utilized resource ("none" when all idle). */
-std::string bottleneckResource(
-    const std::vector<ResourceUtilization> &u);
-
-/** True when the most-utilized resource is a control-plane one. */
-bool controlPlaneLimited(const std::vector<ResourceUtilization> &u);
 
 class SpanTracer;
 

@@ -53,12 +53,6 @@ class HaManager
         return crashed.count(host) > 0;
     }
 
-    /** @{ Component access (the failure injector builds on these). */
-    ManagementServer &server() { return srv; }
-    Inventory &inventory() { return inv; }
-    Simulator &simulator() { return srv.simulator(); }
-    /** @} */
-
     /** @{ Lifetime counters. */
     std::uint64_t crashes() const { return crash_count; }
     std::uint64_t vmsCrashed() const { return vms_crashed; }

@@ -507,20 +507,6 @@ ManagementServer::agentQueueLength() const
     return n;
 }
 
-double
-ManagementServer::agentMeanUtilization() const
-{
-    double sum = 0.0;
-    std::size_t n = 0;
-    for (const auto &a : agents) {
-        if (a) {
-            sum += a->center().utilization();
-            ++n;
-        }
-    }
-    return n ? sum / static_cast<double>(n) : 0.0;
-}
-
 int
 ManagementServer::datastoreSlotsBusy() const
 {
@@ -541,18 +527,73 @@ ManagementServer::datastoreQueueLength() const
     return n;
 }
 
-double
-ManagementServer::datastoreMeanUtilization() const
+std::vector<ResourceUtilization>
+collectUtilizations(ManagementServer &srv)
 {
-    double sum = 0.0;
-    std::size_t n = 0;
-    for (const auto &d : ds_slots) {
-        if (d) {
-            sum += d->utilization();
-            ++n;
-        }
+    std::vector<ResourceUtilization> out;
+    Inventory &inv = srv.inventory();
+    double elapsed = static_cast<double>(srv.simulator().now());
+
+    out.push_back(
+        {"api-threads", true, srv.apiCenter().utilization()});
+    out.push_back(
+        {"dispatch-slots", true, srv.scheduler().utilization()});
+    out.push_back(
+        {"db-connections", true, srv.database().center().utilization()});
+
+    double agent_sum = 0.0;
+    double agent_max = 0.0;
+    std::size_t host_count = 0;
+    for (HostId h : inv.hostIds()) {
+        double u = h.slot < srv.agents.size() && srv.agents[h.slot]
+            ? srv.agents[h.slot]->center().utilization()
+            : 0.0;
+        agent_sum += u;
+        agent_max = std::max(agent_max, u);
+        ++host_count;
     }
-    return n ? sum / static_cast<double>(n) : 0.0;
+    if (host_count > 0) {
+        out.push_back({"host-agents(mean)", true,
+                       agent_sum / static_cast<double>(host_count)});
+        out.push_back({"host-agents(max)", true, agent_max});
+    }
+
+    double slot_sum = 0.0;
+    double slot_max = 0.0;
+    double pipe_sum = 0.0;
+    double pipe_max = 0.0;
+    std::size_t ds_count = 0;
+    for (DatastoreId d : inv.datastoreIds()) {
+        double su = d.slot < srv.ds_slots.size() && srv.ds_slots[d.slot]
+            ? srv.ds_slots[d.slot]->utilization()
+            : 0.0;
+        slot_sum += su;
+        slot_max = std::max(slot_max, su);
+        double pu = elapsed > 0.0
+            ? static_cast<double>(
+                  inv.datastore(d).copyPipe().busyTime()) / elapsed
+            : 0.0;
+        pipe_sum += pu;
+        pipe_max = std::max(pipe_max, pu);
+        ++ds_count;
+    }
+    if (ds_count > 0) {
+        double n = static_cast<double>(ds_count);
+        out.push_back({"datastore-slots(mean)", true, slot_sum / n});
+        out.push_back({"datastore-slots(max)", true, slot_max});
+        out.push_back({"datastore-pipes(mean)", false, pipe_sum / n});
+        out.push_back({"datastore-pipes(max)", false, pipe_max});
+    }
+
+    // Busiest link of the routed topology; for the degenerate
+    // single-link fabric this is exactly the old flat-pipe number.
+    double net_u = elapsed > 0.0
+        ? static_cast<double>(
+              srv.network().topology().maxLinkBusyTime()) /
+              elapsed
+        : 0.0;
+    out.push_back({"network-fabric", false, net_u});
+    return out;
 }
 
 void

@@ -42,6 +42,7 @@ namespace vcp {
 
 class SpanTracer;
 class TelemetryRegistry;
+struct ResourceUtilization;
 
 /** One in-flight operation's execution context (defined in the .cc). */
 struct OpCtx;
@@ -246,10 +247,8 @@ class ManagementServer
      */
     int agentSlotsBusy() const;
     std::size_t agentQueueLength() const;
-    double agentMeanUtilization() const;
     int datastoreSlotsBusy() const;
     std::size_t datastoreQueueLength() const;
-    double datastoreMeanUtilization() const;
     /** @} */
 
   private:
@@ -371,6 +370,10 @@ class ManagementServer
     std::vector<std::unique_ptr<HostAgent>> agents;
     std::vector<std::unique_ptr<ServiceCenter>> ds_slots;
 
+    /** Reads agents and ds_slots without creating entries. */
+    friend std::vector<ResourceUtilization>
+    collectUtilizations(ManagementServer &srv);
+
     /** Task records, pooled; finished tasks recycle their slot. */
     SlotArena<Task, TaskId> tasks{"task"};
 
@@ -439,6 +442,19 @@ class ManagementServer
     std::uint64_t failed_ops = 0;
     Bytes bytes_moved = 0;
 };
+
+/**
+ * The resource list every bottleneck verdict reads, in this order:
+ * API threads, dispatch slots, DB connections, host agents (mean and
+ * max across hosts), datastore slots (mean and max) — all control
+ * plane — then datastore copy pipes (mean and max) and the busiest
+ * network-fabric link — data plane.  Utilizations are busy fractions
+ * over the run so far.  The read creates no agent or slot center (a
+ * center's utilization counts from its creation, so periodic reads
+ * must not create them); a host or datastore without one is idle.
+ */
+std::vector<ResourceUtilization>
+collectUtilizations(ManagementServer &srv);
 
 } // namespace vcp
 

@@ -10,20 +10,18 @@ namespace vcp {
 using telemetry::jsonEscape;
 using telemetry::jsonNum;
 
-namespace {
-
-/**
- * Util-probe names for data-plane resources; everything else
- * (api threads, dispatch slots, db pool, host agents) is the
- * management control plane the paper interrogates.
- */
-bool
-isDataPlane(const std::string &name)
+ResourceUtilization
+bottleneckOf(const std::vector<ResourceUtilization> &u)
 {
-    return name == "util.fabric" || name == "util.datastores";
+    const ResourceUtilization *best = nullptr;
+    for (const auto &r : u) {
+        if (!best || r.utilization > best->utilization)
+            best = &r;
+    }
+    if (!best || best->utilization <= 0.0)
+        return {"none", false, 0.0};
+    return *best;
 }
-
-} // namespace
 
 HealthReport
 buildHealthReport(TelemetryRegistry &reg, SimTime now,
@@ -33,18 +31,14 @@ buildHealthReport(TelemetryRegistry &reg, SimTime now,
 {
     HealthReport hr;
     hr.now_us = now;
-    for (const auto &p : reg.utilProbes())
-        hr.subsystems.emplace_back(p.name, p.fn());
-    std::sort(hr.subsystems.begin(), hr.subsystems.end(),
-              [](const auto &a, const auto &b) {
-                  if (a.second != b.second)
-                      return a.second > b.second;
-                  return a.first < b.first;
-              });
-    if (!hr.subsystems.empty()) {
-        hr.dominant = hr.subsystems.front().first;
-        hr.control_plane_limited = !isDataPlane(hr.dominant);
-    }
+    hr.subsystems = reg.utilizations();
+    ResourceUtilization top = bottleneckOf(hr.subsystems);
+    hr.dominant = top.name;
+    hr.control_plane_limited = top.control_plane;
+    std::stable_sort(hr.subsystems.begin(), hr.subsystems.end(),
+                     [](const auto &a, const auto &b) {
+                         return a.utilization > b.utilization;
+                     });
     hr.recent_windows = std::move(recent_windows);
     hr.window_wins = std::move(window_wins);
     std::sort(hr.window_wins.begin(), hr.window_wins.end(),
@@ -77,18 +71,21 @@ healthText(const HealthReport &hr)
 {
     std::string out = "run health report\n";
 
-    Table subs({"subsystem", "utilization", "windows won"});
-    for (const auto &[name, util] : hr.subsystems) {
+    Table subs({"subsystem", "plane", "utilization", "windows won"});
+    for (const ResourceUtilization &r : hr.subsystems) {
         std::uint64_t wins = 0;
         for (const auto &[wname, wcount] : hr.window_wins)
-            if (wname == name)
+            if (wname == r.name)
                 wins = wcount;
-        subs.row().cell(name).cell(util).cell(wins);
+        subs.row()
+            .cell(r.name)
+            .cell(r.control_plane ? "control" : "data")
+            .cell(r.utilization)
+            .cell(wins);
     }
     out += subs.toText();
 
-    out += "dominant bottleneck: "
-        + (hr.dominant.empty() ? std::string("(none)") : hr.dominant)
+    out += "dominant bottleneck: " + hr.dominant
         + (hr.control_plane_limited ? " (control plane)"
                                     : " (data plane)")
         + "\n";
@@ -122,11 +119,11 @@ healthJson(const HealthReport &hr)
 
     j += ",\"subsystems\":{";
     bool first = true;
-    for (const auto &[name, util] : hr.subsystems) {
+    for (const ResourceUtilization &r : hr.subsystems) {
         if (!first)
             j += ",";
         first = false;
-        j += "\"" + jsonEscape(name) + "\":" + jsonNum(util);
+        j += "\"" + jsonEscape(r.name) + "\":" + jsonNum(r.utilization);
     }
     j += "}";
 

@@ -1,15 +1,17 @@
 /**
  * @file
- * End-of-run health report: per-subsystem utilization, the dominant
- * bottleneck over snapshot windows, and top-k congested entities.
+ * The bottleneck verdict and the end-of-run health report.
  *
- * The report is the run's verdict in the paper's terms — *which
- * plane saturated first* — computed purely from the streaming
- * telemetry (util probes plus the emitter's per-window dominant
- * history), so it costs nothing beyond what the run already
- * collected.  It renders two ways: an aligned-text table for the
- * terminal, and a `{"type":"health"}` ND-JSON line appended to the
- * metrics stream so downstream tooling sees one self-contained file.
+ * bottleneckOf() is the one rule that names the resource limiting a
+ * run — *which plane saturated first*, in the paper's terms.  It
+ * reads one resource list (collectUtilizations() in controlplane/),
+ * and every bottleneck the simulator reports comes from it: vcpsim's
+ * `bottleneck:` line and sweep column, the snapshot emitter's
+ * per-window dominants, and this report.  The report costs nothing
+ * beyond what the run already collected; it renders two ways: an
+ * aligned-text table for the terminal, and a `{"type":"health"}`
+ * ND-JSON line appended to the metrics stream so downstream tooling
+ * sees one self-contained file.
  */
 
 #ifndef VCP_TELEMETRY_HEALTH_HH
@@ -25,6 +27,14 @@
 
 namespace vcp {
 
+/**
+ * The bottleneck verdict: the most-utilized resource of @p u, the
+ * first in list order on ties; `{"none", data plane, 0}` when the list
+ * is empty or every resource is idle.
+ */
+ResourceUtilization
+bottleneckOf(const std::vector<ResourceUtilization> &u);
+
 /** One congested entity (host agent, fabric link) with its load. */
 struct CongestedEntity
 {
@@ -36,10 +46,10 @@ struct CongestedEntity
 struct HealthReport
 {
     std::int64_t now_us = 0;
-    /** Subsystem utilizations, sorted descending. */
-    std::vector<std::pair<std::string, double>> subsystems;
-    /** Highest-utilization subsystem overall. */
-    std::string dominant;
+    /** Subsystem utilizations, sorted descending (ties in list order). */
+    std::vector<ResourceUtilization> subsystems;
+    /** The verdict over the subsystems (bottleneckOf()). */
+    std::string dominant = "none";
     /** True when the dominant subsystem is a control-plane resource. */
     bool control_plane_limited = false;
     /** Dominant subsystem of each recent snapshot window (oldest first). */
@@ -52,7 +62,7 @@ struct HealthReport
 };
 
 /**
- * Build a report from the registry's util probes plus the emitter's
+ * Build a report from the registry's resource list plus the emitter's
  * per-window dominant history (pass empty vectors when no emitter
  * ran).  Top-k entity lists are left empty for the caller to fill —
  * the registry deliberately has no per-entity instruments.

@@ -65,9 +65,10 @@ void
 SnapshotEmitter::emitNow()
 {
     reg.sampleGauges(sim.now());
-    noteDominant();
-    emitLine(snapshotLine());
-    writeProm();
+    std::vector<ResourceUtilization> utils = reg.utilizations();
+    noteDominant(utils);
+    emitLine(snapshotLine(utils));
+    writeProm(utils);
     last_emit = sim.now();
     ++seq;
 }
@@ -82,7 +83,7 @@ SnapshotEmitter::finish(const HealthReport &hr)
     if (seq == 0 || sim.now() > last_emit)
         emitNow();
     emitLine(healthJson(hr));
-    writeProm();
+    writeProm(reg.utilizations());
 }
 
 void
@@ -95,20 +96,11 @@ SnapshotEmitter::emitLine(const std::string &line)
 }
 
 void
-SnapshotEmitter::noteDominant()
+SnapshotEmitter::noteDominant(const std::vector<ResourceUtilization> &u)
 {
-    const auto &utils = reg.utilProbes();
-    if (utils.empty())
+    if (u.empty())
         return;
-    std::string best;
-    double best_v = -1.0;
-    for (const auto &p : utils) {
-        double v = p.fn();
-        if (v > best_v || (v == best_v && p.name < best)) {
-            best_v = v;
-            best = p.name;
-        }
-    }
+    std::string best = bottleneckOf(u).name;
     bool found = false;
     for (auto &[name, count] : wins) {
         if (name == best) {
@@ -135,7 +127,7 @@ SnapshotEmitter::recentDominants() const
 }
 
 std::string
-SnapshotEmitter::snapshotLine()
+SnapshotEmitter::snapshotLine(const std::vector<ResourceUtilization> &u)
 {
     SimTime now = sim.now();
     double dt_s = toSeconds(now - last_emit);
@@ -197,11 +189,11 @@ SnapshotEmitter::snapshotLine()
     // Utilizations: instantaneous whole-run busy fractions.
     j += ",\"utils\":{";
     first = true;
-    for (const auto &p : reg.utilProbes()) {
+    for (const ResourceUtilization &r : u) {
         if (!first)
             j += ",";
         first = false;
-        j += "\"" + jsonEscape(p.name) + "\":" + jsonNum(p.fn());
+        j += "\"" + jsonEscape(r.name) + "\":" + jsonNum(r.utilization);
     }
     j += "}";
 
@@ -257,7 +249,7 @@ SnapshotEmitter::snapshotLine()
 }
 
 void
-SnapshotEmitter::writeProm()
+SnapshotEmitter::writeProm(const std::vector<ResourceUtilization> &u)
 {
     if (prom_path.empty())
         return;
@@ -288,10 +280,10 @@ SnapshotEmitter::writeProm()
            << "# TYPE " << pn << "_ewma gauge\n"
            << pn << "_ewma " << jsonNum(g->ewma()) << "\n";
     }
-    for (const auto &p : reg.utilProbes()) {
-        std::string pn = "vcp_" + promName(p.name);
+    for (const ResourceUtilization &r : u) {
+        std::string pn = "vcp_util_" + promName(r.name);
         pf << "# TYPE " << pn << " gauge\n"
-           << pn << " " << jsonNum(p.fn()) << "\n";
+           << pn << " " << jsonNum(r.utilization) << "\n";
     }
     for (const auto &name : reg.histogramNames()) {
         LatencyHistogram h = reg.mergedHistogram(name);

@@ -17,8 +17,8 @@
  * to `,"shards":` — the determinism tests rely on this.
  *
  * The emitter also keeps the per-window dominant-bottleneck history
- * (bounded: a win counter per util probe plus a fixed-size recent
- * ring) that feeds the end-of-run health report.
+ * (bounded: a win counter per resource plus a fixed-size recent ring)
+ * that feeds the end-of-run health report.
  */
 
 #ifndef VCP_TELEMETRY_SNAPSHOT_HH
@@ -92,9 +92,9 @@ class SnapshotEmitter
   private:
     void tick();
     void emitLine(const std::string &line);
-    std::string snapshotLine();
-    void noteDominant();
-    void writeProm();
+    std::string snapshotLine(const std::vector<ResourceUtilization> &u);
+    void noteDominant(const std::vector<ResourceUtilization> &u);
+    void writeProm(const std::vector<ResourceUtilization> &u);
 
     Simulator &sim;
     TelemetryRegistry &reg;
@@ -107,7 +107,7 @@ class SnapshotEmitter
     std::unique_ptr<std::ofstream> owned_out;
     std::string prom_path;
 
-    /** One (name, count) per util probe — bounded by instrument count. */
+    /** One (name, count) per resource, plus "none" for idle windows. */
     std::vector<std::pair<std::string, std::uint64_t>> wins;
     /** Fixed-size ring of recent window dominants. */
     std::string recent[kRecentWindows];

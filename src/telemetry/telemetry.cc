@@ -71,10 +71,16 @@ TelemetryRegistry::addGaugeProbe(const std::string &name,
 }
 
 void
-TelemetryRegistry::addUtilProbe(const std::string &name,
-                                std::function<double()> fn)
+TelemetryRegistry::setUtilizations(
+    std::function<std::vector<ResourceUtilization>()> fn)
 {
-    utils_.push_back({name, std::move(fn)});
+    utils_ = std::move(fn);
+}
+
+std::vector<ResourceUtilization>
+TelemetryRegistry::utilizations() const
+{
+    return utils_ ? utils_() : std::vector<ResourceUtilization>{};
 }
 
 void
@@ -173,7 +179,7 @@ TelemetryRegistry::gaugeShardScoped(const std::string &name) const
 std::size_t
 TelemetryRegistry::numInstruments() const
 {
-    std::size_t n = gauges_.size() + utils_.size() + cprobes_.size()
+    std::size_t n = gauges_.size() + (utils_ ? 1 : 0) + cprobes_.size()
         + gprobes_.size();
     for (const auto &s : counters_)
         for (const auto &c : s.cells)

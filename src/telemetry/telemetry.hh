@@ -49,6 +49,18 @@
 
 namespace vcp {
 
+/** One bounded resource's utilization, as the bottleneck verdict reads it. */
+struct ResourceUtilization
+{
+    std::string name;
+
+    /** Control plane vs data plane, for the headline attribution. */
+    bool control_plane = true;
+
+    /** Busy fraction over the run so far, in [0, 1]. */
+    double utilization = 0.0;
+};
+
 /** Named instrument store with per-shard cells and polled probes. */
 class TelemetryRegistry
 {
@@ -85,11 +97,16 @@ class TelemetryRegistry
                        bool shard_scoped = false);
 
     /**
-     * Register a utilization probe (0..1-ish double, read at
-     * snapshot time; not windowed).
+     * Register the resource list (collectUtilizations() for a cloud):
+     * read once per snapshot, it feeds the "utils" section, the
+     * window's dominant and the health report.  Replaces any earlier
+     * list.
      */
-    void addUtilProbe(const std::string &name,
-                      std::function<double()> fn);
+    void setUtilizations(
+        std::function<std::vector<ResourceUtilization>()> fn);
+
+    /** Read the resource list now (empty when none is registered). */
+    std::vector<ResourceUtilization> utilizations() const;
 
     /**
      * Register a monotone-counter probe for a value maintained
@@ -116,12 +133,6 @@ class TelemetryRegistry
     std::vector<std::string> gaugeNames() const;
     const DecayingGauge *findGauge(const std::string &name) const;
 
-    struct UtilProbe
-    {
-        std::string name;
-        std::function<double()> fn;
-    };
-
     struct CounterProbe
     {
         std::string name;
@@ -139,7 +150,6 @@ class TelemetryRegistry
         DecayingGauge *sink = nullptr;
     };
 
-    const std::vector<UtilProbe> &utilProbes() const { return utils_; }
     std::vector<CounterProbe> &counterProbes() { return cprobes_; }
     const std::vector<GaugeProbe> &gaugeProbes() const { return gprobes_; }
 
@@ -177,7 +187,7 @@ class TelemetryRegistry
     std::vector<Series<LatencyHistogram>> hists_;
     std::vector<std::pair<std::string, std::unique_ptr<DecayingGauge>>>
         gauges_;
-    std::vector<UtilProbe> utils_;
+    std::function<std::vector<ResourceUtilization>()> utils_;
     std::vector<CounterProbe> cprobes_;
     std::vector<GaugeProbe> gprobes_;
 };

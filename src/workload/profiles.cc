@@ -209,10 +209,10 @@ CloudSimulation::addStandardGauges(GaugeSampler &sampler)
     sampler.addGauge("api.busy", [this] {
         return static_cast<std::int64_t>(srv_.apiCenter().busyServers());
     });
-    sampler.addGauge("dispatch.queue", [this] {
+    sampler.addGauge("sched.queue", [this] {
         return static_cast<std::int64_t>(srv_.scheduler().queueLength());
     });
-    sampler.addGauge("dispatch.running", [this] {
+    sampler.addGauge("sched.running", [this] {
         return static_cast<std::int64_t>(srv_.scheduler().inFlight());
     });
     sampler.addGauge("db.queue", [this] {
@@ -268,25 +268,8 @@ CloudSimulation::enableTelemetry(TelemetryRegistry *reg)
             net_.topology().activeTransfers());
     });
 
-    // Per-subsystem utilizations — the health report's input.
-    reg->addUtilProbe("util.api",
-                      [this] { return srv_.apiCenter().utilization(); });
-    reg->addUtilProbe("util.dispatch",
-                      [this] { return srv_.scheduler().utilization(); });
-    reg->addUtilProbe("util.db", [this] {
-        return srv_.database().center().utilization();
-    });
-    reg->addUtilProbe("util.agents",
-                      [this] { return srv_.agentMeanUtilization(); });
-    reg->addUtilProbe("util.datastores",
-                      [this] { return srv_.datastoreMeanUtilization(); });
-    reg->addUtilProbe("util.fabric", [this] {
-        double elapsed = static_cast<double>(sim().now());
-        return elapsed > 0.0
-            ? static_cast<double>(
-                  net_.topology().maxLinkBusyTime()) / elapsed
-            : 0.0;
-    });
+    // The resource list behind every bottleneck verdict.
+    reg->setUtilizations([this] { return collectUtilizations(srv_); });
 
     // Monotone counters maintained elsewhere; the emitter differences
     // consecutive readings into windowed rates.

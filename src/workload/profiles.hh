@@ -165,7 +165,10 @@ class CloudSimulation
     /**
      * Register the standard control-plane load gauges (API queue and
      * busy threads, dispatch queue and running tasks, DB queue and
-     * busy connections) on a caller-owned sampler.
+     * busy connections) on a caller-owned sampler, under the names
+     * enableTelemetry() gives the same quantities ("api.queue",
+     * "sched.queue", ...), so an attached registry keeps one gauge
+     * per quantity.
      */
     void addStandardGauges(GaugeSampler &sampler);
 
@@ -173,8 +176,8 @@ class CloudSimulation
      * Attach a caller-owned telemetry registry across the stack:
      * push instruments on the management server (scheduler, locks,
      * database, op latency) plus polled probes for every saturation
-     * point — queue-depth gauges, per-subsystem utilizations,
-     * monotone counters, and per-shard engine series (events,
+     * point — queue-depth gauges, the collectUtilizations() resource
+     * list, monotone counters, and per-shard engine series (events,
      * mailbox backlog, horizon stalls, barrier wait).  Pass nullptr
      * to detach the push side.
      */

@@ -127,11 +127,22 @@ TEST(BottleneckTest, IdentifiesBusiestResource)
         {"datastore-pipes(max)", false, 0.9},
         {"api-threads", true, 0.05},
     };
-    EXPECT_EQ(bottleneckResource(u), "datastore-pipes(max)");
-    EXPECT_FALSE(controlPlaneLimited(u));
+    EXPECT_EQ(bottleneckOf(u).name, "datastore-pipes(max)");
+    EXPECT_FALSE(bottleneckOf(u).control_plane);
     u[0].utilization = 0.95;
-    EXPECT_EQ(bottleneckResource(u), "db-connections");
-    EXPECT_TRUE(controlPlaneLimited(u));
+    EXPECT_EQ(bottleneckOf(u).name, "db-connections");
+    EXPECT_TRUE(bottleneckOf(u).control_plane);
+}
+
+TEST(BottleneckTest, TiesGoToTheFirstInListOrder)
+{
+    std::vector<ResourceUtilization> u = {
+        {"dispatch-slots", true, 0.4},
+        {"network-fabric", false, 0.7},
+        {"datastore-pipes(max)", false, 0.7},
+    };
+    EXPECT_EQ(bottleneckOf(u).name, "network-fabric");
+    EXPECT_EQ(utilizationTable(u).at(0, 0), "network-fabric");
 }
 
 TEST(BottleneckTest, AllIdleReportsNone)
@@ -140,7 +151,9 @@ TEST(BottleneckTest, AllIdleReportsNone)
         {"a", true, 0.0},
         {"b", false, 0.0},
     };
-    EXPECT_EQ(bottleneckResource(u), "none");
+    EXPECT_EQ(bottleneckOf(u).name, "none");
+    EXPECT_FALSE(bottleneckOf(u).control_plane);
+    EXPECT_EQ(bottleneckOf({}).name, "none");
 }
 
 TEST(BottleneckTest, TableSortedByUtilization)

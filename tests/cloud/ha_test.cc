@@ -1,13 +1,13 @@
 /**
  * @file
  * Tests for the HA manager (crash / boot-storm recovery) and the
- * failure injector.
+ * chaos engine's crash lane that drives it.
  */
 
 #include "cloud_fixture.hh"
 
 #include "cloud/ha_manager.hh"
-#include "workload/failures.hh"
+#include "workload/chaos.hh"
 
 namespace vcp {
 namespace {
@@ -114,20 +114,27 @@ TEST_F(HaTest, RecoverySkipsVmsDestroyedDuringOutage)
     EXPECT_EQ(ha.restartFailures(), 0u);
 }
 
-TEST_F(HaTest, FailureInjectorDrivesOutagesAndRecoveries)
+/** A scenario of one crash lane. */
+ChaosConfig
+crashLane(SimDuration mtbf, SimDuration outage_mean)
+{
+    ChaosConfig cfg;
+    cfg.faults.push_back({FaultFamily::HostCrash, mtbf, outage_mean});
+    return cfg;
+}
+
+TEST_F(HaTest, CrashLaneDrivesOutagesAndRecoveries)
 {
     deploy(tenant0());
     deploy(tenant1());
     HaManager ha(srv());
-    FailureConfig fcfg;
-    fcfg.mtbf = minutes(30);
-    fcfg.outage_mean = minutes(5);
-    FailureInjector inj(ha, fcfg, Rng(5));
+    ChaosEngine inj(srv(), ha, crashLane(minutes(30), minutes(5)),
+                    Rng(5));
     inj.start();
     sim().runUntil(hours(6));
-    EXPECT_GT(inj.outages(), 3u);
-    EXPECT_GT(inj.recoveries(), 2u);
-    EXPECT_EQ(inj.recoveries(),
+    EXPECT_GT(inj.injected(), 3u);
+    EXPECT_GT(inj.recovered(), 2u);
+    EXPECT_EQ(inj.recovered(),
               ha.crashes() - (ha.isCrashed(cs->hostIds()[0]) ||
                                       ha.isCrashed(cs->hostIds()[1]) ||
                                       ha.isCrashed(cs->hostIds()[2]) ||
@@ -141,22 +148,20 @@ TEST_F(HaTest, StopMidOutageSuppressesScheduledRecovery)
 {
     deploy(tenant0());
     HaManager ha(srv());
-    FailureConfig fcfg;
-    fcfg.mtbf = minutes(10);
     // Enormous outage mean so the recovery event is armed far in the
     // future — stop() lands squarely inside the outage window.
-    fcfg.outage_mean = hours(50);
-    FailureInjector inj(ha, fcfg, Rng(7));
+    ChaosEngine inj(srv(), ha, crashLane(minutes(10), hours(50)),
+                    Rng(7));
     inj.start();
-    while (inj.outages() == 0 && sim().now() < hours(24))
+    while (inj.injected() == 0 && sim().now() < hours(24))
         drain(minutes(10));
-    ASSERT_GT(inj.outages(), 0u);
+    ASSERT_GT(inj.injected(), 0u);
     inj.stop();
 
-    // Run far past every armed recovery: a stopped injector must not
+    // Run far past every armed recovery: a stopped engine must not
     // mutate the cloud any more, so the host simply stays down.
     sim().runUntil(sim().now() + hours(500));
-    EXPECT_EQ(inj.recoveries(), 0u);
+    EXPECT_EQ(inj.recovered(), 0u);
     bool any_down = false;
     for (HostId h : cs->hostIds())
         any_down = any_down || ha.isCrashed(h);
@@ -217,15 +222,16 @@ TEST_F(HaTest, SecondCrashDuringRestartDoesNotDoubleCount)
     EXPECT_EQ(inv().host(victim).committedVcpus(), 1);
 }
 
-TEST_F(HaTest, InjectorDisabledWithZeroMtbf)
+TEST_F(HaTest, MtbfZeroAddsNoCrashLane)
 {
+    ChaosConfig cfg;
+    addMtbfCrashLane(cfg, 0); // vcpsim --mtbf 0
+    EXPECT_TRUE(cfg.faults.empty());
     HaManager ha(srv());
-    FailureConfig fcfg;
-    fcfg.mtbf = 0;
-    FailureInjector inj(ha, fcfg, Rng(5));
+    ChaosEngine inj(srv(), ha, cfg, Rng(5));
     inj.start();
     sim().runUntil(hours(10));
-    EXPECT_EQ(inj.outages(), 0u);
+    EXPECT_EQ(inj.injected(), 0u);
 }
 
 } // namespace

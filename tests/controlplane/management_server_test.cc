@@ -8,6 +8,7 @@
 #include "cp_fixture.hh"
 
 #include "sim/logging.hh"
+#include "telemetry/health.hh"
 
 namespace vcp {
 namespace {
@@ -226,6 +227,25 @@ TEST_F(ServerTest, DatastoreSlotsBoundDataOpsPerDatastore)
     // Each copy is 4 GiB over a 1.25 GB/s fabric (~3.4 s); strictly
     // serialized they take > 6.8 s + host work.
     EXPECT_GT(finish, seconds(7));
+}
+
+TEST_F(ServerTest, BusyDatastoreSlotsAreAControlPlaneVerdict)
+{
+    // Hold one of ds0's copy slots for the whole run with nothing
+    // else running: the datastore slots are the busiest resource, and
+    // the health report files them under the control plane, like
+    // collectUtilizations() does.
+    srv->datastoreSlots(ds0).submit(hours(1), [] {});
+    sim->run();
+
+    TelemetryRegistry reg;
+    reg.setUtilizations([&] { return collectUtilizations(*srv); });
+    HealthReport hr = buildHealthReport(reg, sim->now(), {}, {});
+    EXPECT_EQ(hr.dominant, "datastore-slots(max)");
+    EXPECT_TRUE(hr.control_plane_limited);
+    EXPECT_NE(healthText(hr).find("dominant bottleneck: "
+                                  "datastore-slots(max) (control plane)"),
+              std::string::npos);
 }
 
 TEST_F(ServerTest, FailureRollbackReleasesLocks)

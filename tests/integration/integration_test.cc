@@ -12,7 +12,7 @@
 #include "analysis/bottleneck.hh"
 #include "analysis/queueing.hh"
 #include "cloud/ha_manager.hh"
-#include "workload/failures.hh"
+#include "workload/chaos.hh"
 #include "workload/profiles.hh"
 
 namespace vcp {
@@ -140,7 +140,7 @@ TEST(IntegrationTest, LinkedClonesAreControlPlaneLimitedUnderStorm)
     CloudSimulation cs(spec, 5);
     cs.run();
     auto utils = collectUtilizations(cs.server());
-    EXPECT_TRUE(controlPlaneLimited(utils))
+    EXPECT_TRUE(bottleneckOf(utils).control_plane)
         << utilizationTable(utils).toText();
     for (const auto &u : utils) {
         if (u.name == "datastore-pipes(max)")
@@ -238,16 +238,18 @@ TEST_P(ChaosTest, ConservationSurvivesCrashStorms)
     CloudSimulation cs(spec, GetParam());
 
     HaManager ha(cs.server());
-    FailureConfig fcfg;
-    fcfg.mtbf = minutes(45); // aggressive: ~10 outages over the run
-    fcfg.outage_mean = minutes(10);
-    FailureInjector injector(ha, fcfg, Rng(GetParam() * 3 + 1));
+    ChaosConfig ccfg;
+    // Aggressive: ~10 outages over the run.
+    ccfg.faults.push_back(
+        {FaultFamily::HostCrash, minutes(45), minutes(10)});
+    ChaosEngine injector(cs.server(), ha, ccfg,
+                         Rng(GetParam() * 3 + 1));
     injector.start();
 
     cs.run(/*drain=*/hours(3));
     injector.stop();
 
-    EXPECT_GT(injector.outages(), 3u);
+    EXPECT_GT(injector.injected(), 3u);
     EXPECT_GT(ha.vmsRestarted(), 0u);
     // Accounting survives the chaos.
     EXPECT_EQ(cs.server().opsSubmitted(),

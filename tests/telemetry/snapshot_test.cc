@@ -19,6 +19,13 @@
 namespace vcp {
 namespace {
 
+/** Register a fixed resource list on @p reg. */
+void
+setUtils(TelemetryRegistry &reg, std::vector<ResourceUtilization> u)
+{
+    reg.setUtilizations([u] { return u; });
+}
+
 TEST(TelemetryRegistry, ShardCellsMergeIntoOneSeries)
 {
     TelemetryRegistry reg(seconds(8));
@@ -121,7 +128,7 @@ TEST(SnapshotEmitter, WindowWithZeroEventsStillEmits)
     Simulator sim(1);
     TelemetryRegistry reg(seconds(5));
     reg.counter("ops"); // registered but never incremented
-    reg.addUtilProbe("util.x", [] { return 0.25; });
+    setUtils(reg, {{"util.x", true, 0.25}});
 
     SnapshotEmitter em(sim, reg, seconds(5));
     std::ostringstream out;
@@ -143,7 +150,7 @@ TEST(SnapshotEmitter, RunShorterThanOneWindowSnapshotsAtFinish)
     Simulator sim(1);
     TelemetryRegistry reg(seconds(60));
     WindowedCounter *c = reg.counter("ops");
-    reg.addUtilProbe("util.x", [] { return 0.5; });
+    setUtils(reg, {{"util.x", true, 0.5}});
     sim.schedule(seconds(2), [&] { c->add(sim.now()); });
 
     SnapshotEmitter em(sim, reg, seconds(60));
@@ -175,6 +182,27 @@ TEST(SnapshotEmitter, RunShorterThanOneWindowSnapshotsAtFinish)
               std::string::npos);
 }
 
+TEST(SnapshotEmitter, IdleWindowsHaveNoDominant)
+{
+    Simulator sim(1);
+    TelemetryRegistry reg(seconds(5));
+    setUtils(reg, {{"util.api", true, 0.0}, {"util.fabric", false, 0.0}});
+
+    SnapshotEmitter em(sim, reg, seconds(5));
+    em.start();
+    sim.schedule(seconds(10), [] {});
+    sim.runUntil(seconds(10));
+    em.stop();
+
+    HealthReport hr = buildHealthReport(reg, sim.now(),
+                                        em.recentDominants(),
+                                        em.windowWins());
+    EXPECT_EQ(hr.recent_windows,
+              (std::vector<std::string>{"none", "none"}));
+    EXPECT_EQ(hr.dominant, "none");
+    EXPECT_FALSE(hr.control_plane_limited);
+}
+
 TEST(SnapshotEmitter, UnstartedEmitterSchedulesNothing)
 {
     Simulator sim(1);
@@ -189,12 +217,11 @@ TEST(SnapshotEmitter, UnstartedEmitterSchedulesNothing)
 TEST(HealthReport, RanksSubsystemsAndFlagsControlPlane)
 {
     TelemetryRegistry reg;
-    reg.addUtilProbe("util.api", [] { return 0.9; });
-    reg.addUtilProbe("util.fabric", [] { return 0.4; });
+    setUtils(reg, {{"util.api", true, 0.9}, {"util.fabric", false, 0.4}});
 
     HealthReport hr = buildHealthReport(reg, seconds(5), {}, {});
     ASSERT_EQ(hr.subsystems.size(), 2u);
-    EXPECT_EQ(hr.subsystems[0].first, "util.api");
+    EXPECT_EQ(hr.subsystems[0].name, "util.api");
     EXPECT_EQ(hr.dominant, "util.api");
     EXPECT_TRUE(hr.control_plane_limited);
 
@@ -216,8 +243,7 @@ TEST(HealthReport, RanksSubsystemsAndFlagsControlPlane)
 TEST(HealthReport, DataPlaneDominantIsNotControlLimited)
 {
     TelemetryRegistry reg;
-    reg.addUtilProbe("util.fabric", [] { return 0.9; });
-    reg.addUtilProbe("util.api", [] { return 0.1; });
+    setUtils(reg, {{"util.fabric", false, 0.9}, {"util.api", true, 0.1}});
     HealthReport hr = buildHealthReport(reg, 0, {}, {});
     EXPECT_EQ(hr.dominant, "util.fabric");
     EXPECT_FALSE(hr.control_plane_limited);

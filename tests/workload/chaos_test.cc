@@ -78,6 +78,19 @@ TEST(ChaosSpec, RejectsMalformedSpecs)
     EXPECT_FALSE(err.empty());
 }
 
+TEST(ChaosSpec, MtbfShorthandAppendsACrashLane)
+{
+    ChaosConfig cfg;
+    std::string err;
+    ASSERT_TRUE(parseChaosSpec("disconnect", cfg, err)) << err;
+    addMtbfCrashLane(cfg, hours(1));
+    ASSERT_EQ(cfg.faults.size(), 2u);
+    EXPECT_EQ(cfg.faults[0].family, FaultFamily::HostDisconnect);
+    EXPECT_EQ(cfg.faults[1].family, FaultFamily::HostCrash);
+    EXPECT_EQ(cfg.faults[1].mtbf, hours(1));
+    EXPECT_EQ(cfg.faults[1].duration, minutes(15));
+}
+
 TEST(ChaosSpec, FamilyNamesRoundTrip)
 {
     for (std::size_t i = 0; i < kNumFaultFamilies; ++i) {

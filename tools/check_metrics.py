@@ -5,8 +5,10 @@ Prometheus text-exposition sibling).
 Checks the stream shape the snapshot emitter promises: every line is
 one JSON object of type "snapshot" or "health"; snapshots carry
 strictly increasing seq and non-decreasing ts_us; exactly one health
-line, and it is the last line.  Per snapshot it checks the section
-envelope (counters/gauges/utils/hists/shards), non-negative windowed
+line, and it is the last line, with a dominant that is a subsystem
+of the highest utilization ("none" when every subsystem is idle).
+Per snapshot it checks the section envelope
+(counters/gauges/utils/hists/shards), non-negative windowed
 counts and rates, window totals never exceeding all-time totals,
 utilizations in [0, 1.5] (transient over-unity is tolerated while a
 window drains), and quantile sanity on every histogram with samples:
@@ -115,11 +117,18 @@ def check_health(problems, i, obj):
     if not isinstance(subs, dict) or not subs:
         err(problems, f"{where}: health without subsystems")
         return
-    for name, util in subs.items():
-        check_number(problems, f"{where} subsystems.{name}", util, 0)
+    valid = {name: util for name, util in subs.items()
+             if check_number(problems, f"{where} subsystems.{name}",
+                             util, 0)}
+    top = max(valid.values(), default=0)
     dominant = obj.get("dominant")
-    if dominant not in subs:
-        err(problems, f"{where}: dominant {dominant!r} not a subsystem")
+    if top <= 0:
+        if dominant != "none":
+            err(problems, f"{where}: dominant {dominant!r} but every "
+                          f"subsystem is idle (want 'none')")
+    elif valid.get(dominant) != top:
+        err(problems, f"{where}: dominant {dominant!r} is not a "
+                      f"subsystem of the highest utilization {top}")
     if not isinstance(obj.get("control_plane_limited"), bool):
         err(problems, f"{where}: control_plane_limited not bool")
     for key in ("top_hosts", "top_links"):

@@ -45,7 +45,6 @@
 #include "trace/shard_lanes.hh"
 #include "trace/tracer.hh"
 #include "workload/chaos.hh"
-#include "workload/failures.hh"
 #include "workload/profiles.hh"
 
 namespace {
@@ -70,8 +69,9 @@ usage()
         "(default 4)\n"
         "  --spines N         leaf-spine spine-switch count "
         "(default 2)\n"
-        "  --mtbf H           inject host failures (mean time "
-        "between failures, hours)\n"
+        "  --mtbf H           inject host crashes: shorthand for a\n"
+        "                     crash:mtbf=Hh,duration=15m chaos lane,\n"
+        "                     added to any --chaos lanes (0 = off)\n"
         "  --chaos SPEC       run a chaos scenario; SPEC is\n"
         "                     family:mtbf=30m,duration=5m[;...] with\n"
         "                     families crash|disconnect|db-stall|\n"
@@ -344,19 +344,15 @@ sweepMain(int argc, char **argv)
         CloudSimulation cs(
             s, ParallelSweepRunner::forkSeed(seed, i));
         cs.run();
-        auto utils = collectUtilizations(cs.server());
-        const ResourceUtilization *top = nullptr;
-        for (const auto &u : utils) {
-            if (!top || u.utilization > top->utilization)
-                top = &u;
-        }
+        ResourceUtilization top =
+            bottleneckOf(collectUtilizations(cs.server()));
         SweepRow &r = rows[i];
         r.deploys_ok = cs.cloud().deploysSucceeded();
         r.deploys_failed = cs.cloud().deploysFailed();
         r.vms_provisioned = cs.cloud().vmsProvisioned();
         r.ops_failed = cs.server().opsFailed();
-        r.bottleneck = top ? top->name : "none";
-        r.bneck_util = top ? top->utilization : 0.0;
+        r.bottleneck = top.name;
+        r.bneck_util = top.utilization;
     });
 
     Table t({"rate/h", "deploys_ok", "deploys_failed",
@@ -514,6 +510,8 @@ main(int argc, char **argv)
             return 2;
         }
     }
+    // After the loop: --chaos replaces its lane list, --mtbf adds to it.
+    addMtbfCrashLane(chaos_cfg, hours(mtbf_hours));
 
     std::printf("vcpsim: profile=%s hours=%.1f seed=%llu linked=%s "
                 "shards=%d\n",
@@ -555,12 +553,6 @@ main(int argc, char **argv)
     }
 
     HaManager ha(cs.server());
-    FailureConfig fcfg;
-    fcfg.mtbf = hours(mtbf_hours);
-    FailureInjector injector(ha, fcfg, cs.sim().rng().fork());
-    if (mtbf_hours > 0.0)
-        injector.start();
-
     // The chaos fork only happens when a scenario is configured, so
     // a chaos-free run's RNG stream — and therefore its output —
     // stays byte-identical to earlier builds.
@@ -595,17 +587,6 @@ main(int argc, char **argv)
                 (unsigned long long)srv.opsFailed(),
                 formatBytes(srv.bytesMoved()).c_str());
 
-    if (mtbf_hours > 0.0) {
-        std::printf("failures: %llu outages, %llu recoveries, "
-                    "%llu VMs crashed, %llu restarted (%llu restart "
-                    "failures)\n",
-                    (unsigned long long)injector.outages(),
-                    (unsigned long long)injector.recoveries(),
-                    (unsigned long long)ha.vmsCrashed(),
-                    (unsigned long long)ha.vmsRestarted(),
-                    (unsigned long long)ha.restartFailures());
-    }
-
     if (chaos) {
         std::printf("chaos: %llu faults injected, %llu recovered; "
                     "%llu agent disconnects, %llu reconciles "
@@ -631,14 +612,20 @@ main(int argc, char **argv)
                     fs.recovery_us.mean() / 1e6,
                     fs.recovery_us.max() / 1e6);
             }
+            if (f == static_cast<std::size_t>(FaultFamily::HostCrash)) {
+                std::printf("; %llu VMs crashed, %llu restarted "
+                            "(%llu restart failures)",
+                            (unsigned long long)ha.vmsCrashed(),
+                            (unsigned long long)ha.vmsRestarted(),
+                            (unsigned long long)ha.restartFailures());
+            }
             std::printf("\n");
         }
     }
 
-    auto utils = collectUtilizations(srv);
-    std::printf("bottleneck: %s (%s plane)\n",
-                bottleneckResource(utils).c_str(),
-                controlPlaneLimited(utils) ? "control" : "data");
+    ResourceUtilization top = bottleneckOf(collectUtilizations(srv));
+    std::printf("bottleneck: %s (%s plane)\n", top.name.c_str(),
+                top.control_plane ? "control" : "data");
 
     if (cs.engine().numShards() > 1) {
         std::printf("shards (%s mode): %llu events total\n",
