@@ -8,7 +8,7 @@ script:
     <case>.stdout     vcpsim's stdout
     <case>.stats.csv  the --stats CSV
     <case>.ops.csv    the --dump-ops CSV
-    digests.sha256    SHA-256 of the larger outputs: the traced run's
+    digests.sha256    SHA-256 of the larger outputs: the traced runs'
                       Perfetto trace and metrics exports, and the
                       op-storm's finished-task stream
 
@@ -85,6 +85,16 @@ CASES = {
                 "600"],
                [("stdout", "stdout"), ("trace.json", None),
                 ("metrics.ndjson", None), ("metrics.ndjson.prom", None)]),
+    # A ring too small for the run: the trace keeps the newest 16384
+    # of 56131 records, so the export starts mid-operation; the metrics
+    # stream has 150 snapshot lines.
+    "traced-wrap": ("vcpsim",
+                    ["cloud-b", "--hours", "2", "--fabric", "leaf-spine",
+                     "--trace-out", "trace.json", "--trace-capacity",
+                     "16384", "--sample-interval", "1000",
+                     "--metrics-out", "metrics.ndjson"],
+                    [("trace.json", None), ("metrics.ndjson", None),
+                     ("metrics.ndjson.prom", None)]),
     "opstorm": ("opstorm", ["17"], [("stdout", None)]),
 }
 
