@@ -3,12 +3,13 @@
 #include <algorithm>
 #include <cinttypes>
 
-#include "telemetry/json_util.hh"
+#include "telemetry/json_writer.hh"
 
 namespace vcp {
 
-using telemetry::jsonEscape;
-using telemetry::jsonNum;
+using telemetry::appendEscaped;
+using telemetry::appendInt;
+using telemetry::appendNum;
 
 ResourceUtilization
 bottleneckOf(const std::vector<ResourceUtilization> &u)
@@ -114,30 +115,37 @@ healthText(const HealthReport &hr)
 std::string
 healthJson(const HealthReport &hr)
 {
-    std::string j = "{\"type\":\"health\",\"ts_us\":"
-        + std::to_string(hr.now_us);
+    std::string j = "{\"type\":\"health\",\"ts_us\":";
+    appendInt(j, hr.now_us);
+
+    // "name":value members of one object, comma-separated.
+    bool first = true;
+    auto member = [&](std::string_view name) {
+        if (!first)
+            j += ',';
+        first = false;
+        j += '"';
+        appendEscaped(j, name);
+        j += "\":";
+    };
 
     j += ",\"subsystems\":{";
-    bool first = true;
     for (const ResourceUtilization &r : hr.subsystems) {
-        if (!first)
-            j += ",";
-        first = false;
-        j += "\"" + jsonEscape(r.name) + "\":" + jsonNum(r.utilization);
+        member(r.name);
+        appendNum(j, r.utilization);
     }
     j += "}";
 
-    j += ",\"dominant\":\"" + jsonEscape(hr.dominant) + "\"";
-    j += ",\"control_plane_limited\":";
+    j += ",\"dominant\":\"";
+    appendEscaped(j, hr.dominant);
+    j += "\",\"control_plane_limited\":";
     j += hr.control_plane_limited ? "true" : "false";
 
     j += ",\"window_wins\":{";
     first = true;
     for (const auto &[name, wins] : hr.window_wins) {
-        if (!first)
-            j += ",";
-        first = false;
-        j += "\"" + jsonEscape(name) + "\":" + std::to_string(wins);
+        member(name);
+        appendInt(j, wins);
     }
     j += "}";
 
@@ -145,9 +153,11 @@ healthJson(const HealthReport &hr)
     first = true;
     for (const auto &w : hr.recent_windows) {
         if (!first)
-            j += ",";
+            j += ',';
         first = false;
-        j += "\"" + jsonEscape(w) + "\"";
+        j += '"';
+        appendEscaped(j, w);
+        j += '"';
     }
     j += "]";
 
@@ -159,10 +169,13 @@ healthJson(const HealthReport &hr)
         bool f = true;
         for (const auto &e : es) {
             if (!f)
-                j += ",";
+                j += ',';
             f = false;
-            j += "{\"name\":\"" + jsonEscape(e.name)
-                + "\",\"util\":" + jsonNum(e.utilization) + "}";
+            j += "{\"name\":\"";
+            appendEscaped(j, e.name);
+            j += "\",\"util\":";
+            appendNum(j, e.utilization);
+            j += '}';
         }
         j += "]";
     };

@@ -125,9 +125,10 @@ class WindowedCounter
 
 /**
  * Exponentially-decaying gauge: EWMA of a sampled level with a fixed
- * time constant, plus last/min/max over the whole run.  sample() pays
- * one exp() — it runs on the cold sampler/snapshot path, never per
- * event.
+ * time constant, plus last/min/max over the whole run.  sample() runs
+ * on the cold sampler/snapshot path, never per event, and pays one
+ * exp() only when the step since the previous sample differs from the
+ * step before it: a fixed-period sampler reuses the decay factor.
  */
 class DecayingGauge
 {
@@ -142,9 +143,13 @@ class DecayingGauge
         if (n == 0) {
             ewma_ = v;
         } else {
-            double dt = toSeconds(now - last_t);
-            double alpha = dt > 0 ? 1.0 - std::exp(-dt / tau_s) : 0.0;
-            ewma_ += alpha * (v - ewma_);
+            SimDuration step = now - last_t;
+            if (step != step_) {
+                double dt = toSeconds(step);
+                step_ = step;
+                alpha_ = dt > 0 ? 1.0 - std::exp(-dt / tau_s) : 0.0;
+            }
+            ewma_ += alpha_ * (v - ewma_);
         }
         last_t = now;
         last_ = v;
@@ -167,6 +172,9 @@ class DecayingGauge
     double max_ = -std::numeric_limits<double>::infinity();
     SimTime last_t = 0;
     std::uint64_t n = 0;
+    /** The last step length between samples and its decay factor. */
+    SimDuration step_ = 0;
+    double alpha_ = 0.0;
 };
 
 } // namespace vcp

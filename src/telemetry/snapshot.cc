@@ -3,13 +3,14 @@
 #include <algorithm>
 
 #include "sim/logging.hh"
-#include "telemetry/json_util.hh"
+#include "telemetry/json_writer.hh"
 
 namespace vcp {
 
-using telemetry::jsonEscape;
-using telemetry::jsonNum;
-using telemetry::promName;
+using telemetry::appendEscaped;
+using telemetry::appendInt;
+using telemetry::appendNum;
+using telemetry::appendPromName;
 
 SnapshotEmitter::SnapshotEmitter(Simulator &sim_,
                                  TelemetryRegistry &reg_,
@@ -67,13 +68,14 @@ SnapshotEmitter::emitNow()
     reg.sampleGauges(sim.now());
     std::vector<ResourceUtilization> utils = reg.utilizations();
     noteDominant(utils);
-    emitLine(snapshotLine(utils));
+    renderSnapshot(utils);
+    emitLine();
     writeProm(utils);
     last_emit = sim.now();
     ++seq;
 }
 
-void
+bool
 SnapshotEmitter::finish(const HealthReport &hr)
 {
     // A final partial window: emit unless the last snapshot already
@@ -82,16 +84,27 @@ SnapshotEmitter::finish(const HealthReport &hr)
     // then this is the only snapshot).
     if (seq == 0 || sim.now() > last_emit)
         emitNow();
-    emitLine(healthJson(hr));
-    writeProm(reg.utilizations());
+    line = healthJson(hr);
+    emitLine();
+    bool ok = true;
+    if (out && out->fail()) {
+        warnTagged("telemetry", "cannot write the metrics stream");
+        ok = false;
+    }
+    if (!writeProm(reg.utilizations())) {
+        warnTagged("telemetry", "cannot write %s", prom_path.c_str());
+        ok = false;
+    }
+    return ok;
 }
 
 void
-SnapshotEmitter::emitLine(const std::string &line)
+SnapshotEmitter::emitLine()
 {
     if (!out)
         return;
-    *out << line << '\n';
+    line += '\n';
+    out->write(line.data(), static_cast<std::streamsize>(line.size()));
     out->flush();
 }
 
@@ -126,36 +139,56 @@ SnapshotEmitter::recentDominants() const
     return out_v;
 }
 
-std::string
-SnapshotEmitter::snapshotLine(const std::vector<ResourceUtilization> &u)
+void
+SnapshotEmitter::renderSnapshot(const std::vector<ResourceUtilization> &u)
 {
     SimTime now = sim.now();
     double dt_s = toSeconds(now - last_emit);
 
-    std::string j = "{\"type\":\"snapshot\",\"seq\":"
-        + std::to_string(seq) + ",\"ts_us\":" + std::to_string(now)
-        + ",\"window_us\":" + std::to_string(now - last_emit);
+    std::string &j = line;
+    j = "{\"type\":\"snapshot\",\"seq\":";
+    appendInt(j, seq);
+    j += ",\"ts_us\":";
+    appendInt(j, now);
+    j += ",\"window_us\":";
+    appendInt(j, now - last_emit);
+
+    // Members of one object: a comma-separated "name": key, then
+    // "key":value fields appended with num()/count().
+    bool first = true;
+    auto key = [&](std::string_view name) {
+        if (!first)
+            j += ',';
+        first = false;
+        j += '"';
+        appendEscaped(j, name);
+        j += "\":";
+    };
+    auto num = [&](const char *field, double v) {
+        j += field;
+        appendNum(j, v);
+    };
+    auto count = [&](const char *field, std::uint64_t v) {
+        j += field;
+        appendInt(j, v);
+    };
 
     // Counters: instrument series (merged across shards) first, then
     // counter probes, both rendered with the same shape.
-    j += ",\"counters\":{";
-    bool first = true;
-    auto counterEntry = [&](const std::string &name,
-                            std::uint64_t total, std::uint64_t window,
-                            double rate) {
-        if (!first)
-            j += ",";
-        first = false;
-        j += "\"" + jsonEscape(name)
-            + "\":{\"total\":" + std::to_string(total)
-            + ",\"window\":" + std::to_string(window)
-            + ",\"rate_per_s\":" + jsonNum(rate) + "}";
+    auto counterEntry = [&](std::string_view name, std::uint64_t total,
+                            std::uint64_t window, double rate) {
+        key(name);
+        count("{\"total\":", total);
+        count(",\"window\":", window);
+        num(",\"rate_per_s\":", rate);
+        j += '}';
     };
-    for (const auto &name : reg.counterNames()) {
-        WindowedCounter m = reg.mergedCounter(name);
-        counterEntry(name, m.total(), m.inWindow(now),
-                     m.ratePerSec(now));
-    }
+    j += ",\"counters\":{";
+    reg.forEachCounter(
+        [&](const std::string &name, const WindowedCounter &m) {
+            counterEntry(name, m.total(), m.inWindow(now),
+                         m.ratePerSec(now));
+        });
     for (auto &p : reg.counterProbes()) {
         if (p.shard_scoped)
             continue;
@@ -166,55 +199,49 @@ SnapshotEmitter::snapshotLine(const std::vector<ResourceUtilization> &u)
                      dt_s > 0 ? static_cast<double>(delta) / dt_s
                               : 0.0);
     }
-    j += "}";
+    j += '}';
 
     // Gauges: decaying levels, probe-fed and sampler-fed alike.
     j += ",\"gauges\":{";
     first = true;
-    for (const auto &name : reg.gaugeNames()) {
-        if (reg.gaugeShardScoped(name))
-            continue;
-        const DecayingGauge *g = reg.findGauge(name);
-        if (!first)
-            j += ",";
-        first = false;
-        j += "\"" + jsonEscape(name)
-            + "\":{\"last\":" + jsonNum(g->last())
-            + ",\"ewma\":" + jsonNum(g->ewma())
-            + ",\"min\":" + jsonNum(g->min())
-            + ",\"max\":" + jsonNum(g->max()) + "}";
-    }
-    j += "}";
+    reg.forEachGauge([&](const std::string &name, const DecayingGauge &g,
+                         bool shard_scoped) {
+        if (shard_scoped)
+            return;
+        key(name);
+        num("{\"last\":", g.last());
+        num(",\"ewma\":", g.ewma());
+        num(",\"min\":", g.min());
+        num(",\"max\":", g.max());
+        j += '}';
+    });
+    j += '}';
 
     // Utilizations: instantaneous whole-run busy fractions.
     j += ",\"utils\":{";
     first = true;
     for (const ResourceUtilization &r : u) {
-        if (!first)
-            j += ",";
-        first = false;
-        j += "\"" + jsonEscape(r.name) + "\":" + jsonNum(r.utilization);
+        key(r.name);
+        appendNum(j, r.utilization);
     }
-    j += "}";
+    j += '}';
 
     // Histograms: merged cells, HDR-style quantiles.
     j += ",\"hists\":{";
     first = true;
-    for (const auto &name : reg.histogramNames()) {
-        LatencyHistogram h = reg.mergedHistogram(name);
-        if (!first)
-            j += ",";
-        first = false;
-        j += "\"" + jsonEscape(name)
-            + "\":{\"count\":" + std::to_string(h.count())
-            + ",\"sum_us\":" + jsonNum(h.sum())
-            + ",\"min_us\":" + jsonNum(h.min())
-            + ",\"p50_us\":" + jsonNum(h.p50())
-            + ",\"p95_us\":" + jsonNum(h.p95())
-            + ",\"p99_us\":" + jsonNum(h.p99())
-            + ",\"max_us\":" + jsonNum(h.max()) + "}";
-    }
-    j += "}";
+    reg.forEachHistogram(
+        [&](const std::string &name, const LatencyHistogram &h) {
+            key(name);
+            count("{\"count\":", h.count());
+            num(",\"sum_us\":", h.sum());
+            num(",\"min_us\":", h.min());
+            num(",\"p50_us\":", h.p50());
+            num(",\"p95_us\":", h.p95());
+            num(",\"p99_us\":", h.p99());
+            num(",\"max_us\":", h.max());
+            j += '}';
+        });
+    j += '}';
 
     // Shard-scoped series LAST — everything before this comma is
     // identical across --parallel-shards counts (Merge mode).
@@ -226,75 +253,101 @@ SnapshotEmitter::snapshotLine(const std::vector<ResourceUtilization> &u)
         std::uint64_t cur = p.fn();
         std::uint64_t delta = cur >= p.prev ? cur - p.prev : 0;
         p.prev = cur;
-        if (!first)
-            j += ",";
-        first = false;
-        j += "\"" + jsonEscape(p.name)
-            + "\":{\"total\":" + std::to_string(cur)
-            + ",\"window\":" + std::to_string(delta) + "}";
+        key(p.name);
+        count("{\"total\":", cur);
+        count(",\"window\":", delta);
+        j += '}';
     }
-    for (const auto &name : reg.gaugeNames()) {
-        if (!reg.gaugeShardScoped(name))
-            continue;
-        const DecayingGauge *g = reg.findGauge(name);
-        if (!first)
-            j += ",";
-        first = false;
-        j += "\"" + jsonEscape(name)
-            + "\":{\"last\":" + jsonNum(g->last())
-            + ",\"max\":" + jsonNum(g->max()) + "}";
-    }
+    reg.forEachGauge([&](const std::string &name, const DecayingGauge &g,
+                         bool shard_scoped) {
+        if (!shard_scoped)
+            return;
+        key(name);
+        num("{\"last\":", g.last());
+        num(",\"max\":", g.max());
+        j += '}';
+    });
     j += "}}";
-    return j;
 }
 
-void
+bool
 SnapshotEmitter::writeProm(const std::vector<ResourceUtilization> &u)
 {
     if (prom_path.empty())
-        return;
-    std::ofstream pf(prom_path, std::ios::trunc);
-    if (!pf.is_open())
-        return;
+        return true;
     SimTime now = sim.now();
 
-    for (const auto &name : reg.counterNames()) {
-        WindowedCounter m = reg.mergedCounter(name);
-        std::string pn = "vcp_" + promName(name);
-        pf << "# TYPE " << pn << "_total counter\n"
-           << pn << "_total " << m.total() << "\n"
-           << "# TYPE " << pn << "_rate_per_s gauge\n"
-           << pn << "_rate_per_s " << jsonNum(m.ratePerSec(now))
-           << "\n";
-    }
+    std::string &t = prom;
+    t.clear();
+    // "vcp_<name><suffix>", the name reduced to Prometheus characters.
+    auto metric = [&](const char *prefix, std::string_view name,
+                      const char *suffix) {
+        t += prefix;
+        appendPromName(t, name);
+        t += suffix;
+    };
+    // A "# TYPE" line, then the sample's name; the value follows.
+    auto typed = [&](const char *prefix, std::string_view name,
+                     const char *suffix, const char *type) {
+        t += "# TYPE ";
+        metric(prefix, name, suffix);
+        t += ' ';
+        t += type;
+        t += '\n';
+        metric(prefix, name, suffix);
+        t += ' ';
+    };
+    auto num = [&](double v) {
+        appendNum(t, v);
+        t += '\n';
+    };
+    auto count = [&](std::uint64_t v) {
+        appendInt(t, v);
+        t += '\n';
+    };
+
+    reg.forEachCounter(
+        [&](const std::string &name, const WindowedCounter &m) {
+            typed("vcp_", name, "_total", "counter");
+            count(m.total());
+            typed("vcp_", name, "_rate_per_s", "gauge");
+            num(m.ratePerSec(now));
+        });
     for (const auto &p : reg.counterProbes()) {
-        std::string pn = "vcp_" + promName(p.name);
-        pf << "# TYPE " << pn << "_total counter\n"
-           << pn << "_total " << p.fn() << "\n";
+        typed("vcp_", p.name, "_total", "counter");
+        count(p.fn());
     }
-    for (const auto &name : reg.gaugeNames()) {
-        const DecayingGauge *g = reg.findGauge(name);
-        std::string pn = "vcp_" + promName(name);
-        pf << "# TYPE " << pn << " gauge\n"
-           << pn << " " << jsonNum(g->last()) << "\n"
-           << "# TYPE " << pn << "_ewma gauge\n"
-           << pn << "_ewma " << jsonNum(g->ewma()) << "\n";
-    }
+    reg.forEachGauge(
+        [&](const std::string &name, const DecayingGauge &g, bool) {
+            typed("vcp_", name, "", "gauge");
+            num(g.last());
+            typed("vcp_", name, "_ewma", "gauge");
+            num(g.ewma());
+        });
     for (const ResourceUtilization &r : u) {
-        std::string pn = "vcp_util_" + promName(r.name);
-        pf << "# TYPE " << pn << " gauge\n"
-           << pn << " " << jsonNum(r.utilization) << "\n";
+        typed("vcp_util_", r.name, "", "gauge");
+        num(r.utilization);
     }
-    for (const auto &name : reg.histogramNames()) {
-        LatencyHistogram h = reg.mergedHistogram(name);
-        std::string pn = "vcp_" + promName(name);
-        pf << "# TYPE " << pn << " summary\n"
-           << pn << "{quantile=\"0.5\"} " << jsonNum(h.p50()) << "\n"
-           << pn << "{quantile=\"0.95\"} " << jsonNum(h.p95()) << "\n"
-           << pn << "{quantile=\"0.99\"} " << jsonNum(h.p99()) << "\n"
-           << pn << "_sum " << jsonNum(h.sum()) << "\n"
-           << pn << "_count " << h.count() << "\n";
-    }
+    reg.forEachHistogram(
+        [&](const std::string &name, const LatencyHistogram &h) {
+            t += "# TYPE ";
+            metric("vcp_", name, " summary\n");
+            metric("vcp_", name, "{quantile=\"0.5\"} ");
+            num(h.p50());
+            metric("vcp_", name, "{quantile=\"0.95\"} ");
+            num(h.p95());
+            metric("vcp_", name, "{quantile=\"0.99\"} ");
+            num(h.p99());
+            metric("vcp_", name, "_sum ");
+            num(h.sum());
+            metric("vcp_", name, "_count ");
+            count(h.count());
+        });
+
+    std::ofstream pf(prom_path, std::ios::trunc);
+    pf.write(t.data(), static_cast<std::streamsize>(t.size()));
+    pf.close();
+    return !pf.fail();
 }
 
 } // namespace vcp

@@ -73,8 +73,10 @@ class SnapshotEmitter
      * Emit a final partial-window snapshot (if anything happened
      * since the last one), append the health line, and rewrite the
      * Prometheus file one last time.
+     * @return false (with a warning) when a line of the stream or the
+     *         last Prometheus file did not reach its file.
      */
-    void finish(const HealthReport &hr);
+    bool finish(const HealthReport &hr);
 
     std::uint64_t snapshots() const { return seq; }
     SimDuration interval() const { return interval_; }
@@ -91,10 +93,13 @@ class SnapshotEmitter
 
   private:
     void tick();
-    void emitLine(const std::string &line);
-    std::string snapshotLine(const std::vector<ResourceUtilization> &u);
+    /** Write `line` and a newline to the stream. */
+    void emitLine();
+    /** Render the current snapshot into `line`. */
+    void renderSnapshot(const std::vector<ResourceUtilization> &u);
     void noteDominant(const std::vector<ResourceUtilization> &u);
-    void writeProm(const std::vector<ResourceUtilization> &u);
+    /** Rewrite the Prometheus file; false when that failed. */
+    bool writeProm(const std::vector<ResourceUtilization> &u);
 
     Simulator &sim;
     TelemetryRegistry &reg;
@@ -106,6 +111,10 @@ class SnapshotEmitter
     std::ostream *out = nullptr;
     std::unique_ptr<std::ofstream> owned_out;
     std::string prom_path;
+
+    /** Reused render buffers: one stream line, one Prometheus file. */
+    std::string line;
+    std::string prom;
 
     /** One (name, count) per resource, plus "none" for idle windows. */
     std::vector<std::pair<std::string, std::uint64_t>> wins;

@@ -47,14 +47,21 @@ TelemetryRegistry::histogram(const std::string &name, int shard)
     return cellFor(hists_.back(), shard, window_);
 }
 
+TelemetryRegistry::GaugeSeries &
+TelemetryRegistry::gaugeSeries(const std::string &name)
+{
+    for (auto &g : gauges_)
+        if (g.name == name)
+            return g;
+    gauges_.push_back(
+        {name, std::make_unique<DecayingGauge>(window_), false});
+    return gauges_.back();
+}
+
 DecayingGauge *
 TelemetryRegistry::gauge(const std::string &name)
 {
-    for (auto &g : gauges_)
-        if (g.first == name)
-            return g.second.get();
-    gauges_.emplace_back(name, std::make_unique<DecayingGauge>(window_));
-    return gauges_.back().second.get();
+    return gaugeSeries(name).gauge.get();
 }
 
 void
@@ -62,11 +69,16 @@ TelemetryRegistry::addGaugeProbe(const std::string &name,
                                  std::function<std::int64_t()> fn,
                                  bool shard_scoped)
 {
+    GaugeSeries &g = gaugeSeries(name);
+    // The series' first probe decides its export section.
+    if (std::none_of(gprobes_.begin(), gprobes_.end(),
+                     [&](const GaugeProbe &q) { return q.name == name; }))
+        g.shard_scoped = shard_scoped;
     GaugeProbe p;
     p.name = name;
     p.fn = std::move(fn);
     p.shard_scoped = shard_scoped;
-    p.sink = gauge(name);
+    p.sink = g.gauge.get();
     gprobes_.push_back(std::move(p));
 }
 
@@ -102,14 +114,9 @@ WindowedCounter
 TelemetryRegistry::mergedCounter(const std::string &name) const
 {
     WindowedCounter out(window_);
-    for (const auto &s : counters_) {
-        if (s.name != name)
-            continue;
-        for (const auto &c : s.cells)
-            if (c)
-                out.merge(*c);
-        break;
-    }
+    for (const auto &s : counters_)
+        if (s.name == name)
+            return merged(s, out);
     return out;
 }
 
@@ -117,14 +124,9 @@ LatencyHistogram
 TelemetryRegistry::mergedHistogram(const std::string &name) const
 {
     LatencyHistogram out;
-    for (const auto &s : hists_) {
-        if (s.name != name)
-            continue;
-        for (const auto &c : s.cells)
-            if (c)
-                out.merge(*c);
-        break;
-    }
+    for (const auto &s : hists_)
+        if (s.name == name)
+            return merged(s, out);
     return out;
 }
 
@@ -148,32 +150,13 @@ TelemetryRegistry::histogramNames() const
     return out;
 }
 
-std::vector<std::string>
-TelemetryRegistry::gaugeNames() const
-{
-    std::vector<std::string> out;
-    out.reserve(gauges_.size());
-    for (const auto &g : gauges_)
-        out.push_back(g.first);
-    return out;
-}
-
 const DecayingGauge *
 TelemetryRegistry::findGauge(const std::string &name) const
 {
     for (const auto &g : gauges_)
-        if (g.first == name)
-            return g.second.get();
+        if (g.name == name)
+            return g.gauge.get();
     return nullptr;
-}
-
-bool
-TelemetryRegistry::gaugeShardScoped(const std::string &name) const
-{
-    for (const auto &p : gprobes_)
-        if (p.name == name)
-            return p.shard_scoped;
-    return false;
 }
 
 std::size_t

@@ -30,6 +30,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "sim/types.hh"
@@ -130,8 +131,44 @@ class TelemetryRegistry
 
     std::vector<std::string> counterNames() const;
     std::vector<std::string> histogramNames() const;
-    std::vector<std::string> gaugeNames() const;
     const DecayingGauge *findGauge(const std::string &name) const;
+
+    /**
+     * Call f(name, merged) for every counter series, in registration
+     * order.  A series with a single cell passes that cell itself;
+     * otherwise its cells are merged into a scratch counter.
+     */
+    template <typename F>
+    void
+    forEachCounter(F &&f) const
+    {
+        WindowedCounter scratch(window_);
+        for (const auto &s : counters_)
+            f(s.name, merged(s, scratch));
+    }
+
+    /** Like forEachCounter, for the histogram series. */
+    template <typename F>
+    void
+    forEachHistogram(F &&f) const
+    {
+        LatencyHistogram scratch;
+        for (const auto &s : hists_)
+            f(s.name, merged(s, scratch));
+    }
+
+    /**
+     * Call f(name, gauge, shard_scoped) for every gauge series, in
+     * registration order; @c shard_scoped is the flag of the first
+     * gauge probe that feeds the series (false when none does).
+     */
+    template <typename F>
+    void
+    forEachGauge(F &&f) const
+    {
+        for (const auto &g : gauges_)
+            f(g.name, *g.gauge, g.shard_scoped);
+    }
 
     struct CounterProbe
     {
@@ -152,9 +189,6 @@ class TelemetryRegistry
 
     std::vector<CounterProbe> &counterProbes() { return cprobes_; }
     const std::vector<GaugeProbe> &gaugeProbes() const { return gprobes_; }
-
-    /** Whether gauge series @p name came from a shard-scoped probe. */
-    bool gaugeShardScoped(const std::string &name) const;
 
     // --- footprint (O(1)-memory acceptance test) ------------------
 
@@ -179,18 +213,55 @@ class TelemetryRegistry
         std::vector<std::unique_ptr<T>> cells;
     };
 
+    struct GaugeSeries
+    {
+        std::string name;
+        std::unique_ptr<DecayingGauge> gauge;
+        bool shard_scoped = false;
+    };
+
     template <typename T>
     static T *cellFor(Series<T> &s, int shard, SimDuration window);
+
+    /** Get-or-create the gauge series @p name. */
+    GaugeSeries &gaugeSeries(const std::string &name);
+
+    /** Series @p s as one instrument: its only cell, or @p scratch. */
+    template <typename T>
+    const T &merged(const Series<T> &s, T &scratch) const;
 
     SimDuration window_;
     std::vector<Series<WindowedCounter>> counters_;
     std::vector<Series<LatencyHistogram>> hists_;
-    std::vector<std::pair<std::string, std::unique_ptr<DecayingGauge>>>
-        gauges_;
+    std::vector<GaugeSeries> gauges_;
     std::function<std::vector<ResourceUtilization>()> utils_;
     std::vector<CounterProbe> cprobes_;
     std::vector<GaugeProbe> gprobes_;
 };
+
+template <typename T>
+const T &
+TelemetryRegistry::merged(const Series<T> &s, T &scratch) const
+{
+    const T *only = nullptr;
+    std::size_t live = 0;
+    for (const auto &c : s.cells) {
+        if (c) {
+            only = c.get();
+            ++live;
+        }
+    }
+    if (live == 1)
+        return *only;
+    if constexpr (std::is_same_v<T, WindowedCounter>)
+        scratch = WindowedCounter(window_);
+    else
+        scratch = T();
+    for (const auto &c : s.cells)
+        if (c)
+            scratch.merge(*c);
+    return scratch;
+}
 
 } // namespace vcp
 

@@ -140,6 +140,21 @@ class TraceRing
     std::size_t capacity() const { return slots.size(); }
 
     /**
+     * Visit the live records in place, oldest first.  Export-time
+     * only: a push invalidates what the visitor saw.
+     */
+    template <typename F>
+    void
+    forEach(F &&f) const
+    {
+        if (wrapped)
+            for (std::size_t i = head; i < slots.size(); ++i)
+                f(slots[i]);
+        for (std::size_t i = 0; i < head; ++i)
+            f(slots[i]);
+    }
+
+    /**
      * Copy out the live records, oldest first.  Export-time only —
      * allocation is fine here.
      */
@@ -148,9 +163,7 @@ class TraceRing
     {
         std::vector<SpanRecord> out;
         out.reserve(size());
-        if (wrapped)
-            out.insert(out.end(), slots.begin() + head, slots.end());
-        out.insert(out.end(), slots.begin(), slots.begin() + head);
+        forEach([&](const SpanRecord &r) { out.push_back(r); });
         return out;
     }
 

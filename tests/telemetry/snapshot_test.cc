@@ -8,9 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <string>
 
+#include <unistd.h>
+
+#include "sim/logging.hh"
 #include "sim/simulator.hh"
 #include "telemetry/health.hh"
 #include "telemetry/snapshot.hh"
@@ -201,6 +206,54 @@ TEST(SnapshotEmitter, IdleWindowsHaveNoDominant)
               (std::vector<std::string>{"none", "none"}));
     EXPECT_EQ(hr.dominant, "none");
     EXPECT_FALSE(hr.control_plane_limited);
+}
+
+TEST(SnapshotEmitter, FinishReportsAFailedStream)
+{
+    if (access("/dev/full", W_OK) != 0)
+        GTEST_SKIP() << "no writable /dev/full";
+    Simulator sim(1);
+    TelemetryRegistry reg(seconds(5));
+    reg.counter("ops");
+    SnapshotEmitter em(sim, reg, seconds(5));
+    std::ofstream full("/dev/full");
+    ASSERT_TRUE(full.is_open());
+    em.writeTo(&full);
+    em.start();
+    sim.schedule(seconds(10), [] {});
+    sim.runUntil(seconds(10));
+    em.stop();
+
+    setLogQuiet(true);
+    bool ok = em.finish(buildHealthReport(reg, sim.now(), {}, {}));
+    setLogQuiet(false);
+    EXPECT_FALSE(ok);
+}
+
+TEST(SnapshotEmitter, FinishReportsAnUnwritablePromFile)
+{
+    Simulator sim(1);
+    TelemetryRegistry reg(seconds(5));
+    reg.counter("ops");
+    const std::string path =
+        ::testing::TempDir() + "vcp_snapshot_finish.ndjson";
+    std::filesystem::remove_all(path + ".prom");
+
+    SnapshotEmitter good(sim, reg, seconds(5));
+    ASSERT_TRUE(good.openNdjson(path));
+    EXPECT_TRUE(good.finish(buildHealthReport(reg, 0, {}, {})));
+
+    // A directory where the Prometheus file should go.
+    std::filesystem::remove(path + ".prom");
+    std::filesystem::create_directory(path + ".prom");
+    SnapshotEmitter bad(sim, reg, seconds(5));
+    ASSERT_TRUE(bad.openNdjson(path));
+    setLogQuiet(true);
+    bool ok = bad.finish(buildHealthReport(reg, 0, {}, {}));
+    setLogQuiet(false);
+    EXPECT_FALSE(ok);
+    std::filesystem::remove_all(path + ".prom");
+    std::filesystem::remove(path);
 }
 
 TEST(SnapshotEmitter, UnstartedEmitterSchedulesNothing)

@@ -9,6 +9,8 @@
 #include <cstdio>
 #include <string>
 
+#include <unistd.h>
+
 #include "sim/logging.hh"
 #include "trace/perfetto.hh"
 #include "trace/tracer.hh"
@@ -130,6 +132,33 @@ TEST(PerfettoExport, EscapesQuotesAndControlCharacters)
     EXPECT_EQ(json.find("we\"ird"), std::string::npos);
 }
 
+TEST(PerfettoExport, LongNamesAreNotTruncated)
+{
+    SpanTracer t;
+    setTestAxes(t);
+    std::string name;
+    while (name.size() < 300)
+        name += "fabric.link-";
+    name.resize(300);
+    std::uint16_t id = t.intern(name);
+    t.recordSpan(id, 3, 1000, 500);
+    t.recordInstant(id, 4, 1200);
+    t.recordCounter(id, 1300, 17);
+    std::string json = exportPerfettoJson(t);
+
+    const std::string quoted = "\"name\":\"" + name + "\"";
+    EXPECT_NE(json.find(quoted + ",\"cat\":\"span\""),
+              std::string::npos);
+    EXPECT_NE(json.find(quoted + ",\"cat\":\"marker\""),
+              std::string::npos);
+    EXPECT_NE(json.find(quoted + ",\"cat\":\"counter\""),
+              std::string::npos);
+    // The span's lane label.
+    EXPECT_NE(json.find("\"args\":{" + quoted + "}}"),
+              std::string::npos);
+    EXPECT_EQ(countOccurrences(json, "{"), countOccurrences(json, "}"));
+}
+
 TEST(PerfettoExport, WriteToFileRoundTrips)
 {
     SpanTracer t;
@@ -153,6 +182,19 @@ TEST(PerfettoExport, UnwritablePathReportsFailure)
     setTestAxes(t);
     setLogQuiet(true);
     bool ok = writePerfettoJson(t, "/nonexistent-dir/trace.json");
+    setLogQuiet(false);
+    EXPECT_FALSE(ok);
+}
+
+TEST(PerfettoExport, FullDeviceReportsFailure)
+{
+    if (access("/dev/full", W_OK) != 0)
+        GTEST_SKIP() << "no writable /dev/full";
+    SpanTracer t;
+    setTestAxes(t);
+    t.recordOp(0, 0, 1, 0, 100);
+    setLogQuiet(true);
+    bool ok = writePerfettoJson(t, "/dev/full");
     setLogQuiet(false);
     EXPECT_FALSE(ok);
 }

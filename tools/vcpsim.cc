@@ -642,6 +642,7 @@ main(int argc, char **argv)
         }
     }
 
+    bool ok = true;
     if (emitter) {
         HealthReport hr =
             buildHealthReport(*telem, cs.sim().now(),
@@ -664,14 +665,13 @@ main(int argc, char **argv)
             topKCongested(hr.top_hosts);
             topKCongested(hr.top_links);
         }
-        emitter->finish(hr);
+        ok &= emitter->finish(hr);
         std::printf("\n%s", healthText(hr).c_str());
         std::printf("metrics: %llu snapshots -> %s (+ %s.prom)\n",
                     (unsigned long long)emitter->snapshots(),
                     metrics_out.c_str(), metrics_out.c_str());
     }
 
-    bool ok = true;
     if (tracer) {
         if (cs.engine().numShards() > 1)
             flushShardLanes(cs.engine(), *tracer);
