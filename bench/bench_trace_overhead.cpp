@@ -8,6 +8,13 @@
  * alone (no gauge sampler or snapshot emitter, which legitimately add
  * their own periodic events) must leave the processed event count
  * exactly unchanged.
+ *
+ * The export path is guarded too: the Full and TelemExport slices
+ * render their exports into memory (the Perfetto JSON of the ring,
+ * and a burst of ND-JSON snapshot lines), and the render cost per
+ * trace record and per snapshot line, as a multiple of the bare
+ * slice's host ns/event from the same process, must stay under a
+ * bound.
  */
 
 #include <algorithm>
@@ -15,10 +22,12 @@
 #include <cstdio>
 #include <memory>
 #include <sstream>
+#include <string>
 
 #include "bench_util.hh"
 #include "telemetry/snapshot.hh"
 #include "telemetry/telemetry.hh"
+#include "trace/perfetto.hh"
 #include "trace/sampler.hh"
 #include "trace/tracer.hh"
 
@@ -30,6 +39,10 @@ struct SliceResult
     std::uint64_t events = 0;
     double seconds = 0.0;
     std::uint64_t recorded = 0;
+    /** Full: Perfetto render time per ring record (ns). */
+    double trace_render_ns = 0.0;
+    /** TelemExport: time per snapshot line of a burst (ns). */
+    double line_render_ns = 0.0;
 };
 
 enum class Mode
@@ -44,6 +57,26 @@ enum class Mode
 /** Window width: wide enough that the timed region (~15 ms) is not
  *  dominated by scheduler noise, small enough to stay a smoke. */
 constexpr int kWindowMin = 8;
+
+/** Snapshot lines rendered back to back after a TelemExport slice. */
+constexpr int kBurstLines = 64;
+
+/**
+ * Export-render bounds, as multiples of the bare slice's host
+ * ns/event: twice the highest best-of-rounds ratio in 13 runs on a
+ * 4-vCPU box, alone and under a parallel ctest (0.18 per trace
+ * record, 15.6 per snapshot line).
+ */
+constexpr double kMaxTraceRenderRatio = 0.36;
+constexpr double kMaxLineRenderRatio = 31.0;
+
+double
+nsSince(std::chrono::steady_clock::time_point t0)
+{
+    return std::chrono::duration<double, std::nano>(
+               std::chrono::steady_clock::now() - t0)
+        .count();
+}
 
 SliceResult
 runSlice(Mode mode)
@@ -102,6 +135,23 @@ runSlice(Mode mode)
     r.events = cs.sim().eventsProcessed();
     r.seconds = std::chrono::duration<double>(t1 - t0).count();
     r.recorded = tracer ? tracer->ring().totalRecorded() : 0;
+
+    // Export render cost, outside the timed slice.
+    if (mode == Mode::Full) {
+        auto e0 = std::chrono::steady_clock::now();
+        std::string json = exportPerfettoJson(*tracer);
+        double ns = nsSince(e0);
+        // An empty ring or export leaves 0, which fails the bound.
+        if (tracer->ring().size() > 0 && !json.empty())
+            r.trace_render_ns =
+                ns / static_cast<double>(tracer->ring().size());
+    }
+    if (mode == Mode::TelemExport) {
+        auto e0 = std::chrono::steady_clock::now();
+        for (int i = 0; i < kBurstLines; ++i)
+            emitter->emitNow();
+        r.line_render_ns = nsSince(e0) / kBurstLines;
+    }
     return r;
 }
 
@@ -153,6 +203,8 @@ main()
     std::vector<double> ratios, telem_ratios;
     double best_off = 0.0, best_on = 0.0, best_full = 0.0;
     double best_telem = 0.0, best_export = 0.0;
+    // Export render cost over bare host ns/event, best round.
+    double trace_render = 1e300, line_render = 1e300;
     for (int i = 0; i < kRounds; ++i) {
         // Report-only modes first: the asserted pairs then run late
         // in the round, after concurrently-started ctest peers (all
@@ -170,6 +222,9 @@ main()
         best_full = std::max(best_full, c.events / c.seconds);
         best_telem = std::max(best_telem, d.events / d.seconds);
         best_export = std::max(best_export, e.events / e.seconds);
+        double bare_ns = a.seconds * 1e9 / static_cast<double>(a.events);
+        trace_render = std::min(trace_render, c.trace_render_ns / bare_ns);
+        line_render = std::min(line_render, e.line_render_ns / bare_ns);
     }
     std::sort(ratios.begin(), ratios.end());
     std::sort(telem_ratios.begin(), telem_ratios.end());
@@ -198,8 +253,21 @@ main()
                 "%.3f; floor 0.95; with sampler+emitter %.3g)\n",
                 telem_ratio, telem_median, best_telem / best_off,
                 best_export);
+    std::printf("export render / bare ns per event: %.3f per trace "
+                "record (bound %.3g), %.3g per snapshot line (bound "
+                "%.3g)\n",
+                trace_render, kMaxTraceRenderRatio, line_render,
+                kMaxLineRenderRatio);
     if (ratio < 0.95) {
         std::printf("FAIL: tracing overhead exceeds 5%%\n");
+        return 1;
+    }
+    if (!(trace_render > 0.0 && trace_render <= kMaxTraceRenderRatio)) {
+        std::printf("FAIL: trace export render cost out of bound\n");
+        return 1;
+    }
+    if (!(line_render > 0.0 && line_render <= kMaxLineRenderRatio)) {
+        std::printf("FAIL: snapshot line render cost out of bound\n");
         return 1;
     }
     if (telem_ratio < 0.95) {
