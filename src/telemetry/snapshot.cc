@@ -139,6 +139,18 @@ SnapshotEmitter::recentDominants() const
     return out_v;
 }
 
+const std::string &
+SnapshotEmitter::KeyCache::at(std::size_t i, std::string_view name)
+{
+    if (i == keys.size()) {
+        std::string key = "\"";
+        appendEscaped(key, name);
+        key += "\":";
+        keys.push_back(std::move(key));
+    }
+    return keys[i];
+}
+
 void
 SnapshotEmitter::renderSnapshot(const std::vector<ResourceUtilization> &u)
 {
@@ -153,16 +165,15 @@ SnapshotEmitter::renderSnapshot(const std::vector<ResourceUtilization> &u)
     j += ",\"window_us\":";
     appendInt(j, now - last_emit);
 
-    // Members of one object: a comma-separated "name": key, then
-    // "key":value fields appended with num()/count().
+    // Members of one object: a comma, the member's "name": key, then
+    // "field":value pairs appended with num()/count().  Registry
+    // series keys come from the caches, escaped once per series.
     bool first = true;
-    auto key = [&](std::string_view name) {
+    auto member = [&](std::string_view key) {
         if (!first)
             j += ',';
         first = false;
-        j += '"';
-        appendEscaped(j, name);
-        j += "\":";
+        j += key;
     };
     auto num = [&](const char *field, double v) {
         j += field;
@@ -175,27 +186,30 @@ SnapshotEmitter::renderSnapshot(const std::vector<ResourceUtilization> &u)
 
     // Counters: instrument series (merged across shards) first, then
     // counter probes, both rendered with the same shape.
-    auto counterEntry = [&](std::string_view name, std::uint64_t total,
+    auto counterEntry = [&](std::string_view key, std::uint64_t total,
                             std::uint64_t window, double rate) {
-        key(name);
+        member(key);
         count("{\"total\":", total);
         count(",\"window\":", window);
         num(",\"rate_per_s\":", rate);
         j += '}';
     };
     j += ",\"counters\":{";
+    std::size_t i = 0;
     reg.forEachCounter(
         [&](const std::string &name, const WindowedCounter &m) {
-            counterEntry(name, m.total(), m.inWindow(now),
-                         m.ratePerSec(now));
+            counterEntry(counter_keys.at(i++, name), m.total(),
+                         m.inWindow(now), m.ratePerSec(now));
         });
+    i = 0;
     for (auto &p : reg.counterProbes()) {
+        const std::string &key = probe_keys.at(i++, p.name);
         if (p.shard_scoped)
             continue;
         std::uint64_t cur = p.fn();
         std::uint64_t delta = cur >= p.prev ? cur - p.prev : 0;
         p.prev = cur;
-        counterEntry(p.name, cur, delta,
+        counterEntry(key, cur, delta,
                      dt_s > 0 ? static_cast<double>(delta) / dt_s
                               : 0.0);
     }
@@ -204,11 +218,13 @@ SnapshotEmitter::renderSnapshot(const std::vector<ResourceUtilization> &u)
     // Gauges: decaying levels, probe-fed and sampler-fed alike.
     j += ",\"gauges\":{";
     first = true;
+    i = 0;
     reg.forEachGauge([&](const std::string &name, const DecayingGauge &g,
                          bool shard_scoped) {
+        const std::string &key = gauge_keys.at(i++, name);
         if (shard_scoped)
             return;
-        key(name);
+        member(key);
         num("{\"last\":", g.last());
         num(",\"ewma\":", g.ewma());
         num(",\"min\":", g.min());
@@ -217,11 +233,14 @@ SnapshotEmitter::renderSnapshot(const std::vector<ResourceUtilization> &u)
     });
     j += '}';
 
-    // Utilizations: instantaneous whole-run busy fractions.
+    // Utilizations: instantaneous whole-run busy fractions.  The list
+    // is rebuilt each snapshot, so its names are escaped here.
     j += ",\"utils\":{";
     first = true;
     for (const ResourceUtilization &r : u) {
-        key(r.name);
+        member("\"");
+        appendEscaped(j, r.name);
+        j += "\":";
         appendNum(j, r.utilization);
     }
     j += '}';
@@ -229,9 +248,10 @@ SnapshotEmitter::renderSnapshot(const std::vector<ResourceUtilization> &u)
     // Histograms: merged cells, HDR-style quantiles.
     j += ",\"hists\":{";
     first = true;
+    i = 0;
     reg.forEachHistogram(
         [&](const std::string &name, const LatencyHistogram &h) {
-            key(name);
+            member(hist_keys.at(i++, name));
             count("{\"count\":", h.count());
             num(",\"sum_us\":", h.sum());
             num(",\"min_us\":", h.min());
@@ -247,22 +267,26 @@ SnapshotEmitter::renderSnapshot(const std::vector<ResourceUtilization> &u)
     // identical across --parallel-shards counts (Merge mode).
     j += ",\"shards\":{";
     first = true;
+    i = 0;
     for (auto &p : reg.counterProbes()) {
+        const std::string &key = probe_keys.at(i++, p.name);
         if (!p.shard_scoped)
             continue;
         std::uint64_t cur = p.fn();
         std::uint64_t delta = cur >= p.prev ? cur - p.prev : 0;
         p.prev = cur;
-        key(p.name);
+        member(key);
         count("{\"total\":", cur);
         count(",\"window\":", delta);
         j += '}';
     }
+    i = 0;
     reg.forEachGauge([&](const std::string &name, const DecayingGauge &g,
                          bool shard_scoped) {
+        const std::string &key = gauge_keys.at(i++, name);
         if (!shard_scoped)
             return;
-        key(name);
+        member(key);
         num("{\"last\":", g.last());
         num(",\"max\":", g.max());
         j += '}';

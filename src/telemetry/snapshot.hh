@@ -29,6 +29,7 @@
 #include <memory>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -115,6 +116,21 @@ class SnapshotEmitter
     /** Reused render buffers: one stream line, one Prometheus file. */
     std::string line;
     std::string prom;
+
+    /**
+     * The `"name":` keys of one kind of registry series, escaped the
+     * first time each series is rendered.  Series are append-only, so
+     * a series keeps its index; each snapshot asks for every index in
+     * order.
+     */
+    struct KeyCache
+    {
+        std::vector<std::string> keys;
+
+        /** Key of series @p i, whose name is @p name. */
+        const std::string &at(std::size_t i, std::string_view name);
+    };
+    KeyCache counter_keys, probe_keys, gauge_keys, hist_keys;
 
     /** One (name, count) per resource, plus "none" for idle windows. */
     std::vector<std::pair<std::string, std::uint64_t>> wins;

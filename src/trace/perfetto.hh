@@ -29,8 +29,10 @@ namespace vcp {
 std::string exportPerfettoJson(const SpanTracer &tracer);
 
 /**
- * Write the JSON to @p path.
- * @return false (with a warning) if the file cannot be written.
+ * Write the JSON to @p path in ~1 MB chunks, never holding the whole
+ * document.
+ * @return false (with a warning) if the file cannot be opened, or a
+ *         chunk or the close fails.
  */
 bool writePerfettoJson(const SpanTracer &tracer,
                        const std::string &path);
