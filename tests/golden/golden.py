@@ -93,7 +93,8 @@ CASES = {
                      "--trace-out", "trace.json", "--trace-capacity",
                      "16384", "--sample-interval", "1000",
                      "--metrics-out", "metrics.ndjson"],
-                    [("trace.json", None), ("metrics.ndjson", None),
+                    [("stdout", "stdout"), ("trace.json", None),
+                     ("metrics.ndjson", None),
                      ("metrics.ndjson.prom", None)]),
     "opstorm": ("opstorm", ["17"], [("stdout", None)]),
 }
