@@ -41,10 +41,12 @@ run(vcp::SimDuration period, int txns, std::uint64_t seed)
     LoadPoint p;
     p.db_util = cs.server().database().center().utilization();
     cs.runFor(hours(2));
-    Histogram &lat =
+    const LatencyHistogram &lat =
         cs.server().latencyHistogram(OpType::CloneLinked);
     p.clone_db_ms =
-        cs.stats().summary("cp.phase_us.clone-linked.db").mean() /
+        cs.server()
+            .phaseHistogram(OpType::CloneLinked, TaskPhase::Db)
+            .mean() /
         1000.0;
     p.clone_p50_s = lat.p50() / 1e6;
     p.clone_p95_s = lat.p95() / 1e6;

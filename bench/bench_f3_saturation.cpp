@@ -58,7 +58,7 @@ runPoint(const F3Point &pt, double window_h, int shards,
     cs.runFor(hours(6)); // drain
 
     OpType op = pt.linked ? OpType::CloneLinked : OpType::CloneFull;
-    Histogram &lat = cs.server().latencyHistogram(op);
+    const LatencyHistogram &lat = cs.server().latencyHistogram(op);
 
     F3Result r;
     r.achieved_per_h = provisioned_in_window / window_h;

@@ -69,12 +69,11 @@ opLatency(vcp::DbScaling scaling, int standing_vms, int shards,
     cs.sim().runUntil(hours(4));
 
     ScalePoint p;
-    p.db_phase_ms = (cs.stats()
-                         .summary("cp.phase_us.clone-linked.db")
-                         .mean() +
-                     cs.stats()
-                         .summary("cp.phase_us.clone-linked.finalize")
-                         .mean()) /
+    const ManagementServer &srv = cs.server();
+    p.db_phase_ms =
+        (srv.phaseHistogram(OpType::CloneLinked, TaskPhase::Db).mean() +
+         srv.phaseHistogram(OpType::CloneLinked, TaskPhase::Finalize)
+             .mean()) /
         1000.0;
     p.total_s =
         cs.server().latencyHistogram(OpType::CloneLinked).mean() /

@@ -59,10 +59,11 @@ main()
                 (unsigned long long)srv.opsCompleted(),
                 (unsigned long long)srv.opsFailed(),
                 formatBytes(srv.bytesMoved()).c_str());
-    std::printf("linked-clone latency: %s\n",
-                srv.latencyHistogram(OpType::CloneLinked)
-                    .toString()
-                    .c_str());
+    const LatencyHistogram &lat = srv.latencyHistogram(OpType::CloneLinked);
+    std::printf("linked-clone latency: n=%llu mean=%.4g p50=%.4g "
+                "p95=%.4g p99=%.4g max=%.4g\n",
+                (unsigned long long)lat.count(), lat.mean(), lat.p50(),
+                lat.p95(), lat.p99(), lat.max());
 
     auto utils = collectUtilizations(srv);
     std::printf("\nbusiest resources:\n%s",

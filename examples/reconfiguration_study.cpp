@@ -87,9 +87,9 @@ main(int argc, char **argv)
             }
             std::printf("  live_vapps=%zu migrations=%llu\n",
                         cs.driver().livePopulation(),
-                        (unsigned long long)cs.stats()
-                            .counter("cp.ops.migrate.total")
-                            .value());
+                        (unsigned long long)cs.server()
+                            .latencyHistogram(OpType::Migrate)
+                            .count());
         });
     }
 

@@ -1,8 +1,8 @@
 #include "analysis/bottleneck.hh"
 
 #include <algorithm>
+#include <array>
 
-#include "trace/tracer.hh"
 
 namespace vcp {
 
@@ -26,17 +26,23 @@ utilizationTable(const std::vector<ResourceUtilization> &u)
 }
 
 std::vector<PhaseAttribution>
-attributePhases(const SpanTracer &tracer)
+attributePhases(const ManagementServer &srv)
 {
-    std::vector<PhaseAttribution> out;
-    const auto &phases = tracer.phaseNames();
+    std::array<double, kNumTaskPhases> phase_us{};
     double sum_us = 0.0;
-    for (std::size_t p = 0; p < phases.size(); ++p)
-        sum_us += tracer.phaseTotalTime(p);
-    for (std::size_t p = 0; p < phases.size(); ++p) {
-        double us = tracer.phaseTotalTime(p);
-        out.push_back({phases[p], us / 1000.0,
-                       sum_us > 0.0 ? us / sum_us : 0.0});
+    for (std::size_t p = 0; p < kNumTaskPhases; ++p) {
+        for (std::size_t o = 0; o < kNumOpTypes; ++o) {
+            phase_us[p] += srv.phaseHistogram(static_cast<OpType>(o),
+                                              static_cast<TaskPhase>(p))
+                               .sum();
+        }
+        sum_us += phase_us[p];
+    }
+    std::vector<PhaseAttribution> out;
+    for (std::size_t p = 0; p < kNumTaskPhases; ++p) {
+        out.push_back({taskPhaseName(static_cast<TaskPhase>(p)),
+                       phase_us[p] / 1000.0,
+                       sum_us > 0.0 ? phase_us[p] / sum_us : 0.0});
     }
     std::sort(out.begin(), out.end(),
               [](const PhaseAttribution &a, const PhaseAttribution &b) {
@@ -57,9 +63,9 @@ phaseAttributionTable(const std::vector<PhaseAttribution> &a)
 }
 
 std::string
-dominantPhase(const SpanTracer &tracer)
+dominantPhase(const ManagementServer &srv)
 {
-    std::vector<PhaseAttribution> a = attributePhases(tracer);
+    std::vector<PhaseAttribution> a = attributePhases(srv);
     if (a.empty() || a.front().total_ms <= 0.0)
         return "none";
     return a.front().phase;

@@ -4,8 +4,8 @@
  * *which* plane limits provisioning.  Resource utilizations come from
  * collectUtilizations() (controlplane/management_server.hh) and the
  * verdict from bottleneckOf() (telemetry/health.hh), both re-exported
- * here; this layer adds the table rendering and the span-sourced
- * phase attribution.
+ * here; this layer adds the table rendering and the phase
+ * attribution.
  */
 
 #ifndef VCP_ANALYSIS_BOTTLENECK_HH
@@ -24,14 +24,12 @@ namespace vcp {
  *  list order, so the top row is the bottleneckOf() verdict). */
 Table utilizationTable(const std::vector<ResourceUtilization> &u);
 
-class SpanTracer;
-
-/** One pipeline phase's share of all span-recorded op time. */
+/** One pipeline phase's share of all finished ops' time. */
 struct PhaseAttribution
 {
     std::string phase;
 
-    /** Total time recorded in this phase across all op types (ms). */
+    /** Total time in this phase across all op types (ms). */
     double total_ms = 0.0;
 
     /** Share of the sum over all phases, in [0, 1]. */
@@ -39,18 +37,20 @@ struct PhaseAttribution
 };
 
 /**
- * Live bottleneck attribution from span data: where operation time
- * actually went, phase by phase, largest share first.  Complements
- * collectUtilizations() — a resource can be the bottleneck without
- * being saturated (lock serialization, for instance).
+ * Bottleneck attribution from the server's per-phase latency cells:
+ * where finished ops' time actually went, phase by phase, largest
+ * share first.  Complements collectUtilizations() — a resource can
+ * be the bottleneck without being saturated (lock serialization, for
+ * instance).
  */
-std::vector<PhaseAttribution> attributePhases(const SpanTracer &tracer);
+std::vector<PhaseAttribution> attributePhases(const ManagementServer &srv);
 
 /** Render an attribution as a table (phase, total_ms, fraction). */
 Table phaseAttributionTable(const std::vector<PhaseAttribution> &a);
 
-/** Name of the phase with the largest share ("none" if no spans). */
-std::string dominantPhase(const SpanTracer &tracer);
+/** Name of the phase with the largest share ("none" before any op
+ *  spent time in one). */
+std::string dominantPhase(const ManagementServer &srv);
 
 } // namespace vcp
 

@@ -1,6 +1,6 @@
 #include "analysis/breakdown.hh"
 
-#include "trace/tracer.hh"
+#include "controlplane/management_server.hh"
 
 namespace vcp {
 
@@ -74,51 +74,25 @@ percentileCells(Table &t, const LatencyHistogram &h)
 } // namespace
 
 Table
-spanBreakdownTable(const SpanTracer &tracer)
+spanBreakdownTable(const ManagementServer &srv)
 {
     Table t({"op", "phase", "count", "mean_ms", "p50_ms", "p95_ms",
              "p99_ms"});
-    const auto &ops = tracer.opNames();
-    const auto &phases = tracer.phaseNames();
-    for (std::size_t o = 0; o < ops.size(); ++o) {
-        bool any = tracer.opHistogram(o).count() > 0;
-        for (std::size_t p = 0; !any && p < phases.size(); ++p)
-            any = tracer.phaseHistogram(o, p).count() > 0;
-        if (!any)
+    for (std::size_t o = 0; o < kNumOpTypes; ++o) {
+        auto op = static_cast<OpType>(o);
+        const LatencyHistogram &total = srv.latencyHistogram(op);
+        if (total.count() == 0)
             continue;
-        for (std::size_t p = 0; p < phases.size(); ++p) {
-            const LatencyHistogram &h = tracer.phaseHistogram(o, p);
+        for (std::size_t p = 0; p < kNumTaskPhases; ++p) {
+            auto phase = static_cast<TaskPhase>(p);
+            const LatencyHistogram &h = srv.phaseHistogram(op, phase);
             if (h.count() == 0)
                 continue;
-            t.row().cell(ops[o]).cell(phases[p]);
+            t.row().cell(opTypeName(op)).cell(taskPhaseName(phase));
             percentileCells(t, h);
         }
-        const LatencyHistogram &oh = tracer.opHistogram(o);
-        if (oh.count() > 0) {
-            t.row().cell(ops[o]).cell("total");
-            percentileCells(t, oh);
-        }
-    }
-    return t;
-}
-
-Table
-spanPhasePercentiles(const SpanTracer &tracer, std::size_t op)
-{
-    Table t({"phase", "count", "mean_ms", "p50_ms", "p95_ms",
-             "p99_ms"});
-    const auto &phases = tracer.phaseNames();
-    for (std::size_t p = 0; p < phases.size(); ++p) {
-        const LatencyHistogram &h = tracer.phaseHistogram(op, p);
-        if (h.count() == 0)
-            continue;
-        t.row().cell(phases[p]);
-        percentileCells(t, h);
-    }
-    const LatencyHistogram &oh = tracer.opHistogram(op);
-    if (oh.count() > 0) {
-        t.row().cell("total");
-        percentileCells(t, oh);
+        t.row().cell(opTypeName(op)).cell("total");
+        percentileCells(t, total);
     }
     return t;
 }

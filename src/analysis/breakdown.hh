@@ -42,23 +42,17 @@ PhaseBreakdown computeBreakdown(const OpTrace &trace, OpType type);
 Table breakdownTable(const OpTrace &trace,
                      const std::vector<OpType> &types);
 
-class SpanTracer;
+class ManagementServer;
 
 /**
- * Span-sourced breakdown: exact per-(op, phase) percentiles from the
- * tracer's aggregation histograms (fed on every span, never dropped
- * even when the ring wraps).  One row per (op type, phase) with a
- * sample, plus a "total" row per op type from its end-to-end span
- * histogram; columns are count, mean, p50, p95, p99 (milliseconds).
- * Op types with no recorded spans are skipped.
+ * Per-(op, phase) percentiles from the server's latency cells (exact
+ * counts and means; every finished op, successful or not, and only
+ * the phases it entered).  One row per (op type, phase) with a
+ * sample, plus a "total" row per op type from its end-to-end cell;
+ * columns are count, mean, p50, p95, p99 (milliseconds).  Op types
+ * with no finished op are skipped.
  */
-Table spanBreakdownTable(const SpanTracer &tracer);
-
-/**
- * Single-op variant of spanBreakdownTable: the per-phase percentile
- * rows of op-type index @p op only (same columns, no "op" column).
- */
-Table spanPhasePercentiles(const SpanTracer &tracer, std::size_t op);
+Table spanBreakdownTable(const ManagementServer &srv);
 
 } // namespace vcp
 

@@ -117,7 +117,6 @@ LockManager::acquireStep(const std::shared_ptr<AcquireCtx> &ctx)
 {
     if (ctx->next >= ctx->reqs.size()) {
         SimDuration waited = sim.now() - ctx->started;
-        wait_stats.add(static_cast<double>(waited));
         // Only contended acquisitions make a span: uncontended grants
         // are the overwhelming majority and carry no information.
         if (waited > 0 && VCP_TRACER_ON(tracer))

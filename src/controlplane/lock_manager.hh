@@ -26,7 +26,6 @@
 #include "infra/ids.hh"
 #include "sim/inline_action.hh"
 #include "sim/simulator.hh"
-#include "sim/summary.hh"
 
 namespace vcp {
 
@@ -121,9 +120,6 @@ class LockManager
     /** Waiters queued on a key. */
     std::size_t waiters(const LockKey &key) const;
 
-    /** Distribution of full-acquisition waiting times (usec). */
-    const SummaryStats &waitTimes() const { return wait_stats; }
-
     /** Total acquireAll calls granted so far. */
     std::uint64_t grants() const { return grant_count; }
 
@@ -178,7 +174,6 @@ class LockManager
 
     Simulator &sim;
     std::map<LockKey, Entry> table;
-    SummaryStats wait_stats;
     std::uint64_t grant_count = 0;
     SpanTracer *tracer = nullptr;
     std::uint16_t wait_name = 0;

@@ -398,34 +398,50 @@ ManagementServer::reconcileResync(std::uint32_t idx)
         done();
 }
 
-Histogram &
-ManagementServer::latencyHistogram(OpType t)
+namespace {
+
+std::string
+opCellName(OpType t)
 {
-    Histogram *&h = latency_stats[static_cast<std::size_t>(t)];
-    if (!h) {
-        h = &stats.histogram(
-            std::string("cp.latency_us.") + opTypeName(t),
-            /*min_value=*/100.0, /*growth=*/1.2);
-    }
-    return *h;
+    return std::string("cp.latency_us.") + opTypeName(t);
 }
 
-ManagementServer::OpStatSet &
-ManagementServer::opStats(OpType t)
+std::string
+phaseCellName(OpType t, TaskPhase p)
 {
-    OpStatSet &s = op_stats[static_cast<std::size_t>(t)];
-    if (!s.total) {
-        const char *op_name = opTypeName(t);
-        s.total =
-            &stats.counter(std::string("cp.ops.") + op_name + ".total");
-        s.latency = &latencyHistogram(t);
-        for (std::size_t p = 0; p < kNumTaskPhases; ++p) {
-            s.phase[p] = &stats.summary(
-                std::string("cp.phase_us.") + op_name + "." +
-                taskPhaseName(static_cast<TaskPhase>(p)));
-        }
+    return std::string("cp.phase_us.") + opTypeName(t) + "." +
+           taskPhaseName(p);
+}
+
+} // namespace
+
+const LatencyHistogram &
+ManagementServer::latencyHistogram(OpType t) const
+{
+    return stats.latencyOrEmpty(opCellName(t));
+}
+
+const LatencyHistogram &
+ManagementServer::phaseHistogram(OpType t, TaskPhase p) const
+{
+    return stats.latencyOrEmpty(phaseCellName(t, p));
+}
+
+void
+ManagementServer::recordLatency(const Task &t)
+{
+    OpCells &c = op_cells[static_cast<std::size_t>(t.type())];
+    if (!c.op)
+        c.op = &stats.latency(opCellName(t.type()));
+    c.op->add(t.latency());
+    for (std::size_t p = 0; p < kNumTaskPhases; ++p) {
+        auto phase = static_cast<TaskPhase>(p);
+        if (!t.enteredPhase(phase))
+            continue;
+        if (!c.phase[p])
+            c.phase[p] = &stats.latency(phaseCellName(t.type(), phase));
+        c.phase[p]->add(t.phaseTime(phase));
     }
-    return s;
 }
 
 Counter &
@@ -599,6 +615,11 @@ collectUtilizations(ManagementServer &srv)
 void
 ManagementServer::endPhase(CtxPtr ctx, TaskPhase phase)
 {
+    // One sample per entered phase in the latency cells, one phase
+    // span in the trace: both rely on this.
+    if (ctx->task->enteredPhase(phase))
+        panic("ManagementServer: phase %s ended twice",
+              taskPhaseName(phase));
     ctx->task->addPhaseTime(phase, sim.now() - ctx->phase_start);
     if (!VCP_TRACER_ON(tracer_))
         return;
@@ -661,29 +682,8 @@ ManagementServer::submit(const OpRequest &req, TaskCallback on_done)
         // Finish synchronously-on-next-event so callers observe a
         // consistent asynchronous contract.
         sim.schedule(0, [this, ctx]() {
-            Task &t = *ctx->task;
-            t.markStarted(sim.now());
-            t.markFinished(sim.now(), TaskError::RateLimited);
-            ++failed_ops;
-            if (!failed_stat)
-                failed_stat = &stats.counter("cp.ops.failed");
-            failed_stat->inc();
-            errorCounter(TaskError::RateLimited).inc();
-            if (VCP_TELEM_ON(telem_)) {
-                t_op->add(sim.now());
-                t_op_failed->add(sim.now());
-                t_op_lat->add(t.latency());
-            }
-            traceOp(t);
-            if (task_observer)
-                task_observer(t);
-            TaskCallback cb = std::move(ctx->cb);
-            TaskId tid = t.id();
-            releaseCtx(ctx);
-            if (cb)
-                cb(t);
-            if (!cfg.retain_finished_tasks)
-                tasks.destroy(tid);
+            ctx->task->markStarted(sim.now());
+            finish(ctx, TaskError::RateLimited);
         });
         return id;
     }
@@ -768,13 +768,7 @@ ManagementServer::finish(CtxPtr ctx, TaskError err)
         failed_stat->inc();
         errorCounter(err).inc();
     }
-    OpStatSet &os = opStats(t.type());
-    os.total->inc();
-    os.latency->add(static_cast<double>(t.latency()));
-    for (std::size_t p = 0; p < kNumTaskPhases; ++p) {
-        os.phase[p]->add(static_cast<double>(
-            t.phaseTime(static_cast<TaskPhase>(p))));
-    }
+    recordLatency(t);
     if (VCP_TELEM_ON(telem_)) {
         t_op->add(sim.now());
         if (err != TaskError::None)
@@ -782,7 +776,12 @@ ManagementServer::finish(CtxPtr ctx, TaskError err)
         t_op_lat->add(t.latency());
     }
 
-    sched.onTaskDone();
+    // Dispatch charged the Queue phase; a rate-limited reject never
+    // reached the scheduler and holds no slot.  The hand-off may
+    // dispatch a cancelled task, which finishes synchronously, so it
+    // stays ahead of this task's trace record and callback.
+    if (t.enteredPhase(TaskPhase::Queue))
+        sched.onTaskDone();
     traceOp(t);
     if (task_observer)
         task_observer(t);

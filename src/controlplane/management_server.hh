@@ -203,8 +203,19 @@ class ManagementServer
     }
     /** @} */
 
-    /** End-to-end latency histogram for one op type (microseconds). */
-    Histogram &latencyHistogram(OpType t);
+    /**
+     * @{ The per-op latency cells (usec), stored in the stat registry
+     * as "cp.latency_us.<op>" and "cp.phase_us.<op>.<phase>".  Every
+     * finished op — rate-limited rejects included — adds its
+     * end-to-end latency to its op type's cell, and the time of each
+     * phase it entered to that phase's cell.  The cells are fed
+     * whether or not a tracer or telemetry is attached; the stats
+     * dump, the span tables and the benches all read them.  Reading
+     * never creates a cell (an absent one reads as empty).
+     */
+    const LatencyHistogram &latencyHistogram(OpType t) const;
+    const LatencyHistogram &phaseHistogram(OpType t, TaskPhase p) const;
+    /** @} */
 
     /**
      * Observer invoked with every finished task (before the task's
@@ -305,11 +316,17 @@ class ManagementServer
     /** Release the agent and datastore slots the ctx holds. */
     void releaseSlots(CtxPtr ctx);
 
-    /** Finish the task, releasing everything the ctx still holds. */
+    /**
+     * Finish the task, releasing everything the ctx still holds.  The
+     * one completion path of every op, a rate-limited reject
+     * included: counters, latency cells and telemetry, then the
+     * dispatch slot, then the op span, the observer and the callback.
+     */
     void finish(CtxPtr ctx, TaskError err);
 
     /** Add [ctx->phase_start, now] to the task's @p phase time and
-     *  record it as a @p phase span (when tracing). */
+     *  record it as a @p phase span (when tracing).  Each phase ends
+     *  at most once per op. */
     void endPhase(CtxPtr ctx, TaskPhase phase);
 
     /**
@@ -385,25 +402,22 @@ class ManagementServer
     /**
      * Pre-resolved stat handles.  Dotted names are resolved at most
      * once per (op type, stat) and recorded through raw pointers; all
-     * caches fill lazily on first use so the set of registered names
-     * — and therefore the sorted dump — matches what the string-built
-     * lookups used to produce.
+     * caches fill lazily on first use, so a cell exists only once an
+     * op fed it and the sorted dump lists exactly the cells in use.
      */
-    struct OpStatSet
+    struct OpCells
     {
-        Counter *total = nullptr;
-        Histogram *latency = nullptr;
-        std::array<SummaryStats *, kNumTaskPhases> phase{};
+        LatencyHistogram *op = nullptr;
+        std::array<LatencyHistogram *, kNumTaskPhases> phase{};
     };
 
-    /** Cache for finish()-side per-op stats (fills all fields). */
-    OpStatSet &opStats(OpType t);
+    /** Add a finished task to its op and entered-phase cells. */
+    void recordLatency(const Task &t);
 
     /** Cache for one error counter ("cp.errors.<name>"). */
     Counter &errorCounter(TaskError e);
 
-    std::array<OpStatSet, kNumOpTypes> op_stats{};
-    std::array<Histogram *, kNumOpTypes> latency_stats{};
+    std::array<OpCells, kNumOpTypes> op_cells{};
     std::array<Counter *, kNumTaskErrors> error_stats{};
     Counter *submitted_stat = nullptr;
     Counter *completed_stat = nullptr;

@@ -122,7 +122,6 @@ TaskScheduler::drain()
         noteOccupancyChange();
         ++running;
         ++dispatch_count;
-        wait_stats.add(static_cast<double>(sim.now() - w.enqueued));
         w.task->addPhaseTime(TaskPhase::Queue, sim.now() - w.enqueued);
         if (VCP_TELEM_ON(telem)) {
             t_dispatch->add(sim.now());

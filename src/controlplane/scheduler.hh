@@ -22,7 +22,6 @@
 #include "infra/ids.hh"
 #include "sim/inline_action.hh"
 #include "sim/simulator.hh"
-#include "sim/summary.hh"
 
 namespace vcp {
 
@@ -70,9 +69,6 @@ class TaskScheduler
     int inFlight() const { return running; }
     int dispatchWidth() const { return width; }
     SchedPolicy policy() const { return sched_policy; }
-
-    /** Queue-wait distribution in microseconds. */
-    const SummaryStats &queueWaits() const { return wait_stats; }
 
     /** Tasks dispatched so far. */
     std::uint64_t dispatched() const { return dispatch_count; }
@@ -129,7 +125,6 @@ class TaskScheduler
     std::map<TenantId, std::deque<Waiting>> per_tenant;
     TenantId rr_cursor;
 
-    SummaryStats wait_stats;
     SpanTracer *tracer = nullptr;
     TelemetryRegistry *telem = nullptr;
     WindowedCounter *t_dispatch = nullptr;

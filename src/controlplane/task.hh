@@ -12,6 +12,7 @@
 
 #include <array>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 
 #include "controlplane/op_types.hh"
@@ -110,6 +111,17 @@ class Task
         return phase_times[static_cast<std::size_t>(p)];
     }
 
+    /**
+     * True once the task has entered phase @p p, even for no time.
+     * A failed op skips the phases after its failure; the per-phase
+     * latency cells count only the phases an op entered.
+     */
+    bool
+    enteredPhase(TaskPhase p) const
+    {
+        return entered & (1u << static_cast<unsigned>(p));
+    }
+
     /** New VM produced by a provisioning op; invalid otherwise. */
     VmId resultVm() const { return result_vm; }
 
@@ -135,10 +147,12 @@ class Task
                                             : TaskState::Failed;
     }
 
+    /** Charge @p d to phase @p p and mark the phase entered. */
     void
     addPhaseTime(TaskPhase p, SimDuration d)
     {
         phase_times[static_cast<std::size_t>(p)] += d;
+        entered |= 1u << static_cast<unsigned>(p);
     }
 
     void setResultVm(VmId v) { result_vm = v; }
@@ -159,6 +173,8 @@ class Task
     SimTime started = 0;
     SimTime completed = 0;
     std::array<SimDuration, kNumTaskPhases> phase_times{};
+    std::uint8_t entered = 0; ///< bit p: phase p entered
+    static_assert(kNumTaskPhases <= 8, "one bit per phase");
     VmId result_vm;
     DiskId result_disk;
     bool cancel_requested = false;

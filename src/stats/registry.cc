@@ -11,12 +11,6 @@ StatRegistry::counter(const std::string &name)
     return counters[name];
 }
 
-Gauge &
-StatRegistry::gauge(const std::string &name)
-{
-    return gauges[name];
-}
-
 Histogram &
 StatRegistry::histogram(const std::string &name, double min_value,
                         double growth)
@@ -31,17 +25,25 @@ StatRegistry::histogram(const std::string &name, double min_value,
     return *it->second;
 }
 
-SummaryStats &
-StatRegistry::summary(const std::string &name)
+LatencyHistogram &
+StatRegistry::latency(const std::string &name)
 {
-    return summaries[name];
+    return latencies[name];
+}
+
+const LatencyHistogram &
+StatRegistry::latencyOrEmpty(const std::string &name) const
+{
+    static const LatencyHistogram kEmpty;
+    auto it = latencies.find(name);
+    return it == latencies.end() ? kEmpty : it->second;
 }
 
 bool
 StatRegistry::has(const std::string &name) const
 {
-    return counters.count(name) || gauges.count(name) ||
-           histograms.count(name) || summaries.count(name);
+    return counters.count(name) || histograms.count(name) ||
+           latencies.count(name);
 }
 
 template <typename Map>
@@ -56,36 +58,30 @@ StatRegistry::sortedKeys(const Map &map)
     return out;
 }
 
-std::vector<std::string>
-StatRegistry::names() const
+namespace {
+
+/** Append the six "histogram" rows of @p h (either histogram type). */
+template <typename H>
+void
+appendHistogramRows(std::string &out, const std::string &name, const H &h)
 {
-    std::vector<std::string> out;
-    out.reserve(counters.size() + gauges.size() + histograms.size() +
-                summaries.size());
-    for (const auto &kv : counters)
-        out.push_back(kv.first);
-    for (const auto &kv : gauges)
-        out.push_back(kv.first);
-    for (const auto &kv : histograms)
-        out.push_back(kv.first);
-    for (const auto &kv : summaries)
-        out.push_back(kv.first);
-    std::sort(out.begin(), out.end());
-    return out;
+    const struct { const char *f; double v; } fields[] = {
+        {"count", static_cast<double>(h.count())},
+        {"mean", h.mean()},
+        {"p50", h.p50()},
+        {"p95", h.p95()},
+        {"p99", h.p99()},
+        {"max", h.count() ? h.max() : 0.0},
+    };
+    char line[256];
+    for (const auto &f : fields) {
+        std::snprintf(line, sizeof(line), "%s,histogram,%s,%.6g\n",
+                      name.c_str(), f.f, f.v);
+        out += line;
+    }
 }
 
-void
-StatRegistry::resetAll()
-{
-    for (auto &kv : counters)
-        kv.second.reset();
-    for (auto &kv : gauges)
-        kv.second.reset();
-    for (auto &kv : histograms)
-        kv.second->reset();
-    for (auto &kv : summaries)
-        kv.second.reset();
-}
+} // namespace
 
 std::string
 StatRegistry::toCsv() const
@@ -99,70 +95,18 @@ StatRegistry::toCsv() const
                           counters.at(name).value()));
         out += line;
     }
-    for (const auto &name : sortedKeys(gauges)) {
-        std::snprintf(line, sizeof(line), "%s,gauge,value,%.6g\n",
-                      name.c_str(), gauges.at(name).value());
-        out += line;
-    }
-    for (const auto &name : sortedKeys(histograms)) {
-        const Histogram &h = *histograms.at(name);
-        const struct { const char *f; double v; } fields[] = {
-            {"count", static_cast<double>(h.count())},
-            {"mean", h.mean()},
-            {"p50", h.p50()},
-            {"p95", h.p95()},
-            {"p99", h.p99()},
-            {"max", h.count() ? h.max() : 0.0},
-        };
-        for (const auto &f : fields) {
-            std::snprintf(line, sizeof(line), "%s,histogram,%s,%.6g\n",
-                          name.c_str(), f.f, f.v);
-            out += line;
+    // Both histogram types render alike, merged into one name order.
+    std::vector<std::string> hists = sortedKeys(histograms);
+    std::vector<std::string> cells = sortedKeys(latencies);
+    std::size_t i = 0, j = 0;
+    while (i < hists.size() || j < cells.size()) {
+        if (j == cells.size() || (i < hists.size() && hists[i] < cells[j])) {
+            appendHistogramRows(out, hists[i], *histograms.at(hists[i]));
+            ++i;
+        } else {
+            appendHistogramRows(out, cells[j], latencies.at(cells[j]));
+            ++j;
         }
-    }
-    for (const auto &name : sortedKeys(summaries)) {
-        const SummaryStats &s = summaries.at(name);
-        const struct { const char *f; double v; } fields[] = {
-            {"count", static_cast<double>(s.count())},
-            {"mean", s.mean()},
-            {"stddev", s.stddev()},
-            {"min", s.count() ? s.min() : 0.0},
-            {"max", s.count() ? s.max() : 0.0},
-        };
-        for (const auto &f : fields) {
-            std::snprintf(line, sizeof(line), "%s,summary,%s,%.6g\n",
-                          name.c_str(), f.f, f.v);
-            out += line;
-        }
-    }
-    return out;
-}
-
-std::string
-StatRegistry::toString() const
-{
-    std::string out;
-    char line[320];
-    for (const auto &name : sortedKeys(counters)) {
-        std::snprintf(line, sizeof(line), "%-48s %llu\n", name.c_str(),
-                      static_cast<unsigned long long>(
-                          counters.at(name).value()));
-        out += line;
-    }
-    for (const auto &name : sortedKeys(gauges)) {
-        std::snprintf(line, sizeof(line), "%-48s %.6g\n", name.c_str(),
-                      gauges.at(name).value());
-        out += line;
-    }
-    for (const auto &name : sortedKeys(histograms)) {
-        std::snprintf(line, sizeof(line), "%-48s %s\n", name.c_str(),
-                      histograms.at(name)->toString().c_str());
-        out += line;
-    }
-    for (const auto &name : sortedKeys(summaries)) {
-        std::snprintf(line, sizeof(line), "%-48s %s\n", name.c_str(),
-                      summaries.at(name).toString().c_str());
-        out += line;
     }
     return out;
 }

@@ -2,10 +2,10 @@
  * @file
  * Named statistics registry.
  *
- * Components register counters, gauges, and histograms under
- * hierarchical dotted names ("controlplane.db.write_latency_ms").
- * The registry owns the storage; callers keep cheap handles.  A dump
- * renders everything to CSV or a human-readable listing.
+ * Components register counters and histograms under hierarchical
+ * dotted names ("cp.latency_us.clone-linked").  The registry owns the
+ * storage; callers keep cheap handles.  A dump renders everything to
+ * CSV.
  */
 
 #ifndef VCP_STATS_REGISTRY_HH
@@ -18,7 +18,7 @@
 #include <vector>
 
 #include "stats/histogram.hh"
-#include "sim/summary.hh"
+#include "trace/latency_hist.hh"
 
 namespace vcp {
 
@@ -28,23 +28,9 @@ class Counter
   public:
     void inc(std::uint64_t by = 1) { val += by; }
     std::uint64_t value() const { return val; }
-    void reset() { val = 0; }
 
   private:
     std::uint64_t val = 0;
-};
-
-/** Instantaneous level (queue depth, in-flight ops, ...). */
-class Gauge
-{
-  public:
-    void set(double v) { val = v; }
-    void add(double delta) { val += delta; }
-    double value() const { return val; }
-    void reset() { val = 0.0; }
-
-  private:
-    double val = 0.0;
 };
 
 /**
@@ -68,9 +54,6 @@ class StatRegistry
     /** Get or create the counter with the given dotted name. */
     Counter &counter(const std::string &name);
 
-    /** Get or create the gauge with the given dotted name. */
-    Gauge &gauge(const std::string &name);
-
     /**
      * Get or create a histogram.  Creation parameters are only used
      * the first time a name is seen.
@@ -78,8 +61,19 @@ class StatRegistry
     Histogram &histogram(const std::string &name, double min_value = 1.0,
                          double growth = 1.15);
 
-    /** Get or create a summary accumulator. */
-    SummaryStats &summary(const std::string &name);
+    /**
+     * Get or create a latency cell: integer microseconds in fixed
+     * quarter-octave buckets, exact count, sum, mean and max.  The
+     * management server's per-op and per-phase latencies live here.
+     */
+    LatencyHistogram &latency(const std::string &name);
+
+    /**
+     * The latency cell @p name, or an empty cell when none was
+     * created.  Reading never creates, so the dump does not depend on
+     * who read what.
+     */
+    const LatencyHistogram &latencyOrEmpty(const std::string &name) const;
 
     /**
      * @{ Resolve-once overloads: fill @p slot on first use and reuse
@@ -96,14 +90,6 @@ class StatRegistry
         return *slot;
     }
 
-    Gauge &
-    gauge(Gauge *&slot, const std::string &name)
-    {
-        if (!slot)
-            slot = &gauge(name);
-        return *slot;
-    }
-
     Histogram &
     histogram(Histogram *&slot, const std::string &name,
               double min_value = 1.0, double growth = 1.15)
@@ -112,33 +98,18 @@ class StatRegistry
             slot = &histogram(name, min_value, growth);
         return *slot;
     }
-
-    SummaryStats &
-    summary(SummaryStats *&slot, const std::string &name)
-    {
-        if (!slot)
-            slot = &summary(name);
-        return *slot;
-    }
     /** @} */
 
     /** True if any stat with this exact name exists. */
     bool has(const std::string &name) const;
 
-    /** All registered names, sorted. */
-    std::vector<std::string> names() const;
-
-    /** Reset every stat to its empty state. */
-    void resetAll();
-
     /**
-     * Render all stats as CSV lines "name,kind,field,value".
-     * Histograms expand into count/mean/p50/p95/p99/max rows.
+     * Render all stats as CSV lines "name,kind,field,value": counters,
+     * then histograms and latency cells in one name order, each
+     * expanded into count/mean/p50/p95/p99/max rows of kind
+     * "histogram".
      */
     std::string toCsv() const;
-
-    /** Render a human-readable listing, one stat per line. */
-    std::string toString() const;
 
   private:
     /** Sorted keys of @p map (dump-time determinism). */
@@ -146,10 +117,9 @@ class StatRegistry
     static std::vector<std::string> sortedKeys(const Map &map);
 
     std::unordered_map<std::string, Counter> counters;
-    std::unordered_map<std::string, Gauge> gauges;
     std::unordered_map<std::string, std::unique_ptr<Histogram>>
         histograms;
-    std::unordered_map<std::string, SummaryStats> summaries;
+    std::unordered_map<std::string, LatencyHistogram> latencies;
 };
 
 } // namespace vcp

@@ -1,11 +1,12 @@
 /**
  * @file
- * Fixed-bucket latency histogram for the tracer hot path.
+ * Fixed-bucket latency histogram for the hot paths.
  *
- * The tracer feeds one histogram cell on *every* phase and op record,
- * so its add() has a tighter budget than the general-purpose
- * stats::Histogram (whose Welford update costs a hardware divide per
- * sample).  Durations are integer sim microseconds, which admits an
+ * The management server feeds its per-op and per-phase latency cells
+ * (stat registry) once per finished op, and telemetry its histogram
+ * instruments on every sample, so add() has a tighter budget than the
+ * general-purpose stats::Histogram (whose Welford update costs a
+ * hardware divide per sample).  Durations are integer sim microseconds, which admits an
  * HdrHistogram-style bucketing: the bucket index comes from the
  * sample's most-significant bit plus the next two mantissa bits —
  * quarter-octave buckets (growth 2^(1/4) .. factor ~1.19, in the same

@@ -10,8 +10,8 @@
  * fixed-capacity buffer allocated once up front; pushing is a bounds
  * check, a struct store, and an index increment.  When the buffer is
  * full the ring wraps, overwriting the oldest records (the export
- * keeps the most recent window; the exact per-phase aggregation in
- * SpanTracer is fed separately and never drops).
+ * keeps the most recent window; the management server's latency
+ * cells are fed separately and never drop).
  *
  * Compile-time switch: building with -DVCP_TRACE_DISABLED=1 compiles
  * every recording helper in the tree down to nothing (the hot-path

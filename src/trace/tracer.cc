@@ -31,11 +31,6 @@ SpanTracer::setAxes(std::vector<std::string> op_names,
     ops = std::move(op_names);
     phases = std::move(phase_names);
     errors = std::move(error_names);
-    num_ops = static_cast<std::uint32_t>(ops.size());
-    num_phases = static_cast<std::uint32_t>(phases.size());
-
-    phase_hist.assign(ops.size() * phases.size(), {});
-    op_hist.assign(ops.size(), {});
 }
 
 std::uint16_t
@@ -50,40 +45,6 @@ SpanTracer::intern(const std::string &name)
     interned.push_back(name);
     intern_ids.emplace(name, id);
     return id;
-}
-
-const LatencyHistogram &
-SpanTracer::phaseHistogram(std::size_t op, std::size_t phase) const
-{
-    if (op >= ops.size() || phase >= phases.size())
-        panic("SpanTracer: phaseHistogram(%zu, %zu) out of range", op,
-              phase);
-    return phase_hist[op * phases.size() + phase];
-}
-
-const LatencyHistogram &
-SpanTracer::opHistogram(std::size_t op) const
-{
-    if (op >= op_hist.size())
-        panic("SpanTracer: opHistogram(%zu) out of range", op);
-    return op_hist[op];
-}
-
-double
-SpanTracer::phaseTotalTime(std::size_t phase) const
-{
-    if (phase >= phases.size())
-        panic("SpanTracer: phaseTotalTime(%zu) out of range", phase);
-    double total = 0.0;
-    for (std::size_t op = 0; op < ops.size(); ++op)
-        total += phase_hist[op * phases.size() + phase].sum();
-    return total;
-}
-
-std::uint64_t
-SpanTracer::opCount(std::size_t op) const
-{
-    return opHistogram(op).count();
 }
 
 } // namespace vcp

@@ -3,12 +3,12 @@
  * The op-lifecycle span tracer.
  *
  * SpanTracer owns the TraceRing plus everything the raw ring cannot
- * carry: the interned name table for free-form spans and counters,
- * the (op type x phase) axes the control plane registers at attach
- * time, and the *exact* per-(op, phase) latency histograms that feed
- * the analysis layer.  The ring may wrap (the Perfetto export then
- * shows the most recent window); the histograms are fed on every
- * record and never drop, so phase p50/p95/p99 cover the whole run.
+ * carry: the interned name table for free-form spans and counters and
+ * the (op type x phase x error) axes the control plane registers at
+ * attach time.  The ring may wrap (the Perfetto export then shows the
+ * most recent window).  Exact per-(op, phase) latency is not kept
+ * here: the management server's latency cells (stat registry) hold
+ * it, fed once per finished op whether or not a tracer is attached.
  *
  * Hot-path contract: recording does not allocate, does not touch the
  * RNG, and does not schedule events, so an attached-but-disabled (or
@@ -24,7 +24,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "trace/latency_hist.hh"
 #include "trace/ring.hh"
 
 #if VCP_TRACE_DISABLED
@@ -46,7 +45,7 @@ struct TracerConfig
     bool enabled = true;
 };
 
-/** Ring + names + axes + exact per-phase aggregation. */
+/** Ring + interned names + op/phase/error axes. */
 class SpanTracer
 {
   public:
@@ -97,8 +96,6 @@ class SpanTracer
         ring_.push({start, dur, task_id,
                     static_cast<std::uint16_t>(phase), SpanKind::Phase,
                     op, {}});
-        if (op < num_ops && phase < num_phases)
-            phase_hist[op * num_phases + phase].add(dur);
     }
 
     void
@@ -108,8 +105,6 @@ class SpanTracer
         ring_.push({start, dur, task_id,
                     static_cast<std::uint16_t>(error), SpanKind::Op, op,
                     {}});
-        if (op < op_hist.size())
-            op_hist[op].add(dur);
     }
 
     void
@@ -132,41 +127,12 @@ class SpanTracer
     }
     /** @} */
 
-    /**
-     * Latency histogram of one (op, phase) cell (usec), fed on every
-     * record (exact counts and sums even when the ring wraps).
-     * Empty-but-valid before any sample; panics before setAxes or
-     * out of range.
-     */
-    const LatencyHistogram &phaseHistogram(std::size_t op,
-                                           std::size_t phase) const;
-
-    /** End-to-end latency histogram of one op type (usec). */
-    const LatencyHistogram &opHistogram(std::size_t op) const;
-
-    /**
-     * Total time recorded in a phase across all op types (usec) —
-     * the raw material of live bottleneck attribution.
-     */
-    double phaseTotalTime(std::size_t phase) const;
-
-    /** Ops recorded for one type (successful and failed). */
-    std::uint64_t opCount(std::size_t op) const;
-
   private:
     TraceRing ring_;
 
     std::vector<std::string> ops;
     std::vector<std::string> phases;
     std::vector<std::string> errors;
-
-    /** Axis sizes mirrored out of the vectors for the record path. */
-    std::uint32_t num_ops = 0;
-    std::uint32_t num_phases = 0;
-
-    /** Row-major [op][phase] latency histograms, exactly fed. */
-    std::vector<LatencyHistogram> phase_hist;
-    std::vector<LatencyHistogram> op_hist;
 
     std::vector<std::string> interned;
     std::unordered_map<std::string, std::uint16_t> intern_ids;

@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the analysis layer: M/M/c analytics, latency breakdown,
- * bottleneck attribution, and report tables.
+ * bottleneck and phase attribution, and report tables.
  */
 
 #include <gtest/gtest.h>
@@ -168,6 +168,77 @@ TEST(BottleneckTest, TableSortedByUtilization)
     EXPECT_EQ(t.at(0, 1), "data");
     EXPECT_EQ(t.at(1, 0), "mid");
     EXPECT_EQ(t.at(2, 0), "low");
+}
+
+/** A server whose latency cells the tests fill by their dump names. */
+struct CellServer
+{
+    CellServer()
+    {
+        // Ten clone-full ops: api 0.1 ms each, db 1..10 ms (55 ms).
+        for (int i = 1; i <= 10; ++i) {
+            stats.latency("cp.latency_us.clone-full").add(100 + i * 1000);
+            stats.latency("cp.phase_us.clone-full.api").add(100);
+            stats.latency("cp.phase_us.clone-full.db").add(i * 1000);
+        }
+    }
+
+    Simulator sim;
+    Inventory inv{sim};
+    Network net{sim, NetworkConfig{}};
+    StatRegistry stats;
+    ManagementServer srv{sim, inv, net, stats};
+};
+
+TEST(SpanBreakdown, TableHasPerPhaseRowsAndTotals)
+{
+    CellServer c;
+    Table table = spanBreakdownTable(c.srv);
+    EXPECT_EQ(table.numRows(), 3u); // api, db, total
+
+    std::string text = table.toText();
+    // Only the op with samples appears, with its sampled phases and
+    // a whole-op total row.
+    EXPECT_NE(text.find("clone-full"), std::string::npos);
+    EXPECT_EQ(text.find("power-on"), std::string::npos);
+    EXPECT_NE(text.find("api"), std::string::npos);
+    EXPECT_NE(text.find("db"), std::string::npos);
+    EXPECT_EQ(text.find("queue"), std::string::npos);
+    EXPECT_NE(text.find("total"), std::string::npos);
+}
+
+TEST(PhaseAttribution, FractionsSumToOneSortedByTotal)
+{
+    CellServer c;
+    auto attrib = attributePhases(c.srv);
+
+    ASSERT_EQ(attrib.size(), kNumTaskPhases);
+    // Sorted by total time descending: db >> api > the idle phases.
+    EXPECT_EQ(attrib[0].phase, "db");
+    EXPECT_EQ(attrib[1].phase, "api");
+    EXPECT_NEAR(attrib[0].total_ms, 55.0, 1e-9);
+    EXPECT_NEAR(attrib[1].total_ms, 1.0, 1e-9);
+    EXPECT_EQ(attrib[2].total_ms, 0.0);
+
+    double sum = 0;
+    for (const auto &a : attrib)
+        sum += a.fraction;
+    EXPECT_NEAR(sum, 1.0, 1e-9);
+
+    EXPECT_EQ(dominantPhase(c.srv), "db");
+}
+
+TEST(PhaseAttribution, IdleServerHasNoDominantPhase)
+{
+    Simulator sim;
+    Inventory inv(sim);
+    Network net(sim, NetworkConfig{});
+    StatRegistry stats;
+    ManagementServer srv(sim, inv, net, stats);
+    EXPECT_EQ(dominantPhase(srv), "none");
+    for (const PhaseAttribution &a : attributePhases(srv))
+        EXPECT_EQ(a.total_ms, 0.0);
+    EXPECT_EQ(stats.toCsv(), "name,kind,field,value\n"); // none created
 }
 
 TEST(ReportTest, RateSeriesTableAlignsSeries)

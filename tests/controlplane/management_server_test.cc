@@ -277,14 +277,47 @@ TEST_F(ServerTest, BytesMovedAccumulatesAcrossOps)
               static_cast<std::uint64_t>(2 * gib(4)));
 }
 
-TEST_F(ServerTest, PhaseSummariesPopulated)
+TEST_F(ServerTest, PhaseCellsPopulated)
 {
     VmId vm = makeVm(h0, ds0);
     powerOn(vm);
     EXPECT_EQ(
-        stats->summary("cp.phase_us.power-on.host-agent").count(),
+        srv->phaseHistogram(OpType::PowerOn, TaskPhase::HostAgent).count(),
         1u);
-    EXPECT_GT(stats->summary("cp.phase_us.power-on.db").mean(), 0.0);
+    EXPECT_GT(srv->phaseHistogram(OpType::PowerOn, TaskPhase::Db).mean(),
+              0.0);
+}
+
+TEST_F(ServerTest, PhaseCellsCountOnlyEnteredPhases)
+{
+    VmId vm = makeVm(h0, ds0);
+    Task ok = powerOn(vm);
+    Task failed = powerOn(vm); // fails under its locks: already on
+    ASSERT_EQ(failed.error(), TaskError::InvalidState);
+    EXPECT_TRUE(failed.enteredPhase(TaskPhase::Locks));
+    EXPECT_FALSE(failed.enteredPhase(TaskPhase::Db));
+
+    auto count = [&](TaskPhase p) {
+        return srv->phaseHistogram(OpType::PowerOn, p).count();
+    };
+    EXPECT_EQ(srv->latencyHistogram(OpType::PowerOn).count(), 2u);
+    EXPECT_EQ(count(TaskPhase::Api), 2u);
+    EXPECT_EQ(count(TaskPhase::Queue), 2u);
+    EXPECT_EQ(count(TaskPhase::Locks), 2u);
+    EXPECT_EQ(count(TaskPhase::Db), 1u);
+    EXPECT_EQ(count(TaskPhase::HostAgent), 1u);
+    EXPECT_EQ(count(TaskPhase::Finalize), 1u);
+    // The skipped phases' means are the successful op's alone.
+    EXPECT_DOUBLE_EQ(srv->phaseHistogram(OpType::PowerOn, TaskPhase::Db)
+                         .mean(),
+                     static_cast<double>(ok.phaseTime(TaskPhase::Db)));
+
+    // No power-on entered the data phase: no cell, and reading one
+    // creates none.
+    EXPECT_EQ(count(TaskPhase::DataCopy), 0u);
+    EXPECT_EQ(srv->latencyHistogram(OpType::CloneFull).count(), 0u);
+    EXPECT_FALSE(stats->has("cp.phase_us.power-on.data-copy"));
+    EXPECT_FALSE(stats->has("cp.latency_us.clone-full"));
 }
 
 TEST_F(ServerTest, QueuePhaseGrowsUnderOverload)

@@ -7,6 +7,7 @@
 #include "cp_fixture.hh"
 
 #include "sim/logging.hh"
+#include "telemetry/telemetry.hh"
 
 namespace vcp {
 namespace {
@@ -115,6 +116,41 @@ TEST_F(ServerLimitsTest, RateLimitedSubmitFailsTask)
     EXPECT_EQ(stats->counter("cp.errors.rate-limited").value(), 1u);
     // The VM is untouched.
     EXPECT_EQ(inv->vm(vm).powerState(), PowerState::PoweredOn);
+}
+
+TEST_F(ServerLimitsTest, RateLimitedOpsCountInPerOpLatency)
+{
+    ManagementServerConfig cfg;
+    cfg.rate_limit.enabled = true;
+    cfg.rate_limit.ops_per_second = 0.001;
+    cfg.rate_limit.burst = 1.0;
+    build(cfg);
+    TelemetryRegistry telem;
+    srv->attachTelemetry(&telem);
+    std::uint64_t observed = 0;
+    srv->setTaskObserver([&](const Task &) { ++observed; });
+    VmId vm = makeVm(h0, ds0);
+
+    OpRequest on;
+    on.type = OpType::PowerOn;
+    on.vm = vm;
+    on.tenant = TenantId(42);
+    EXPECT_TRUE(runOp(on).succeeded());
+    OpRequest off;
+    off.type = OpType::PowerOff;
+    off.vm = vm;
+    off.tenant = TenantId(42);
+    EXPECT_EQ(runOp(off).error(), TaskError::RateLimited);
+
+    // The reject is a finished op like any other: its op type's
+    // latency cell counts it, as the observer and cp.op_us do.
+    EXPECT_EQ(srv->latencyHistogram(OpType::PowerOff).count(), 1u);
+    std::uint64_t cells = 0;
+    for (std::size_t i = 0; i < kNumOpTypes; ++i)
+        cells += srv->latencyHistogram(static_cast<OpType>(i)).count();
+    EXPECT_EQ(observed, 2u);
+    EXPECT_EQ(cells, observed);
+    EXPECT_EQ(telem.mergedHistogram("cp.op_us").count(), observed);
 }
 
 TEST_F(ServerLimitsTest, CancelPendingTaskFailsItCleanly)

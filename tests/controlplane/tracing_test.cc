@@ -1,12 +1,14 @@
 /**
  * @file
  * End-to-end tracing tests through the management server: every
- * pipeline phase of a real op shows up as span records and exact
- * histogram samples, phase spans reconcile with the task's own
- * phase accounting, and an absent/disabled tracer changes nothing.
+ * pipeline phase of a real op shows up as one span record, phase
+ * spans reconcile with the task's own phase accounting, and an
+ * absent/disabled tracer changes nothing.
  */
 
 #include <gtest/gtest.h>
+
+#include <array>
 
 #include "controlplane/task.hh"
 #include "trace/tracer.hh"
@@ -55,15 +57,21 @@ TEST_F(TracingTest, CloneFullRecordsAllSevenPhases)
     Task t = runOp(cloneFullReq());
     ASSERT_TRUE(t.succeeded());
 
-    std::size_t op = static_cast<std::size_t>(OpType::CloneFull);
-    for (std::size_t p = 0; p < kNumTaskPhases; ++p) {
-        EXPECT_GE(tracer.phaseHistogram(op, p).count(), 1u)
-            << "no span for phase "
-            << taskPhaseName(static_cast<TaskPhase>(p));
+    std::array<std::size_t, kNumTaskPhases> phase_spans{};
+    std::size_t op_spans = 0;
+    for (const SpanRecord &r : tracer.ring().snapshot()) {
+        if (r.kind == SpanKind::Phase)
+            ++phase_spans.at(r.name);
+        if (r.kind == SpanKind::Op) {
+            ++op_spans;
+            EXPECT_EQ(r.duration, t.latency());
+        }
     }
-    EXPECT_EQ(tracer.opCount(op), 1u);
-    EXPECT_NEAR(tracer.opHistogram(op).mean(),
-                static_cast<double>(t.latency()), 1.0);
+    for (std::size_t p = 0; p < kNumTaskPhases; ++p) {
+        EXPECT_EQ(phase_spans[p], 1u)
+            << "phase " << taskPhaseName(static_cast<TaskPhase>(p));
+    }
+    EXPECT_EQ(op_spans, 1u);
 }
 
 TEST_F(TracingTest, PhaseSpansReconcileWithTaskPhaseTimes)
@@ -74,15 +82,19 @@ TEST_F(TracingTest, PhaseSpansReconcileWithTaskPhaseTimes)
     ASSERT_TRUE(t.succeeded());
 
     // Each phase's span total must equal the task's own accounting
-    // (single op, so histogram total == that op's phase time).
-    std::size_t op = static_cast<std::size_t>(OpType::CloneFull);
+    // and the server's phase cell (single op).
+    std::array<SimDuration, kNumTaskPhases> spans_us{};
+    for (const SpanRecord &r : tracer.ring().snapshot()) {
+        if (r.kind == SpanKind::Phase && r.scope == t.id().value)
+            spans_us.at(r.name) += r.duration;
+    }
     for (std::size_t p = 0; p < kNumTaskPhases; ++p) {
-        const LatencyHistogram &h = tracer.phaseHistogram(op, p);
-        double spans_us = h.mean() * static_cast<double>(h.count());
-        double task_us = static_cast<double>(
-            t.phaseTime(static_cast<TaskPhase>(p)));
-        EXPECT_NEAR(spans_us, task_us, 1.0)
-            << "phase " << taskPhaseName(static_cast<TaskPhase>(p));
+        auto phase = static_cast<TaskPhase>(p);
+        EXPECT_EQ(spans_us[p], t.phaseTime(phase))
+            << "phase " << taskPhaseName(phase);
+        EXPECT_EQ(srv->phaseHistogram(OpType::CloneFull, phase).sum(),
+                  static_cast<double>(t.phaseTime(phase)))
+            << "phase " << taskPhaseName(phase);
     }
 }
 
@@ -131,9 +143,6 @@ TEST_F(TracingTest, FailedOpRecordsErrorAxis)
     Task t = runOp(req);
     EXPECT_EQ(t.error(), TaskError::NoSuchEntity);
 
-    std::size_t op = static_cast<std::size_t>(OpType::PowerOn);
-    EXPECT_EQ(tracer.opCount(op), 1u);
-
     bool found = false;
     for (const SpanRecord &r : tracer.ring().snapshot()) {
         if (r.kind == SpanKind::Op && r.scope == t.id().value) {
@@ -155,8 +164,8 @@ TEST_F(TracingTest, DisabledTracerRecordsNothing)
     ASSERT_TRUE(t.succeeded());
 
     EXPECT_EQ(tracer.ring().totalRecorded(), 0u);
-    std::size_t op = static_cast<std::size_t>(OpType::CloneFull);
-    EXPECT_EQ(tracer.opCount(op), 0u);
+    // The latency cells are model statistics, fed regardless.
+    EXPECT_EQ(srv->latencyHistogram(OpType::CloneFull).count(), 1u);
 }
 
 TEST_F(TracingTest, DetachStopsRecording)

@@ -161,8 +161,8 @@ TEST(IntegrationTest, OverloadQueuesGrowButWorkCompletes)
               cs.server().opsCompleted() + cs.server().opsFailed());
     // Queueing dominated latency for late ops.
     double mean_queue_us =
-        cs.stats()
-            .summary("cp.phase_us.clone-linked.queue")
+        cs.server()
+            .phaseHistogram(OpType::CloneLinked, TaskPhase::Queue)
             .mean();
     EXPECT_GT(mean_queue_us, static_cast<double>(seconds(10)));
 }

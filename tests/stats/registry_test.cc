@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "stats/registry.hh"
 
 namespace vcp {
@@ -20,14 +22,6 @@ TEST(StatRegistryTest, CounterLifecycle)
     EXPECT_FALSE(reg.has("a.c"));
 }
 
-TEST(StatRegistryTest, GaugeSetsAndAdds)
-{
-    StatRegistry reg;
-    reg.gauge("g").set(3.0);
-    reg.gauge("g").add(-1.5);
-    EXPECT_DOUBLE_EQ(reg.gauge("g").value(), 1.5);
-}
-
 TEST(StatRegistryTest, HistogramCreateOnceParamsSticky)
 {
     StatRegistry reg;
@@ -39,39 +33,42 @@ TEST(StatRegistryTest, HistogramCreateOnceParamsSticky)
     EXPECT_EQ(reg.histogram("h").count(), 1u);
 }
 
-TEST(StatRegistryTest, SummaryAccumulates)
+TEST(StatRegistryTest, LatencyCellCreatedOnceRendersAsHistogram)
 {
     StatRegistry reg;
-    reg.summary("s").add(2.0);
-    reg.summary("s").add(4.0);
-    EXPECT_DOUBLE_EQ(reg.summary("s").mean(), 3.0);
+    EXPECT_EQ(reg.latencyOrEmpty("cp.lat").count(), 0u);
+    EXPECT_FALSE(reg.has("cp.lat")); // reading created nothing
+
+    LatencyHistogram &a = reg.latency("cp.lat");
+    a.add(100);
+    a.add(300);
+    EXPECT_EQ(&reg.latency("cp.lat"), &a);
+    EXPECT_EQ(&reg.latencyOrEmpty("cp.lat"), &a);
+    EXPECT_TRUE(reg.has("cp.lat"));
+
+    std::string csv = reg.toCsv();
+    for (const char *f : {"count,2", "mean,200", "p50,", "p95,", "p99,",
+                          "max,300"}) {
+        EXPECT_NE(csv.find(std::string("cp.lat,histogram,") + f),
+                  std::string::npos)
+            << f;
+    }
+    EXPECT_EQ(std::count(csv.begin(), csv.end(), '\n'), 7); // header + 6
 }
 
-TEST(StatRegistryTest, NamesSortedAcrossKinds)
+TEST(StatRegistryTest, CsvMergesBothHistogramKindsByName)
 {
     StatRegistry reg;
-    reg.counter("z");
-    reg.gauge("a");
-    reg.histogram("m");
-    reg.summary("b");
-    auto names = reg.names();
-    ASSERT_EQ(names.size(), 4u);
-    EXPECT_EQ(names[0], "a");
-    EXPECT_EQ(names[3], "z");
-}
-
-TEST(StatRegistryTest, ResetAllClearsEverything)
-{
-    StatRegistry reg;
-    reg.counter("c").inc();
-    reg.gauge("g").set(1.0);
-    reg.histogram("h").add(1.0);
-    reg.summary("s").add(1.0);
-    reg.resetAll();
-    EXPECT_EQ(reg.counter("c").value(), 0u);
-    EXPECT_DOUBLE_EQ(reg.gauge("g").value(), 0.0);
-    EXPECT_EQ(reg.histogram("h").count(), 0u);
-    EXPECT_EQ(reg.summary("s").count(), 0u);
+    reg.histogram("b").add(1.0);
+    reg.latency("a").add(1);
+    reg.latency("c").add(1);
+    std::string csv = reg.toCsv();
+    std::size_t a = csv.find("a,histogram,count");
+    std::size_t b = csv.find("b,histogram,count");
+    std::size_t c = csv.find("c,histogram,count");
+    ASSERT_NE(c, std::string::npos);
+    EXPECT_LT(a, b);
+    EXPECT_LT(b, c);
 }
 
 TEST(StatRegistryTest, CsvContainsAllStats)
@@ -83,15 +80,6 @@ TEST(StatRegistryTest, CsvContainsAllStats)
     EXPECT_NE(csv.find("ops,counter,value,7"), std::string::npos);
     EXPECT_NE(csv.find("lat,histogram,count,1"), std::string::npos);
     EXPECT_NE(csv.find("lat,histogram,p95"), std::string::npos);
-}
-
-TEST(StatRegistryTest, ToStringHumanReadable)
-{
-    StatRegistry reg;
-    reg.counter("x.y").inc(3);
-    std::string s = reg.toString();
-    EXPECT_NE(s.find("x.y"), std::string::npos);
-    EXPECT_NE(s.find("3"), std::string::npos);
 }
 
 } // namespace

@@ -1,14 +1,11 @@
 /**
  * @file
- * SpanTracer unit tests: axes, interning, exact per-(op, phase)
- * aggregation, and the analysis-layer views built on top of it
- * (span breakdown tables and phase attribution).
+ * SpanTracer unit tests: axes, interning, and what each record kind
+ * puts in the ring.
  */
 
 #include <gtest/gtest.h>
 
-#include "analysis/bottleneck.hh"
-#include "analysis/breakdown.hh"
 #include "sim/logging.hh"
 #include "trace/tracer.hh"
 
@@ -71,63 +68,25 @@ TEST(SpanTracer, InternReturnsStableIds)
     EXPECT_EQ(t.internedNames()[b], "vapp.deploy");
 }
 
-TEST(SpanTracer, RecordPhaseFeedsExactHistograms)
+TEST(SpanTracer, PhaseAndOpRecordsCarryTheirAxes)
 {
     SpanTracer t(cfgCap());
     setTestAxes(t);
+    t.recordPhase(1, 2, 7, 100, 1000); // clone-full, db
+    t.recordOp(1, 1, 7, 50, 5000);     // clone-full, error "oops"
 
-    // Op 1, phase 2 (db): three samples.
-    t.recordPhase(1, 2, 7, 100, 1000);
-    t.recordPhase(1, 2, 8, 200, 3000);
-    t.recordPhase(1, 2, 9, 300, 2000);
-    // Op 0, phase 0 (api): one sample.
-    t.recordPhase(0, 0, 10, 400, 500);
-
-    EXPECT_EQ(t.phaseHistogram(1, 2).count(), 3u);
-    EXPECT_NEAR(t.phaseHistogram(1, 2).mean(), 2000.0, 1e-9);
-    EXPECT_EQ(t.phaseHistogram(0, 0).count(), 1u);
-    EXPECT_EQ(t.phaseHistogram(0, 2).count(), 0u);
-
-    // Totals aggregate across op types.
-    EXPECT_NEAR(t.phaseTotalTime(2), 6000.0, 1e-9);
-    EXPECT_NEAR(t.phaseTotalTime(0), 500.0, 1e-9);
-    EXPECT_NEAR(t.phaseTotalTime(1), 0.0, 1e-9);
-}
-
-TEST(SpanTracer, RecordOpFeedsOpHistogramAndCount)
-{
-    SpanTracer t(cfgCap());
-    setTestAxes(t);
-    t.recordOp(0, 0, 1, 0, 5000);
-    t.recordOp(0, 1, 2, 100, 7000);
-    EXPECT_EQ(t.opCount(0), 2u);
-    EXPECT_EQ(t.opCount(1), 0u);
-    EXPECT_NEAR(t.opHistogram(0).mean(), 6000.0, 1e-9);
-}
-
-TEST(SpanTracer, HistogramsSurviveRingWrap)
-{
-    // Tiny ring: every record wraps, yet the aggregation is exact.
-    SpanTracer t(cfgCap(2));
-    setTestAxes(t);
-    for (int i = 0; i < 100; ++i)
-        t.recordPhase(0, 1, i, i, 10);
-
-    EXPECT_EQ(t.ring().size(), 2u);
-    EXPECT_EQ(t.ring().dropped(), 98u);
-    EXPECT_EQ(t.phaseHistogram(0, 1).count(), 100u);
-    EXPECT_NEAR(t.phaseTotalTime(1), 1000.0, 1e-9);
-}
-
-TEST(SpanTracer, AccessorsPanicBeforeAxesOrOutOfRange)
-{
-    SpanTracer t(cfgCap());
-    EXPECT_THROW(t.phaseHistogram(0, 0), PanicError);
-    setTestAxes(t);
-    EXPECT_THROW(t.phaseHistogram(2, 0), PanicError);
-    EXPECT_THROW(t.phaseHistogram(0, 3), PanicError);
-    EXPECT_THROW(t.opHistogram(9), PanicError);
-    EXPECT_THROW(t.phaseTotalTime(7), PanicError);
+    auto snap = t.ring().snapshot();
+    ASSERT_EQ(snap.size(), 2u);
+    EXPECT_EQ(snap[0].kind, SpanKind::Phase);
+    EXPECT_EQ(snap[0].op, 1);
+    EXPECT_EQ(snap[0].name, 2);
+    EXPECT_EQ(snap[0].scope, 7);
+    EXPECT_EQ(snap[0].start, 100);
+    EXPECT_EQ(snap[0].duration, 1000);
+    EXPECT_EQ(snap[1].kind, SpanKind::Op);
+    EXPECT_EQ(snap[1].op, 1);
+    EXPECT_EQ(snap[1].name, 1);
+    EXPECT_EQ(snap[1].duration, 5000);
 }
 
 TEST(SpanTracer, RecordKindsLandInRing)
@@ -147,66 +106,6 @@ TEST(SpanTracer, RecordKindsLandInRing)
     EXPECT_EQ(snap[1].duration, 0);
     EXPECT_EQ(snap[2].kind, SpanKind::Counter);
     EXPECT_EQ(snap[2].duration, 17); // sampled value rides in duration
-}
-
-// ---------------------------------------------------------------
-// Analysis views fed by the tracer.
-// ---------------------------------------------------------------
-
-void
-fillSamples(SpanTracer &t)
-{
-    setTestAxes(t);
-    for (int i = 1; i <= 10; ++i) {
-        t.recordPhase(1, 0, i, 0, 100);      // api: 1 ms total
-        t.recordPhase(1, 2, i, 0, i * 1000); // db: 55 ms total
-        t.recordOp(1, 0, i, 0, 100 + i * 1000);
-    }
-}
-
-TEST(SpanBreakdown, TableHasPerPhaseRowsAndTotals)
-{
-    SpanTracer t(cfgCap());
-    fillSamples(t);
-    Table table = spanBreakdownTable(t);
-
-    std::string text = table.toText();
-    // Only the op with samples appears, with its sampled phases and
-    // a whole-op total row.
-    EXPECT_NE(text.find("clone-full"), std::string::npos);
-    EXPECT_EQ(text.find("power-on"), std::string::npos);
-    EXPECT_NE(text.find("api"), std::string::npos);
-    EXPECT_NE(text.find("db"), std::string::npos);
-    EXPECT_EQ(text.find("queue"), std::string::npos);
-    EXPECT_NE(text.find("total"), std::string::npos);
-}
-
-TEST(PhaseAttribution, FractionsSumToOneSortedByTotal)
-{
-    SpanTracer t(cfgCap());
-    fillSamples(t);
-    auto attrib = attributePhases(t);
-
-    ASSERT_EQ(attrib.size(), 3u);
-    // Sorted by total time descending: db >> api > queue(0).
-    EXPECT_EQ(attrib[0].phase, "db");
-    EXPECT_EQ(attrib[1].phase, "api");
-    EXPECT_NEAR(attrib[0].total_ms, 55.0, 1e-9);
-    EXPECT_NEAR(attrib[1].total_ms, 1.0, 1e-9);
-
-    double sum = 0;
-    for (const auto &a : attrib)
-        sum += a.fraction;
-    EXPECT_NEAR(sum, 1.0, 1e-9);
-
-    EXPECT_EQ(dominantPhase(t), "db");
-}
-
-TEST(PhaseAttribution, EmptyTracerHasNoDominantPhase)
-{
-    SpanTracer t(cfgCap());
-    EXPECT_EQ(dominantPhase(t), "none");
-    EXPECT_TRUE(attributePhases(t).empty());
 }
 
 } // namespace

@@ -15,10 +15,26 @@ comparison does not state on its own.
         --stats and --dump-ops; --mtbf 0 changes nothing; and --mtbf
         before --chaos keeps both lanes.
 
+    check_vcpsim.py latency VCPSIM
+        One run, one set of per-op latency numbers: on cloud-b 2 h
+        leaf-spine with --trace-out, --metrics-out, --stats and
+        --dump-ops, each op type's cp.latency_us count equals its
+        ops.csv rows and its span-table "total" count; every
+        span-table phase row has a cp.phase_us row with the same
+        count and the same mean up to the rounding of either print
+        (0.01 ms in the table, %.6g in the CSV), and the CSV has no
+        phase row the table lacks; the op counts add up to
+        stdout's "completed + failed" and to the last snapshot's
+        cp.op_us count.
+
 Exit status: 0 holds, 1 violated, 2 run error.  Stdlib only.
 """
 
+import collections
+import csv
+import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -106,8 +122,98 @@ def mtbf(vcpsim, tmp):
     return 1 if problems else 0
 
 
+def span_table(out):
+    """{(op, phase): (count, mean_ms)} of stdout's span-sourced table."""
+    rows = {}
+    section = out.split("per-phase latency percentiles (span-sourced):\n",
+                        1)
+    if len(section) != 2:
+        return rows
+    for line in section[1].splitlines()[2:]:
+        cells = line.split()
+        if len(cells) != 7:
+            break
+        rows[(cells[0], cells[1])] = (int(cells[2]), float(cells[3]))
+    return rows
+
+
+def rounding_ms(mean_us):
+    """Largest gap between one mean printed by the span table (ms, two
+    decimals) and by the stats CSV (usec, %.6g): half a step of each."""
+    step_us = 10.0 ** (math.floor(math.log10(mean_us)) - 5) \
+        if mean_us > 0 else 0.0
+    return 0.005 + step_us / 2000.0 + 1e-9
+
+
+def latency(vcpsim, tmp):
+    out = run(vcpsim, ["cloud-b", "--hours", "2", "--fabric", "leaf-spine",
+                       "--trace-out", "trace.json", "--metrics-out",
+                       "m.ndjson"] + DUMPS, tmp)
+    table = span_table(out)
+    stats = {}
+    for name, _kind, field, value in csv.reader(
+            io.StringIO(read(tmp, "stats.csv").decode())):
+        stats[(name, field)] = value
+    op_rows = collections.Counter(
+        row["op"] for row in csv.DictReader(
+            io.StringIO(read(tmp, "ops.csv").decode())))
+    problems = []
+    if not table:
+        problems.append("no span table on stdout")
+
+    ops = sorted({op for op, _ in table} | set(op_rows))
+    total = 0
+    for op in ops:
+        cell = int(float(stats.get((f"cp.latency_us.{op}", "count"), 0)))
+        total += cell
+        span = table.get((op, "total"), (0, 0.0))[0]
+        if not cell == op_rows[op] == span:
+            problems.append(f"{op}: cp.latency_us count {cell}, ops.csv "
+                            f"{op_rows[op]} rows, span total {span}")
+
+    csv_phases = {name[len("cp.phase_us."):] for name, field in stats
+                  if name.startswith("cp.phase_us.") and field == "count"}
+    for (op, phase), (count, mean_ms) in sorted(table.items()):
+        if phase == "total":
+            continue
+        key = f"{op}.{phase}"
+        csv_phases.discard(key)
+        if (f"cp.phase_us.{key}", "count") not in stats:
+            problems.append(f"{key}: span row, no cp.phase_us row")
+            continue
+        n = int(float(stats[(f"cp.phase_us.{key}", "count")]))
+        mean_us = float(stats[(f"cp.phase_us.{key}", "mean")])
+        mean = mean_us / 1000.0
+        if n != count or abs(mean - mean_ms) > rounding_ms(mean_us):
+            problems.append(f"{key}: cp.phase_us {n} ops, mean "
+                            f"{mean:.4f} ms; span table {count} ops, "
+                            f"mean {mean_ms:.2f} ms")
+    for key in sorted(csv_phases):
+        problems.append(f"{key}: cp.phase_us row, no span row")
+
+    m = re.search(r"^management ops: (\d+) completed, (\d+) failed", out,
+                  re.M)
+    finished = int(m.group(1)) + int(m.group(2)) if m else -1
+    snaps = [json.loads(line) for line in
+             read(tmp, "m.ndjson").decode().splitlines()]
+    snaps = [s for s in snaps if s.get("type") == "snapshot"]
+    op_us = snaps[-1]["hists"].get("cp.op_us", {}).get("count", -1) \
+        if snaps else -1
+    if not total == finished == op_us:
+        problems.append(f"op counts add up to {total}; stdout "
+                        f"completed + failed {finished}; last snapshot "
+                        f"cp.op_us {op_us}")
+
+    for p in problems:
+        print(f"FAIL: {p}")
+    if not problems:
+        print(f"OK: {total} ops, {len(table)} span rows agree with the "
+              f"stats CSV, ops.csv and cp.op_us")
+    return 1 if problems else 0
+
+
 def main():
-    checks = {"verdict": verdict, "mtbf": mtbf}
+    checks = {"verdict": verdict, "mtbf": mtbf, "latency": latency}
     if len(sys.argv) != 3 or sys.argv[1] not in checks:
         print(__doc__)
         return 2

@@ -677,13 +677,13 @@ main(int argc, char **argv)
             flushShardLanes(cs.engine(), *tracer);
         std::printf("\nphase attribution (span-sourced), dominant: "
                     "%s\n%s",
-                    dominantPhase(*tracer).c_str(),
-                    phaseAttributionTable(attributePhases(*tracer))
+                    dominantPhase(srv).c_str(),
+                    phaseAttributionTable(attributePhases(srv))
                         .toText()
                         .c_str());
         std::printf("\nper-phase latency percentiles "
                     "(span-sourced):\n%s",
-                    spanBreakdownTable(*tracer).toText().c_str());
+                    spanBreakdownTable(srv).toText().c_str());
         ok &= writePerfettoJson(*tracer, trace_out);
         std::printf("\ntrace: %llu records (%llu dropped) -> %s\n",
                     (unsigned long long)tracer->ring().totalRecorded(),
