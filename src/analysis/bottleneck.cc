@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 
-
 namespace vcp {
 
 Table

@@ -100,7 +100,8 @@ StatRegistry::toCsv() const
     std::vector<std::string> cells = sortedKeys(latencies);
     std::size_t i = 0, j = 0;
     while (i < hists.size() || j < cells.size()) {
-        if (j == cells.size() || (i < hists.size() && hists[i] < cells[j])) {
+        if (j == cells.size() ||
+            (i < hists.size() && hists[i] < cells[j])) {
             appendHistogramRows(out, hists[i], *histograms.at(hists[i]));
             ++i;
         } else {

@@ -6,13 +6,14 @@
  * (stat registry) once per finished op, and telemetry its histogram
  * instruments on every sample, so add() has a tighter budget than the
  * general-purpose stats::Histogram (whose Welford update costs a
- * hardware divide per sample).  Durations are integer sim microseconds, which admits an
- * HdrHistogram-style bucketing: the bucket index comes from the
- * sample's most-significant bit plus the next two mantissa bits —
- * quarter-octave buckets (growth 2^(1/4) .. factor ~1.19, in the same
- * accuracy class as the stats histogram's 1.15) computed with a
- * count-leading-zeros instruction instead of a log.  add() is a
- * handful of integer ops: no divide, no float math, no allocation.
+ * hardware divide per sample).  Durations are integer sim
+ * microseconds, which admits an HdrHistogram-style bucketing: the
+ * bucket index comes from the sample's most-significant bit plus the
+ * next two mantissa bits — quarter-octave buckets (growth 2^(1/4) ..
+ * factor ~1.19, in the same accuracy class as the stats histogram's
+ * 1.15) computed with a count-leading-zeros instruction instead of a
+ * log.  add() is a handful of integer ops: no divide, no float math,
+ * no allocation.
  *
  * Mean is exact (integer sum / count); quantiles interpolate within
  * the containing bucket and are clamped to the observed min/max, so

@@ -6,9 +6,9 @@
  * carry: the interned name table for free-form spans and counters and
  * the (op type x phase x error) axes the control plane registers at
  * attach time.  The ring may wrap (the Perfetto export then shows the
- * most recent window).  Exact per-(op, phase) latency is not kept
- * here: the management server's latency cells (stat registry) hold
- * it, fed once per finished op whether or not a tracer is attached.
+ * most recent window).  Per-(op, phase) latency lives in the
+ * management server's latency cells, fed once per finished op
+ * whether or not a tracer is attached.
  *
  * Hot-path contract: recording does not allocate, does not touch the
  * RNG, and does not schedule events, so an attached-but-disabled (or

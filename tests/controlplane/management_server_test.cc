@@ -277,17 +277,6 @@ TEST_F(ServerTest, BytesMovedAccumulatesAcrossOps)
               static_cast<std::uint64_t>(2 * gib(4)));
 }
 
-TEST_F(ServerTest, PhaseCellsPopulated)
-{
-    VmId vm = makeVm(h0, ds0);
-    powerOn(vm);
-    EXPECT_EQ(
-        srv->phaseHistogram(OpType::PowerOn, TaskPhase::HostAgent).count(),
-        1u);
-    EXPECT_GT(srv->phaseHistogram(OpType::PowerOn, TaskPhase::Db).mean(),
-              0.0);
-}
-
 TEST_F(ServerTest, PhaseCellsCountOnlyEnteredPhases)
 {
     VmId vm = makeVm(h0, ds0);
@@ -308,6 +297,7 @@ TEST_F(ServerTest, PhaseCellsCountOnlyEnteredPhases)
     EXPECT_EQ(count(TaskPhase::HostAgent), 1u);
     EXPECT_EQ(count(TaskPhase::Finalize), 1u);
     // The skipped phases' means are the successful op's alone.
+    EXPECT_GT(ok.phaseTime(TaskPhase::Db), 0);
     EXPECT_DOUBLE_EQ(srv->phaseHistogram(OpType::PowerOn, TaskPhase::Db)
                          .mean(),
                      static_cast<double>(ok.phaseTime(TaskPhase::Db)));

@@ -68,27 +68,6 @@ TEST(SpanTracer, InternReturnsStableIds)
     EXPECT_EQ(t.internedNames()[b], "vapp.deploy");
 }
 
-TEST(SpanTracer, PhaseAndOpRecordsCarryTheirAxes)
-{
-    SpanTracer t(cfgCap());
-    setTestAxes(t);
-    t.recordPhase(1, 2, 7, 100, 1000); // clone-full, db
-    t.recordOp(1, 1, 7, 50, 5000);     // clone-full, error "oops"
-
-    auto snap = t.ring().snapshot();
-    ASSERT_EQ(snap.size(), 2u);
-    EXPECT_EQ(snap[0].kind, SpanKind::Phase);
-    EXPECT_EQ(snap[0].op, 1);
-    EXPECT_EQ(snap[0].name, 2);
-    EXPECT_EQ(snap[0].scope, 7);
-    EXPECT_EQ(snap[0].start, 100);
-    EXPECT_EQ(snap[0].duration, 1000);
-    EXPECT_EQ(snap[1].kind, SpanKind::Op);
-    EXPECT_EQ(snap[1].op, 1);
-    EXPECT_EQ(snap[1].name, 1);
-    EXPECT_EQ(snap[1].duration, 5000);
-}
-
 TEST(SpanTracer, RecordKindsLandInRing)
 {
     SpanTracer t(cfgCap());
@@ -97,15 +76,28 @@ TEST(SpanTracer, RecordKindsLandInRing)
     t.recordSpan(name, 42, 10, 5);
     t.recordInstant(name, 43, 20);
     t.recordCounter(name, 30, 17);
+    t.recordPhase(1, 2, 7, 100, 1000); // clone-full, db
+    t.recordOp(1, 1, 7, 50, 5000);     // clone-full, error "oops"
 
     auto snap = t.ring().snapshot();
-    ASSERT_EQ(snap.size(), 3u);
+    ASSERT_EQ(snap.size(), 5u);
     EXPECT_EQ(snap[0].kind, SpanKind::Span);
     EXPECT_EQ(snap[0].scope, 42);
     EXPECT_EQ(snap[1].kind, SpanKind::Instant);
     EXPECT_EQ(snap[1].duration, 0);
     EXPECT_EQ(snap[2].kind, SpanKind::Counter);
     EXPECT_EQ(snap[2].duration, 17); // sampled value rides in duration
+    // Phase and op records carry the op axis, and the phase or error
+    // index in the name field.
+    EXPECT_EQ(snap[3].kind, SpanKind::Phase);
+    EXPECT_EQ(snap[3].op, 1);
+    EXPECT_EQ(snap[3].name, 2);
+    EXPECT_EQ(snap[3].scope, 7);
+    EXPECT_EQ(snap[3].duration, 1000);
+    EXPECT_EQ(snap[4].kind, SpanKind::Op);
+    EXPECT_EQ(snap[4].op, 1);
+    EXPECT_EQ(snap[4].name, 1);
+    EXPECT_EQ(snap[4].duration, 5000);
 }
 
 } // namespace
