@@ -6,7 +6,8 @@
  * deliberate mix of valid and invalid — lets everything drain, and
  * then checks global invariants:
  *
- *   - op accounting: submitted == completed + failed
+ *   - op accounting: submitted == completed + failed == the ops in
+ *     the per-op latency cells, no phase cell above its op's
  *   - no lock, dispatch slot, agent slot, or DB connection leaked
  *   - datastore space equals the sum of resident disk allocations
  *   - host commitments equal the sum of powered-on VM footprints

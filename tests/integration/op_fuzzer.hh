@@ -96,6 +96,22 @@ class OpFuzzer
         EXPECT_GT(srv.opsCompleted(), 0u);
         EXPECT_GT(srv.opsFailed(), 0u); // fuzz must hit error paths
 
+        // Every finished op sits in its type's latency cell once, and
+        // a phase cell counts at most the ops of its type.
+        std::uint64_t in_cells = 0;
+        for (std::size_t o = 0; o < kNumOpTypes; ++o) {
+            auto op = static_cast<OpType>(o);
+            std::uint64_t n = srv.latencyHistogram(op).count();
+            in_cells += n;
+            for (std::size_t p = 0; p < kNumTaskPhases; ++p) {
+                EXPECT_LE(
+                    srv.phaseHistogram(op, static_cast<TaskPhase>(p))
+                        .count(),
+                    n);
+            }
+        }
+        EXPECT_EQ(in_cells, srv.opsCompleted() + srv.opsFailed());
+
         // No execution resource leaked.
         EXPECT_EQ(srv.scheduler().inFlight(), 0);
         EXPECT_EQ(srv.scheduler().queueLength(), 0u);

@@ -161,7 +161,9 @@ def latency(vcpsim, tmp):
     if not table:
         problems.append("no span table on stdout")
 
-    ops = sorted({op for op, _ in table} | set(op_rows))
+    ops = sorted({op for op, _ in table} | set(op_rows) |
+                 {name[len("cp.latency_us."):] for name, _ in stats
+                  if name.startswith("cp.latency_us.")})
     total = 0
     for op in ops:
         cell = int(float(stats.get((f"cp.latency_us.{op}", "count"), 0)))
