@@ -50,7 +50,7 @@ enum class Mode
     Off,         ///< no tracer or telemetry attached
     TracerOnly,  ///< spans only (event-count comparable with Off)
     Full,        ///< spans + periodic gauge sampling, as vcpsim wires it
-    TelemOnly,   ///< telemetry push instruments only (comparable w/ Off)
+    TelemOnly,   ///< telemetry histograms + probes (comparable w/ Off)
     TelemExport, ///< telemetry + sampler + snapshot emitter, as vcpsim
 };
 
@@ -166,8 +166,8 @@ main()
 
     // Zero-perturbation: a span tracer must not change the event
     // stream (recording reads the clock; it never schedules), and
-    // neither may the telemetry push instruments (counters and
-    // histograms update in place at completion sites).
+    // neither may telemetry (histograms update in place at
+    // completion sites; counters are probes, read only on export).
     SliceResult off = runSlice(Mode::Off);
     SliceResult spans = runSlice(Mode::TracerOnly);
     SliceResult telem = runSlice(Mode::TelemOnly);

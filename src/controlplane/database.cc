@@ -35,12 +35,11 @@ InventoryDatabase::setTracer(SpanTracer *t)
 void
 InventoryDatabase::setTelemetry(TelemetryRegistry *reg)
 {
-    telem = reg;
-    if (telem) {
-        int shard = static_cast<int>(sim.shardId());
-        t_txn = telem->counter("db.txn", shard);
-        t_txn_lat = telem->histogram("db.txn_us", shard);
-    }
+    t_txn_lat = nullptr;
+    if (!reg)
+        return;
+    reg->addCounterProbe("db.txn", [this] { return txn_count; });
+    t_txn_lat = reg->histogram("db.txn_us");
 }
 
 void
@@ -100,10 +99,8 @@ InventoryDatabase::step(std::uint32_t idx)
     chains[idx].txn_start = sim.now();
     pool.submit(service, [this, idx] {
         ++txn_count;
-        if (VCP_TELEM_ON(telem)) {
-            t_txn->add(sim.now());
+        if (VCP_TELEM_ON(t_txn_lat))
             t_txn_lat->add(sim.now() - chains[idx].txn_start);
-        }
         if (--chains[idx].remaining > 0) {
             step(idx);
             return;

@@ -27,7 +27,6 @@ namespace vcp {
 class LatencyHistogram;
 class SpanTracer;
 class TelemetryRegistry;
-class WindowedCounter;
 
 /** Sizing of the database model. */
 struct DatabaseConfig
@@ -94,10 +93,10 @@ class InventoryDatabase
      *  sampled on every change.  Pass nullptr to detach. */
     void setTracer(SpanTracer *t);
 
-    /** Attach streaming telemetry: each committed transaction then
-     *  feeds the "db.txn" counter and "db.txn_us" latency histogram
-     *  (queue wait + service per transaction).  Pass nullptr to
-     *  detach. */
+    /** Attach streaming telemetry: registers the "db.txn" counter
+     *  (reads txnsCommitted()), and each committed transaction then
+     *  feeds the "db.txn_us" latency histogram (queue wait + service
+     *  per transaction).  Pass nullptr to detach the histogram. */
     void setTelemetry(TelemetryRegistry *reg);
 
   private:
@@ -129,8 +128,6 @@ class InventoryDatabase
     std::vector<std::uint32_t> stalled_chains;
     SpanTracer *tracer = nullptr;
     std::uint16_t chains_name = 0;
-    TelemetryRegistry *telem = nullptr;
-    WindowedCounter *t_txn = nullptr;
     LatencyHistogram *t_txn_lat = nullptr;
 };
 

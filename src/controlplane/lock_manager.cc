@@ -24,13 +24,13 @@ LockManager::setTracer(SpanTracer *t)
 void
 LockManager::setTelemetry(TelemetryRegistry *reg)
 {
-    telem = reg;
-    if (telem) {
-        int shard = static_cast<int>(sim.shardId());
-        t_grant = telem->counter("locks.grant", shard);
-        t_contended = telem->counter("locks.contended", shard);
-        t_wait = telem->histogram("locks.wait_us", shard);
-    }
+    t_wait = nullptr;
+    if (!reg)
+        return;
+    reg->addCounterProbe("locks.grant", [this] { return grant_count; });
+    reg->addCounterProbe("locks.contended",
+                         [this] { return contended_count; });
+    t_wait = reg->histogram("locks.wait_us");
 }
 
 bool
@@ -121,15 +121,12 @@ LockManager::acquireStep(const std::shared_ptr<AcquireCtx> &ctx)
         // are the overwhelming majority and carry no information.
         if (waited > 0 && VCP_TRACER_ON(tracer))
             tracer->recordSpan(wait_name, 0, ctx->started, waited);
-        if (VCP_TELEM_ON(telem)) {
-            t_grant->add(sim.now());
-            // Only contended waits carry information: uncontended
-            // grants are the overwhelming majority and would drown
-            // the wait histogram in zeros.
-            if (waited > 0) {
-                t_contended->add(sim.now());
+        // Likewise only contended waits feed the wait histogram:
+        // zeros would drown it.
+        if (waited > 0) {
+            ++contended_count;
+            if (VCP_TELEM_ON(t_wait))
                 t_wait->add(waited);
-            }
         }
         ++grant_count;
         InlineAction done = std::move(ctx->granted);

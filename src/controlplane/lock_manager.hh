@@ -32,7 +32,6 @@ namespace vcp {
 class LatencyHistogram;
 class SpanTracer;
 class TelemetryRegistry;
-class WindowedCounter;
 
 /** Lock compatibility modes. */
 enum class LockMode
@@ -123,13 +122,17 @@ class LockManager
     /** Total acquireAll calls granted so far. */
     std::uint64_t grants() const { return grant_count; }
 
+    /** Grants that waited for a lock (waited > 0) so far. */
+    std::uint64_t contended() const { return contended_count; }
+
     /** Attach a span tracer: contended acquisitions (wait > 0) then
      *  record a "lock.wait" span.  Pass nullptr to detach. */
     void setTracer(SpanTracer *t);
 
-    /** Attach streaming telemetry: grants feed the "locks.grant" /
-     *  "locks.contended" counters and contended waits feed the
-     *  "locks.wait_us" histogram.  Pass nullptr to detach. */
+    /** Attach streaming telemetry: registers the "locks.grant" and
+     *  "locks.contended" counters (read grants() and contended()),
+     *  and contended waits then feed the "locks.wait_us" histogram.
+     *  Pass nullptr to detach the histogram. */
     void setTelemetry(TelemetryRegistry *reg);
 
     /** Distinct keys currently locked (telemetry gauge probe). */
@@ -175,11 +178,9 @@ class LockManager
     Simulator &sim;
     std::map<LockKey, Entry> table;
     std::uint64_t grant_count = 0;
+    std::uint64_t contended_count = 0;
     SpanTracer *tracer = nullptr;
     std::uint16_t wait_name = 0;
-    TelemetryRegistry *telem = nullptr;
-    WindowedCounter *t_grant = nullptr;
-    WindowedCounter *t_contended = nullptr;
     LatencyHistogram *t_wait = nullptr;
 };
 

@@ -297,8 +297,6 @@ ManagementServer::disconnectHost(HostId h)
     if (!disconnects_stat)
         disconnects_stat = &stats.counter("agent.disconnects");
     disconnects_stat->inc();
-    if (VCP_TELEM_ON(telem_))
-        t_disconnects->add(sim.now());
 }
 
 void
@@ -383,14 +381,8 @@ ManagementServer::reconcileResync(std::uint32_t idx)
         }
         residency_fixed_stat->inc(fixed);
     }
-    if (VCP_TELEM_ON(telem_)) {
-        t_reconcile->add(sim.now());
-        if (resumed > 0) {
-            t_reconcile_resumed->add(
-                sim.now(), static_cast<std::uint64_t>(resumed));
-        }
+    if (VCP_TELEM_ON(t_reconcile_lat))
         t_reconcile_lat->add(sim.now() - rc.started);
-    }
 
     InlineAction done = std::move(rc.done);
     reconcile_free.push_back(idx);
@@ -485,22 +477,28 @@ ManagementServer::attachTracer(SpanTracer *t)
 void
 ManagementServer::attachTelemetry(TelemetryRegistry *reg)
 {
-    telem_ = reg;
     sched.setTelemetry(reg);
     locks.setTelemetry(reg);
     db.setTelemetry(reg);
-    if (telem_) {
-        int shard = static_cast<int>(sim.shardId());
-        t_op = telem_->counter("cp.op", shard);
-        t_op_failed = telem_->counter("cp.op_failed", shard);
-        t_op_lat = telem_->histogram("cp.op_us", shard);
-        t_disconnects = telem_->counter("agent.disconnects", shard);
-        t_reconcile = telem_->counter("agent.reconcile.runs", shard);
-        t_reconcile_resumed =
-            telem_->counter("agent.reconcile.resumed_ops", shard);
-        t_reconcile_lat =
-            telem_->histogram("agent.reconcile.us", shard);
-    }
+    t_op_lat = t_reconcile_lat = nullptr;
+    if (!reg)
+        return;
+    t_op_lat = reg->histogram("cp.op_us");
+    t_reconcile_lat = reg->histogram("agent.reconcile.us");
+    reg->addCounterProbe("agent.disconnects",
+                         [this] { return agent_disconnects; });
+    reg->addCounterProbe("agent.reconcile.runs",
+                         [this] { return reconcile_runs; });
+    reg->addCounterProbe("agent.reconcile.resumed_ops",
+                         [this] { return reconcile_resumed; });
+    reg->addCounterProbe("cp.ops_submitted",
+                         [this] { return submitted_ops; });
+    reg->addCounterProbe("cp.ops_completed",
+                         [this] { return completed_ops; });
+    reg->addCounterProbe("cp.ops_failed", [this] { return failed_ops; });
+    reg->addCounterProbe("cp.bytes_moved", [this] {
+        return static_cast<std::uint64_t>(bytes_moved);
+    });
 }
 
 int
@@ -769,12 +767,8 @@ ManagementServer::finish(CtxPtr ctx, TaskError err)
         errorCounter(err).inc();
     }
     recordLatency(t);
-    if (VCP_TELEM_ON(telem_)) {
-        t_op->add(sim.now());
-        if (err != TaskError::None)
-            t_op_failed->add(sim.now());
+    if (VCP_TELEM_ON(t_op_lat))
         t_op_lat->add(t.latency());
-    }
 
     // Dispatch charged the Queue phase; a rate-limited reject never
     // reached the scheduler and holds no slot.  The hand-off may

@@ -240,16 +240,17 @@ class ManagementServer
     SpanTracer *tracer() const { return tracer_; }
 
     /**
-     * Attach the streaming-telemetry registry.  Creates the server's
-     * own instruments ("cp.op" counter, "cp.op_failed" counter,
-     * "cp.op_us" end-to-end latency histogram) and propagates the
-     * registry to the scheduler, lock manager, and database.  Pass
-     * nullptr to detach; every push site then costs one branch.
+     * Attach the streaming-telemetry registry and propagate it to the
+     * scheduler, lock manager, and database.  Registers the server's
+     * counters, which read its lifetime integers ("cp.ops_submitted",
+     * "cp.ops_completed", "cp.ops_failed", "cp.bytes_moved",
+     * "agent.disconnects", "agent.reconcile.runs",
+     * "agent.reconcile.resumed_ops"), and creates its histograms
+     * ("cp.op_us" end-to-end latency, "agent.reconcile.us").  Pass
+     * nullptr to detach the histograms; every push site then costs
+     * one branch.
      */
     void attachTelemetry(TelemetryRegistry *reg);
-
-    /** The attached telemetry registry, or nullptr. */
-    TelemetryRegistry *telemetry() const { return telem_; }
 
     /**
      * @{ Aggregates over the per-host agents and per-datastore slot
@@ -440,13 +441,7 @@ class ManagementServer
 
     TaskCallback task_observer;
     SpanTracer *tracer_ = nullptr;
-    TelemetryRegistry *telem_ = nullptr;
-    WindowedCounter *t_op = nullptr;
-    WindowedCounter *t_op_failed = nullptr;
     LatencyHistogram *t_op_lat = nullptr;
-    WindowedCounter *t_disconnects = nullptr;
-    WindowedCounter *t_reconcile = nullptr;
-    WindowedCounter *t_reconcile_resumed = nullptr;
     LatencyHistogram *t_reconcile_lat = nullptr;
     std::uint16_t sub_agent_wait_ = 0;
     std::uint16_t sub_agent_exec_ = 0;

@@ -33,12 +33,11 @@ TaskScheduler::TaskScheduler(Simulator &sim_, SchedPolicy policy,
 void
 TaskScheduler::setTelemetry(TelemetryRegistry *reg)
 {
-    telem = reg;
-    if (telem) {
-        int shard = static_cast<int>(sim.shardId());
-        t_dispatch = telem->counter("sched.dispatch", shard);
-        t_wait = telem->histogram("sched.wait_us", shard);
-    }
+    t_wait = nullptr;
+    if (!reg)
+        return;
+    reg->addCounterProbe("sched.dispatch", [this] { return dispatch_count; });
+    t_wait = reg->histogram("sched.wait_us");
 }
 
 void
@@ -123,10 +122,8 @@ TaskScheduler::drain()
         ++running;
         ++dispatch_count;
         w.task->addPhaseTime(TaskPhase::Queue, sim.now() - w.enqueued);
-        if (VCP_TELEM_ON(telem)) {
-            t_dispatch->add(sim.now());
+        if (VCP_TELEM_ON(t_wait))
             t_wait->add(sim.now() - w.enqueued);
-        }
         if (VCP_TRACER_ON(tracer)) {
             tracer->recordPhase(
                 static_cast<std::uint8_t>(w.task->type()),

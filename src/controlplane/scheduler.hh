@@ -28,7 +28,6 @@ namespace vcp {
 class LatencyHistogram;
 class SpanTracer;
 class TelemetryRegistry;
-class WindowedCounter;
 
 /** Dispatch-ordering policies. */
 enum class SchedPolicy
@@ -77,9 +76,10 @@ class TaskScheduler
      *  Queue-phase span.  Pass nullptr to detach. */
     void setTracer(SpanTracer *t) { tracer = t; }
 
-    /** Attach streaming telemetry: each dispatch then feeds the
-     *  "sched.dispatch" counter and "sched.wait_us" histogram.
-     *  Pass nullptr to detach. */
+    /** Attach streaming telemetry: registers the "sched.dispatch"
+     *  counter (reads dispatched()), and each dispatch then feeds
+     *  the "sched.wait_us" histogram.  Pass nullptr to detach the
+     *  histogram. */
     void setTelemetry(TelemetryRegistry *reg);
 
     /**
@@ -126,8 +126,6 @@ class TaskScheduler
     TenantId rr_cursor;
 
     SpanTracer *tracer = nullptr;
-    TelemetryRegistry *telem = nullptr;
-    WindowedCounter *t_dispatch = nullptr;
     LatencyHistogram *t_wait = nullptr;
 };
 

@@ -184,34 +184,28 @@ SnapshotEmitter::renderSnapshot(const std::vector<ResourceUtilization> &u)
         appendInt(j, v);
     };
 
-    // Counters: instrument series (merged across shards) first, then
-    // counter probes, both rendered with the same shape.
-    auto counterEntry = [&](std::string_view key, std::uint64_t total,
-                            std::uint64_t window, double rate) {
-        member(key);
-        count("{\"total\":", total);
-        count(",\"window\":", window);
-        num(",\"rate_per_s\":", rate);
-        j += '}';
+    // A counter probe's reading, and its change since the previous
+    // snapshot: the window.
+    auto read = [](TelemetryRegistry::CounterProbe &p) {
+        std::uint64_t cur = p.fn();
+        std::uint64_t delta = cur >= p.prev ? cur - p.prev : 0;
+        p.prev = cur;
+        return std::pair(cur, delta);
     };
+
     j += ",\"counters\":{";
     std::size_t i = 0;
-    reg.forEachCounter(
-        [&](const std::string &name, const WindowedCounter &m) {
-            counterEntry(counter_keys.at(i++, name), m.total(),
-                         m.inWindow(now), m.ratePerSec(now));
-        });
-    i = 0;
     for (auto &p : reg.counterProbes()) {
         const std::string &key = probe_keys.at(i++, p.name);
         if (p.shard_scoped)
             continue;
-        std::uint64_t cur = p.fn();
-        std::uint64_t delta = cur >= p.prev ? cur - p.prev : 0;
-        p.prev = cur;
-        counterEntry(key, cur, delta,
-                     dt_s > 0 ? static_cast<double>(delta) / dt_s
-                              : 0.0);
+        auto [cur, delta] = read(p);
+        member(key);
+        count("{\"total\":", cur);
+        count(",\"window\":", delta);
+        num(",\"rate_per_s\":",
+            dt_s > 0 ? static_cast<double>(delta) / dt_s : 0.0);
+        j += '}';
     }
     j += '}';
 
@@ -245,7 +239,7 @@ SnapshotEmitter::renderSnapshot(const std::vector<ResourceUtilization> &u)
     }
     j += '}';
 
-    // Histograms: merged cells, HDR-style quantiles.
+    // Histograms: HDR-style quantiles.
     j += ",\"hists\":{";
     first = true;
     i = 0;
@@ -272,9 +266,7 @@ SnapshotEmitter::renderSnapshot(const std::vector<ResourceUtilization> &u)
         const std::string &key = probe_keys.at(i++, p.name);
         if (!p.shard_scoped)
             continue;
-        std::uint64_t cur = p.fn();
-        std::uint64_t delta = cur >= p.prev ? cur - p.prev : 0;
-        p.prev = cur;
+        auto [cur, delta] = read(p);
         member(key);
         count("{\"total\":", cur);
         count(",\"window\":", delta);
@@ -299,7 +291,6 @@ SnapshotEmitter::writeProm(const std::vector<ResourceUtilization> &u)
 {
     if (prom_path.empty())
         return true;
-    SimTime now = sim.now();
 
     std::string &t = prom;
     t.clear();
@@ -330,13 +321,6 @@ SnapshotEmitter::writeProm(const std::vector<ResourceUtilization> &u)
         t += '\n';
     };
 
-    reg.forEachCounter(
-        [&](const std::string &name, const WindowedCounter &m) {
-            typed("vcp_", name, "_total", "counter");
-            count(m.total());
-            typed("vcp_", name, "_rate_per_s", "gauge");
-            num(m.ratePerSec(now));
-        });
     for (const auto &p : reg.counterProbes()) {
         typed("vcp_", p.name, "_total", "counter");
         count(p.fn());

@@ -2,17 +2,16 @@
  * @file
  * Periodic telemetry snapshot emitter.
  *
- * Every interval the emitter polls the registry's probes, merges the
- * per-shard instrument cells, and writes one newline-delimited JSON
- * object to the metrics stream; alongside it rewrites a Prometheus
- * text-exposition file so an external scraper always sees the latest
- * state.  Like the GaugeSampler, it only schedules sim events once
- * start() is called — a run without metrics keeps a byte-identical
- * event stream.
+ * Every interval the emitter polls the registry's probes, reads its
+ * histograms, and writes one newline-delimited JSON object to the
+ * metrics stream; alongside it rewrites a Prometheus text-exposition
+ * file so an external scraper always sees the latest state.  Like the
+ * GaugeSampler, it only schedules sim events once start() is called —
+ * a run without metrics keeps a byte-identical event stream.
  *
  * Layout contract: the "shards" key is always the LAST key of a
- * snapshot object.  Everything before it is derived from merged
- * (shard-independent) state, so two runs of the same workload with
+ * snapshot object.  Everything before it is derived from
+ * shard-independent state, so two runs of the same workload with
  * different --parallel-shards produce identical snapshot prefixes up
  * to `,"shards":` — the determinism tests rely on this.
  *
@@ -130,7 +129,7 @@ class SnapshotEmitter
         /** Key of series @p i, whose name is @p name. */
         const std::string &at(std::size_t i, std::string_view name);
     };
-    KeyCache counter_keys, probe_keys, gauge_keys, hist_keys;
+    KeyCache probe_keys, gauge_keys, hist_keys;
 
     /** One (name, count) per resource, plus "none" for idle windows. */
     std::vector<std::pair<std::string, std::uint64_t>> wins;

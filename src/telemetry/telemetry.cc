@@ -1,50 +1,21 @@
 #include "telemetry/telemetry.hh"
 
 #include <algorithm>
-#include <type_traits>
 
 namespace vcp {
 
 TelemetryRegistry::TelemetryRegistry(SimDuration window)
-    : window_(std::max<SimDuration>(window, WindowedCounter::kSlots))
+    : window_(window)
 {}
 
-template <typename T>
-T *
-TelemetryRegistry::cellFor(Series<T> &s, int shard, SimDuration window)
-{
-    if (shard < 0)
-        shard = 0;
-    auto idx = static_cast<std::size_t>(shard);
-    if (s.cells.size() <= idx)
-        s.cells.resize(idx + 1);
-    if (!s.cells[idx]) {
-        if constexpr (std::is_same_v<T, WindowedCounter>)
-            s.cells[idx] = std::make_unique<T>(window);
-        else
-            s.cells[idx] = std::make_unique<T>();
-    }
-    return s.cells[idx].get();
-}
-
-WindowedCounter *
-TelemetryRegistry::counter(const std::string &name, int shard)
-{
-    for (auto &s : counters_)
-        if (s.name == name)
-            return cellFor(s, shard, window_);
-    counters_.push_back({name, {}});
-    return cellFor(counters_.back(), shard, window_);
-}
-
 LatencyHistogram *
-TelemetryRegistry::histogram(const std::string &name, int shard)
+TelemetryRegistry::histogram(const std::string &name)
 {
     for (auto &s : hists_)
         if (s.name == name)
-            return cellFor(s, shard, window_);
-    hists_.push_back({name, {}});
-    return cellFor(hists_.back(), shard, window_);
+            return s.hist.get();
+    hists_.push_back({name, std::make_unique<LatencyHistogram>()});
+    return hists_.back().hist.get();
 }
 
 TelemetryRegistry::GaugeSeries &
@@ -110,44 +81,22 @@ TelemetryRegistry::sampleGauges(SimTime now)
         p.sink->sample(now, static_cast<double>(p.fn()));
 }
 
-WindowedCounter
+TelemetryRegistry::CounterReading
 TelemetryRegistry::mergedCounter(const std::string &name) const
 {
-    WindowedCounter out(window_);
-    for (const auto &s : counters_)
-        if (s.name == name)
-            return merged(s, out);
-    return out;
+    for (const auto &p : cprobes_)
+        if (p.name == name)
+            return {p.fn()};
+    return {};
 }
 
 LatencyHistogram
 TelemetryRegistry::mergedHistogram(const std::string &name) const
 {
-    LatencyHistogram out;
     for (const auto &s : hists_)
         if (s.name == name)
-            return merged(s, out);
-    return out;
-}
-
-std::vector<std::string>
-TelemetryRegistry::counterNames() const
-{
-    std::vector<std::string> out;
-    out.reserve(counters_.size());
-    for (const auto &s : counters_)
-        out.push_back(s.name);
-    return out;
-}
-
-std::vector<std::string>
-TelemetryRegistry::histogramNames() const
-{
-    std::vector<std::string> out;
-    out.reserve(hists_.size());
-    for (const auto &s : hists_)
-        out.push_back(s.name);
-    return out;
+            return *s.hist;
+    return {};
 }
 
 const DecayingGauge *
@@ -162,32 +111,15 @@ TelemetryRegistry::findGauge(const std::string &name) const
 std::size_t
 TelemetryRegistry::numInstruments() const
 {
-    std::size_t n = gauges_.size() + (utils_ ? 1 : 0) + cprobes_.size()
-        + gprobes_.size();
-    for (const auto &s : counters_)
-        for (const auto &c : s.cells)
-            if (c)
-                ++n;
-    for (const auto &s : hists_)
-        for (const auto &c : s.cells)
-            if (c)
-                ++n;
-    return n;
+    return hists_.size() + gauges_.size() + (utils_ ? 1 : 0)
+        + cprobes_.size() + gprobes_.size();
 }
 
 std::size_t
 TelemetryRegistry::footprintBytes() const
 {
-    std::size_t b = gauges_.size() * sizeof(DecayingGauge);
-    for (const auto &s : counters_)
-        for (const auto &c : s.cells)
-            if (c)
-                b += sizeof(WindowedCounter);
-    for (const auto &s : hists_)
-        for (const auto &c : s.cells)
-            if (c)
-                b += sizeof(LatencyHistogram);
-    return b;
+    return hists_.size() * sizeof(LatencyHistogram)
+        + gauges_.size() * sizeof(DecayingGauge);
 }
 
 } // namespace vcp

@@ -1,21 +1,23 @@
 /**
  * @file
- * TelemetryRegistry: named streaming instruments plus polled probes.
+ * TelemetryRegistry: pushed histograms plus polled probes.
  *
  * The registry is the observation API for the whole simulator.  Hot
- * paths hold raw instrument pointers obtained once at attach time and
- * feed them with a couple of integer ops per event; cold paths
- * (snapshot emitter, gauge sampler) walk the registry to read merged
- * views.  Memory is O(registered instruments) — independent of run
+ * paths hold raw histogram pointers obtained once at attach time and
+ * feed them with a few integer ops per event; cold paths (snapshot
+ * emitter, gauge sampler) walk the registry to read them.  Counters
+ * are never pushed: each one is a probe reading the monotone integer
+ * its component already keeps, registered in the component's attach
+ * call.  Memory is O(registered instruments) — independent of run
  * length, event count, and entity count — because every instrument is
  * one of the fixed-footprint primitives in instruments.hh.
  *
- * Sharding: counter and histogram series allocate one cell per shard
- * (`counter(name, shard)`), so shard workers write without
- * synchronization; export merges the cells into one unified series.
- * A serial run (everything in shard 0) therefore emits the same
- * series names, and — because Merge-mode sharded execution is
- * byte-identical to serial — the same values for any shard count.
+ * One kernel feeds a registry: a CloudSimulation's components all run
+ * on its control shard, and a threaded federation gives each domain
+ * its own registry.  So every series is one instrument, written
+ * without synchronization, and a run emits the same series names and
+ * values for any --parallel-shards count (Merge-mode sharded execution
+ * is byte-identical to serial).
  *
  * Hot-path guard: like VCP_TRACER_ON for spans, the VCP_TELEM_ON(p)
  * macro compiles to `false` under -DVCP_TELEMETRY_DISABLED=1, letting
@@ -30,7 +32,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include "sim/types.hh"
@@ -62,13 +63,13 @@ struct ResourceUtilization
     double utilization = 0.0;
 };
 
-/** Named instrument store with per-shard cells and polled probes. */
+/** Named instrument store: pushed histograms and polled probes. */
 class TelemetryRegistry
 {
   public:
     /**
-     * @param window sliding-window width for counters/rates; also
-     *        the EWMA time constant for gauges.
+     * @param window the EWMA time constant for gauges (vcpsim passes
+     *        its snapshot interval).
      */
     explicit TelemetryRegistry(SimDuration window = seconds(60));
 
@@ -76,15 +77,12 @@ class TelemetryRegistry
     TelemetryRegistry &operator=(const TelemetryRegistry &) = delete;
 
     /**
-     * Get-or-create the cell of counter series @p name for @p shard.
-     * The returned pointer is stable for the registry's lifetime.
+     * Get-or-create histogram series @p name.  The returned pointer
+     * is stable for the registry's lifetime.
      */
-    WindowedCounter *counter(const std::string &name, int shard = 0);
+    LatencyHistogram *histogram(const std::string &name);
 
-    /** Get-or-create the histogram cell of series @p name for @p shard. */
-    LatencyHistogram *histogram(const std::string &name, int shard = 0);
-
-    /** Get-or-create the (unsharded) decaying gauge @p name. */
+    /** Get-or-create the decaying gauge @p name. */
     DecayingGauge *gauge(const std::string &name);
 
     /**
@@ -110,9 +108,11 @@ class TelemetryRegistry
     std::vector<ResourceUtilization> utilizations() const;
 
     /**
-     * Register a monotone-counter probe for a value maintained
-     * elsewhere (completed ops, reroutes).  The emitter differences
-     * consecutive reads to derive the windowed rate.
+     * Register counter @p name: a probe reading a monotone integer
+     * its component keeps (dispatches, grants, completed ops).  The
+     * emitter differences consecutive reads, so a window holds
+     * exactly the events since the previous snapshot.  Register each
+     * name once: the export renders one entry per probe.
      */
     void addCounterProbe(const std::string &name,
                          std::function<std::uint64_t()> fn,
@@ -121,40 +121,31 @@ class TelemetryRegistry
     /** Poll every gauge probe into its DecayingGauge at @p now. */
     void sampleGauges(SimTime now);
 
-    /** Merged (cross-shard) view of counter series @p name. */
-    WindowedCounter mergedCounter(const std::string &name) const;
+    /** A counter read at one instant. */
+    struct CounterReading
+    {
+        std::uint64_t value = 0;
+        std::uint64_t total() const { return value; }
+    };
 
-    /** Merged (cross-shard) view of histogram series @p name. */
+    /** Read counter probe @p name now (zero when none has that name). */
+    CounterReading mergedCounter(const std::string &name) const;
+
+    /** A copy of histogram series @p name (empty when unregistered). */
     LatencyHistogram mergedHistogram(const std::string &name) const;
 
     // --- enumeration (snapshot emitter / tests) -------------------
 
-    std::vector<std::string> counterNames() const;
-    std::vector<std::string> histogramNames() const;
     const DecayingGauge *findGauge(const std::string &name) const;
 
-    /**
-     * Call f(name, merged) for every counter series, in registration
-     * order.  A series with a single cell passes that cell itself;
-     * otherwise its cells are merged into a scratch counter.
-     */
-    template <typename F>
-    void
-    forEachCounter(F &&f) const
-    {
-        WindowedCounter scratch(window_);
-        for (const auto &s : counters_)
-            f(s.name, merged(s, scratch));
-    }
-
-    /** Like forEachCounter, for the histogram series. */
+    /** Call f(name, histogram) for every histogram series, in
+     *  registration order. */
     template <typename F>
     void
     forEachHistogram(F &&f) const
     {
-        LatencyHistogram scratch;
         for (const auto &s : hists_)
-            f(s.name, merged(s, scratch));
+            f(s.name, *s.hist);
     }
 
     /**
@@ -192,25 +183,21 @@ class TelemetryRegistry
 
     // --- footprint (O(1)-memory acceptance test) ------------------
 
-    /** Number of instrument cells + probes registered. */
+    /** Number of instruments + probes registered. */
     std::size_t numInstruments() const;
 
     /**
-     * Bytes held by instrument cells.  Proxy for RSS growth: two runs
+     * Bytes held by instruments.  Proxy for RSS growth: two runs
      * with the same instrument set report the same footprint no
      * matter how long they ran.
      */
     std::size_t footprintBytes() const;
 
-    SimDuration window() const { return window_; }
-
   private:
-    template <typename T>
-    struct Series
+    struct HistSeries
     {
         std::string name;
-        /** One cell per shard, created on demand; stable addresses. */
-        std::vector<std::unique_ptr<T>> cells;
+        std::unique_ptr<LatencyHistogram> hist;
     };
 
     struct GaugeSeries
@@ -220,48 +207,16 @@ class TelemetryRegistry
         bool shard_scoped = false;
     };
 
-    template <typename T>
-    static T *cellFor(Series<T> &s, int shard, SimDuration window);
-
     /** Get-or-create the gauge series @p name. */
     GaugeSeries &gaugeSeries(const std::string &name);
 
-    /** Series @p s as one instrument: its only cell, or @p scratch. */
-    template <typename T>
-    const T &merged(const Series<T> &s, T &scratch) const;
-
     SimDuration window_;
-    std::vector<Series<WindowedCounter>> counters_;
-    std::vector<Series<LatencyHistogram>> hists_;
+    std::vector<HistSeries> hists_;
     std::vector<GaugeSeries> gauges_;
     std::function<std::vector<ResourceUtilization>()> utils_;
     std::vector<CounterProbe> cprobes_;
     std::vector<GaugeProbe> gprobes_;
 };
-
-template <typename T>
-const T &
-TelemetryRegistry::merged(const Series<T> &s, T &scratch) const
-{
-    const T *only = nullptr;
-    std::size_t live = 0;
-    for (const auto &c : s.cells) {
-        if (c) {
-            only = c.get();
-            ++live;
-        }
-    }
-    if (live == 1)
-        return *only;
-    if constexpr (std::is_same_v<T, WindowedCounter>)
-        scratch = WindowedCounter(window_);
-    else
-        scratch = T();
-    for (const auto &c : s.cells)
-        if (c)
-            scratch.merge(*c);
-    return scratch;
-}
 
 } // namespace vcp
 

@@ -1,6 +1,7 @@
 #include "workload/chaos.hh"
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/logging.hh"
@@ -193,22 +194,27 @@ ChaosEngine::quiesce()
 void
 ChaosEngine::attachTelemetry(TelemetryRegistry *reg)
 {
-    telem = reg;
-    if (!telem)
+    t_recovery_us = nullptr;
+    if (!reg)
         return;
-    // Instruments are created eagerly so every configured family's
-    // series exists (at zero) from the first snapshot on, whether or
-    // not its lane ever fires.
-    int shard = static_cast<int>(sim.shardId());
-    t_injected = telem->counter("chaos.injected", shard);
-    t_recovered = telem->counter("chaos.recovered", shard);
-    t_recovery_us = telem->histogram("chaos.recovery_us", shard);
+    // Every configured family's series exists (at zero) from the
+    // first snapshot on, whether or not its lane ever fires.
+    reg->addCounterProbe("chaos.injected",
+                         [this] { return injected_total; });
+    reg->addCounterProbe("chaos.recovered",
+                         [this] { return recovered_total; });
+    t_recovery_us = reg->histogram("chaos.recovery_us");
+    std::array<bool, kNumFaultFamilies> registered{};
     for (const Lane &l : lanes) {
         std::size_t f = static_cast<std::size_t>(l.spec.family);
+        if (std::exchange(registered[f], true))
+            continue;
         std::string base =
             std::string("chaos.") + faultFamilyName(l.spec.family);
-        t_fam_injected[f] = telem->counter(base + ".injected", shard);
-        t_fam_recovered[f] = telem->counter(base + ".recovered", shard);
+        reg->addCounterProbe(base + ".injected",
+                             [this, f] { return fam_stats[f].injected; });
+        reg->addCounterProbe(base + ".recovered",
+                             [this, f] { return fam_stats[f].recovered; });
     }
 }
 
@@ -280,10 +286,6 @@ ChaosEngine::countInjected(FaultFamily family)
     std::size_t f = static_cast<std::size_t>(family);
     ++fam_stats[f].injected;
     ++injected_total;
-    if (VCP_TELEM_ON(telem)) {
-        t_injected->add(sim.now());
-        t_fam_injected[f]->add(sim.now());
-    }
 }
 
 void
@@ -294,11 +296,8 @@ ChaosEngine::countRecovered(FaultFamily family, SimTime injected_at)
     ++recovered_total;
     fam_stats[f].recovery_us.add(
         static_cast<double>(sim.now() - injected_at));
-    if (VCP_TELEM_ON(telem)) {
-        t_recovered->add(sim.now());
-        t_fam_recovered[f]->add(sim.now());
+    if (VCP_TELEM_ON(t_recovery_us))
         t_recovery_us->add(sim.now() - injected_at);
-    }
 }
 
 void

@@ -40,7 +40,6 @@ namespace vcp {
 
 class LatencyHistogram;
 class TelemetryRegistry;
-class WindowedCounter;
 
 /** Fault families the engine can inject. */
 enum class FaultFamily : std::uint8_t
@@ -146,9 +145,10 @@ class ChaosEngine
 
     /** Attach streaming telemetry: "chaos.injected"/"chaos.recovered"
      *  counters, a "chaos.recovery_us" histogram, and per-configured-
-     *  family "chaos.<family>.injected/.recovered" counters (created
-     *  eagerly so the series exist from the first snapshot).  Pass
-     *  nullptr to detach. */
+     *  family "chaos.<family>.injected/.recovered" counters (one pair
+     *  per family, however many lanes share it).  The counters read
+     *  injected(), recovered() and familyStats().  Pass nullptr to
+     *  detach the histogram. */
     void attachTelemetry(TelemetryRegistry *reg);
 
     /** @{ Accounting. */
@@ -209,14 +209,8 @@ class ChaosEngine
     std::uint64_t injected_total = 0;
     std::uint64_t recovered_total = 0;
 
-    /** @{ Telemetry instruments (null when detached). */
-    TelemetryRegistry *telem = nullptr;
-    WindowedCounter *t_injected = nullptr;
-    WindowedCounter *t_recovered = nullptr;
+    /** Telemetry recovery histogram (null when detached). */
     LatencyHistogram *t_recovery_us = nullptr;
-    std::array<WindowedCounter *, kNumFaultFamilies> t_fam_injected{};
-    std::array<WindowedCounter *, kNumFaultFamilies> t_fam_recovered{};
-    /** @} */
 };
 
 } // namespace vcp

@@ -200,29 +200,53 @@ CloudSimulation::enableTracing(SpanTracer *tracer)
     cloud_.attachTracer(tracer);
 }
 
+namespace {
+
+/** A control-plane load level, read off the management server. */
+struct StandardGauge
+{
+    const char *name;
+    std::int64_t (*read)(ManagementServer &);
+};
+
+/** The levels both addStandardGauges() and enableTelemetry() poll. */
+constexpr StandardGauge kStandardGauges[] = {
+    {"api.queue",
+     [](ManagementServer &s) {
+         return static_cast<std::int64_t>(s.apiCenter().queueLength());
+     }},
+    {"api.busy",
+     [](ManagementServer &s) {
+         return static_cast<std::int64_t>(s.apiCenter().busyServers());
+     }},
+    {"sched.queue",
+     [](ManagementServer &s) {
+         return static_cast<std::int64_t>(s.scheduler().queueLength());
+     }},
+    {"sched.running",
+     [](ManagementServer &s) {
+         return static_cast<std::int64_t>(s.scheduler().inFlight());
+     }},
+    {"db.queue",
+     [](ManagementServer &s) {
+         return static_cast<std::int64_t>(
+             s.database().center().queueLength());
+     }},
+    {"db.busy",
+     [](ManagementServer &s) {
+         return static_cast<std::int64_t>(
+             s.database().center().busyServers());
+     }},
+};
+
+} // namespace
+
 void
 CloudSimulation::addStandardGauges(GaugeSampler &sampler)
 {
-    sampler.addGauge("api.queue", [this] {
-        return static_cast<std::int64_t>(srv_.apiCenter().queueLength());
-    });
-    sampler.addGauge("api.busy", [this] {
-        return static_cast<std::int64_t>(srv_.apiCenter().busyServers());
-    });
-    sampler.addGauge("sched.queue", [this] {
-        return static_cast<std::int64_t>(srv_.scheduler().queueLength());
-    });
-    sampler.addGauge("sched.running", [this] {
-        return static_cast<std::int64_t>(srv_.scheduler().inFlight());
-    });
-    sampler.addGauge("db.queue", [this] {
-        return static_cast<std::int64_t>(
-            srv_.database().center().queueLength());
-    });
-    sampler.addGauge("db.busy", [this] {
-        return static_cast<std::int64_t>(
-            srv_.database().center().busyServers());
-    });
+    for (const StandardGauge &g : kStandardGauges)
+        sampler.addGauge(g.name,
+                         [this, read = g.read] { return read(srv_); });
 }
 
 void
@@ -234,26 +258,9 @@ CloudSimulation::enableTelemetry(TelemetryRegistry *reg)
 
     // Queue-depth / occupancy gauges.  Sampled on the cold snapshot
     // (and sampler) path, so probes may walk aggregates.
-    reg->addGaugeProbe("api.queue", [this] {
-        return static_cast<std::int64_t>(srv_.apiCenter().queueLength());
-    });
-    reg->addGaugeProbe("api.busy", [this] {
-        return static_cast<std::int64_t>(srv_.apiCenter().busyServers());
-    });
-    reg->addGaugeProbe("sched.queue", [this] {
-        return static_cast<std::int64_t>(srv_.scheduler().queueLength());
-    });
-    reg->addGaugeProbe("sched.running", [this] {
-        return static_cast<std::int64_t>(srv_.scheduler().inFlight());
-    });
-    reg->addGaugeProbe("db.queue", [this] {
-        return static_cast<std::int64_t>(
-            srv_.database().center().queueLength());
-    });
-    reg->addGaugeProbe("db.busy", [this] {
-        return static_cast<std::int64_t>(
-            srv_.database().center().busyServers());
-    });
+    for (const StandardGauge &g : kStandardGauges)
+        reg->addGaugeProbe(g.name,
+                           [this, read = g.read] { return read(srv_); });
     reg->addGaugeProbe("agents.busy", [this] {
         return static_cast<std::int64_t>(srv_.agentSlotsBusy());
     });
@@ -271,20 +278,7 @@ CloudSimulation::enableTelemetry(TelemetryRegistry *reg)
     // The resource list behind every bottleneck verdict.
     reg->setUtilizations([this] { return collectUtilizations(srv_); });
 
-    // Monotone counters maintained elsewhere; the emitter differences
-    // consecutive readings into windowed rates.
-    reg->addCounterProbe("cp.ops_submitted",
-                         [this] { return srv_.opsSubmitted(); });
-    reg->addCounterProbe("cp.ops_completed",
-                         [this] { return srv_.opsCompleted(); });
-    reg->addCounterProbe("cp.ops_failed",
-                         [this] { return srv_.opsFailed(); });
-    reg->addCounterProbe("cp.bytes_moved", [this] {
-        return static_cast<std::uint64_t>(srv_.bytesMoved());
-    });
-    reg->addCounterProbe("db.txns", [this] {
-        return srv_.database().txnsCommitted();
-    });
+    // The fabric's monotone counters (the server registered its own).
     reg->addCounterProbe("fabric.reroutes", [this] {
         return net_.topology().reroutes();
     });

@@ -173,13 +173,13 @@ class CloudSimulation
     void addStandardGauges(GaugeSampler &sampler);
 
     /**
-     * Attach a caller-owned telemetry registry across the stack:
-     * push instruments on the management server (scheduler, locks,
-     * database, op latency) plus polled probes for every saturation
+     * Attach a caller-owned telemetry registry across the stack: the
+     * management server's counters and histograms (scheduler, locks,
+     * database, ops, agents) plus polled probes for every saturation
      * point — queue-depth gauges, the collectUtilizations() resource
-     * list, monotone counters, and per-shard engine series (events,
-     * mailbox backlog, horizon stalls, barrier wait).  Pass nullptr
-     * to detach the push side.
+     * list, the fabric's counters, and per-shard engine series
+     * (events, mailbox backlog, horizon stalls, barrier wait).  Pass
+     * nullptr to detach the histograms.
      */
     void enableTelemetry(TelemetryRegistry *reg);
 

@@ -176,6 +176,7 @@ TEST(LockManagerTest, WaitTimesRecorded)
                  [&] { lm.releaseAll({xlock(VmId(1))}); });
     sim.run();
     EXPECT_EQ(lm.grants(), 2u);
+    EXPECT_EQ(lm.contended(), 1u); // only the second grant waited
     EXPECT_EQ(second_granted, seconds(3));
 }
 

@@ -1,9 +1,9 @@
 /**
  * @file
- * Instrument-primitive tests: sliding-window counter semantics, the
- * decaying gauge, and — the property the per-shard export rests on —
- * merge identity: N cells fed disjoint streams and then merged must
- * equal one cell fed the interleaved stream.
+ * Instrument-primitive tests: the decaying gauge, and the histogram's
+ * merge identity — N histograms fed disjoint streams and then merged
+ * must equal one histogram fed the interleaved stream (perfbench sums
+ * its management domains' histograms this way).
  */
 
 #include <gtest/gtest.h>
@@ -15,79 +15,6 @@
 
 namespace vcp {
 namespace {
-
-TEST(WindowedCounter, TotalAndWindowTrackSeparately)
-{
-    WindowedCounter c(seconds(8)); // 1 s slots
-    c.add(seconds(1));
-    c.add(seconds(2), 3);
-    EXPECT_EQ(c.total(), 4u);
-    EXPECT_EQ(c.inWindow(seconds(2)), 4u);
-
-    // Far past the window: total persists, window drains to zero.
-    EXPECT_EQ(c.inWindow(seconds(100)), 0u);
-    EXPECT_EQ(c.total(), 4u);
-}
-
-TEST(WindowedCounter, SlidingWindowEvictsOldSlots)
-{
-    WindowedCounter c(seconds(8));
-    for (int s = 0; s < 16; ++s)
-        c.add(seconds(s)); // one event per second for 16 s
-    EXPECT_EQ(c.total(), 16u);
-    // Trailing 8 s window at t=15 covers slots for seconds 8..15.
-    EXPECT_EQ(c.inWindow(seconds(15)), 8u);
-    EXPECT_DOUBLE_EQ(c.ratePerSec(seconds(15)), 1.0);
-}
-
-TEST(WindowedCounter, ZeroEventsInWindowReadsZero)
-{
-    WindowedCounter c(seconds(8));
-    EXPECT_EQ(c.inWindow(0), 0u);
-    EXPECT_DOUBLE_EQ(c.ratePerSec(0), 0.0);
-    c.add(seconds(1));
-    EXPECT_EQ(c.inWindow(seconds(1)), 1u);
-    EXPECT_EQ(c.inWindow(seconds(30)), 0u);
-}
-
-TEST(WindowedCounter, MergeEqualsSingleCounterOracle)
-{
-    // Interleave a deterministic event stream across 4 "shard" cells;
-    // the merged view must match one counter that saw everything.
-    WindowedCounter oracle(seconds(16));
-    WindowedCounter cells[4] = {
-        WindowedCounter(seconds(16)), WindowedCounter(seconds(16)),
-        WindowedCounter(seconds(16)), WindowedCounter(seconds(16))};
-
-    std::mt19937 rng(7);
-    SimTime t = 0;
-    for (int i = 0; i < 500; ++i) {
-        t += static_cast<SimTime>(rng() % usec(900'000));
-        std::uint64_t n = 1 + rng() % 3;
-        oracle.add(t, n);
-        cells[rng() % 4].add(t, n);
-    }
-
-    WindowedCounter merged(seconds(16));
-    for (const auto &c : cells)
-        merged.merge(c);
-
-    EXPECT_EQ(merged.total(), oracle.total());
-    EXPECT_EQ(merged.inWindow(t), oracle.inWindow(t));
-    EXPECT_DOUBLE_EQ(merged.ratePerSec(t), oracle.ratePerSec(t));
-}
-
-TEST(WindowedCounter, MergeDropsSlotsStaleRelativeToOurs)
-{
-    WindowedCounter fresh(seconds(8)), stale(seconds(8));
-    stale.add(seconds(1), 10); // epoch 1
-    fresh.add(seconds(9), 2);  // same ring slot, 8 epochs later
-    fresh.merge(stale);
-    // The stale shard's slot is outside the fresh window — dropped,
-    // exactly as add() would have evicted it.
-    EXPECT_EQ(fresh.inWindow(seconds(9)), 2u);
-    EXPECT_EQ(fresh.total(), 12u); // totals always accumulate
-}
 
 TEST(DecayingGauge, FirstSampleSeedsEwma)
 {

@@ -1,9 +1,10 @@
 /**
  * @file
- * Registry + snapshot-emitter tests: per-shard cells merging into one
- * unified series, the snapshot edge cases (a window with zero events;
- * a run shorter than one window), the health report, and the
- * O(instruments) footprint contract.
+ * Registry + snapshot-emitter tests: gauge probes, counter probes whose
+ * window is exactly the change since the previous snapshot, the
+ * snapshot edge cases (a window with zero events; a run shorter than
+ * one window), the health report, and the O(instruments) footprint
+ * contract.
  */
 
 #include <gtest/gtest.h>
@@ -31,33 +32,6 @@ setUtils(TelemetryRegistry &reg, std::vector<ResourceUtilization> u)
     reg.setUtilizations([u] { return u; });
 }
 
-TEST(TelemetryRegistry, ShardCellsMergeIntoOneSeries)
-{
-    TelemetryRegistry reg(seconds(8));
-    WindowedCounter *s0 = reg.counter("ops", 0);
-    WindowedCounter *s1 = reg.counter("ops", 1);
-    ASSERT_NE(s0, s1);
-    EXPECT_EQ(reg.counter("ops", 0), s0); // get-or-create is stable
-
-    s0->add(seconds(1), 2);
-    s1->add(seconds(2), 3);
-    WindowedCounter merged = reg.mergedCounter("ops");
-    EXPECT_EQ(merged.total(), 5u);
-    EXPECT_EQ(merged.inWindow(seconds(2)), 5u);
-
-    LatencyHistogram *h0 = reg.histogram("lat", 0);
-    LatencyHistogram *h1 = reg.histogram("lat", 3);
-    h0->add(100);
-    h1->add(300);
-    LatencyHistogram mh = reg.mergedHistogram("lat");
-    EXPECT_EQ(mh.count(), 2u);
-    EXPECT_DOUBLE_EQ(mh.min(), 100.0);
-    EXPECT_DOUBLE_EQ(mh.max(), 300.0);
-
-    EXPECT_EQ(reg.counterNames().size(), 1u);
-    EXPECT_EQ(reg.histogramNames().size(), 1u);
-}
-
 TEST(TelemetryRegistry, GaugeProbesSampleIntoDecayingGauges)
 {
     TelemetryRegistry reg(seconds(8));
@@ -80,14 +54,19 @@ TEST(TelemetryRegistry, FootprintIsIndependentOfRunLength)
     // instrument footprint bit-for-bit identical.
     auto run = [](SimTime end) {
         TelemetryRegistry reg(seconds(60));
-        WindowedCounter *c = reg.counter("ops");
+        std::uint64_t ops = 0;
+        reg.addCounterProbe("ops", [&] { return ops; });
         LatencyHistogram *h = reg.histogram("lat");
         DecayingGauge *g = reg.gauge("q");
         for (SimTime t = 0; t < end; t += msec(100)) {
-            c->add(t);
+            ++ops;
             h->add(t % 10'000);
             g->sample(t, static_cast<double>(t % 50));
         }
+        // Get-or-create: the series keeps its one histogram.
+        EXPECT_EQ(reg.histogram("lat"), h);
+        EXPECT_EQ(reg.mergedHistogram("lat").count(), h->count());
+        EXPECT_EQ(reg.mergedCounter("ops").total(), ops);
         return std::pair(reg.numInstruments(), reg.footprintBytes());
     };
     auto short_run = run(seconds(10));
@@ -101,9 +80,11 @@ TEST(SnapshotEmitter, EmitsOneLinePerWindow)
 {
     Simulator sim(1);
     TelemetryRegistry reg(seconds(10));
-    WindowedCounter *c = reg.counter("ops");
-    sim.schedule(seconds(3), [&] { c->add(sim.now()); });
-    sim.schedule(seconds(14), [&] { c->add(sim.now()); });
+    std::uint64_t ops = 0;
+    reg.addCounterProbe("ops", [&] { return ops; });
+    sim.schedule(seconds(3), [&] { ++ops; });
+    // Early in the second window: the window still holds it.
+    sim.schedule(msec(10'500), [&] { ++ops; });
 
     SnapshotEmitter em(sim, reg, seconds(10));
     std::ostringstream out;
@@ -124,15 +105,20 @@ TEST(SnapshotEmitter, EmitsOneLinePerWindow)
     // Window totals: 1 event in window 1, 1 in window 2, 0 in 3.
     EXPECT_NE(out.str().find("\"ops\":{\"total\":1,\"window\":1"),
               std::string::npos);
-    EXPECT_NE(out.str().find("\"ops\":{\"total\":2,\"window\":1"),
+    EXPECT_NE(out.str().find("\"ops\":{\"total\":2,\"window\":1,"
+                             "\"rate_per_s\":0.1}"),
               std::string::npos);
+    EXPECT_NE(out.str().find("\"ops\":{\"total\":2,\"window\":0"),
+              std::string::npos);
+    EXPECT_EQ(reg.mergedCounter("ops").total(), 2u);
 }
 
 TEST(SnapshotEmitter, WindowWithZeroEventsStillEmits)
 {
     Simulator sim(1);
     TelemetryRegistry reg(seconds(5));
-    reg.counter("ops"); // registered but never incremented
+    // Registered but never incremented.
+    reg.addCounterProbe("ops", [] { return std::uint64_t{0}; });
     setUtils(reg, {{"util.x", true, 0.25}});
 
     SnapshotEmitter em(sim, reg, seconds(5));
@@ -154,9 +140,10 @@ TEST(SnapshotEmitter, RunShorterThanOneWindowSnapshotsAtFinish)
 {
     Simulator sim(1);
     TelemetryRegistry reg(seconds(60));
-    WindowedCounter *c = reg.counter("ops");
+    std::uint64_t ops = 0;
+    reg.addCounterProbe("ops", [&] { return ops; });
     setUtils(reg, {{"util.x", true, 0.5}});
-    sim.schedule(seconds(2), [&] { c->add(sim.now()); });
+    sim.schedule(seconds(2), [&] { ++ops; });
 
     SnapshotEmitter em(sim, reg, seconds(60));
     std::ostringstream out;
@@ -214,7 +201,7 @@ TEST(SnapshotEmitter, FinishReportsAFailedStream)
         GTEST_SKIP() << "no writable /dev/full";
     Simulator sim(1);
     TelemetryRegistry reg(seconds(5));
-    reg.counter("ops");
+    reg.addCounterProbe("ops", [] { return std::uint64_t{0}; });
     SnapshotEmitter em(sim, reg, seconds(5));
     std::ofstream full("/dev/full");
     ASSERT_TRUE(full.is_open());
@@ -234,7 +221,7 @@ TEST(SnapshotEmitter, FinishReportsAnUnwritablePromFile)
 {
     Simulator sim(1);
     TelemetryRegistry reg(seconds(5));
-    reg.counter("ops");
+    reg.addCounterProbe("ops", [] { return std::uint64_t{0}; });
     const std::string path =
         ::testing::TempDir() + "vcp_snapshot_finish.ndjson";
     std::filesystem::remove_all(path + ".prom");

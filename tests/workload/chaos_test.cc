@@ -1,16 +1,19 @@
 /**
  * @file
  * Chaos engine tests: spec parsing, per-family fault behaviour
- * (DB stall parking, agent disconnect/reconcile, fabric heal), and
- * the sharded-execution byte-identity oracle with chaos active.
+ * (DB stall parking, agent disconnect/reconcile, fabric heal), the
+ * telemetry counters, and the sharded-execution byte-identity oracle
+ * with chaos active.
  */
 
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "cloud/cloud_fixture.hh"
 #include "sim/logging.hh"
+#include "telemetry/telemetry.hh"
 #include "workload/chaos.hh"
 
 namespace vcp {
@@ -208,6 +211,8 @@ TEST(ChaosEngineTest, StormInjectsRecoversAndQuiescesClean)
     std::string err;
     ASSERT_TRUE(parseChaosSpec(kStormSpec, cfg, err)) << err;
     ChaosEngine chaos(cs.server(), ha, cfg, cs.sim().rng().fork());
+    TelemetryRegistry reg;
+    chaos.attachTelemetry(&reg);
     chaos.start();
     cs.start();
     cs.sim().runUntil(hours(2));
@@ -217,6 +222,15 @@ TEST(ChaosEngineTest, StormInjectsRecoversAndQuiescesClean)
         chaos.familyStats(FaultFamily::HostDisconnect).injected, 0u);
     EXPECT_GT(chaos.familyStats(FaultFamily::DbStall).injected, 0u);
     EXPECT_GT(chaos.familyStats(FaultFamily::LinkDown).injected, 0u);
+    // The telemetry counters read the engine's own accounting.
+    EXPECT_EQ(reg.mergedCounter("chaos.injected").total(),
+              chaos.injected());
+    EXPECT_EQ(reg.mergedCounter("chaos.recovered").total(),
+              chaos.recovered());
+    EXPECT_EQ(reg.mergedCounter("chaos.db-stall.injected").total(),
+              chaos.familyStats(FaultFamily::DbStall).injected);
+    EXPECT_EQ(reg.mergedHistogram("chaos.recovery_us").count(),
+              chaos.recovered());
 
     chaos.stop();
     chaos.quiesce();
@@ -237,6 +251,31 @@ TEST(ChaosEngineTest, StormInjectsRecoversAndQuiescesClean)
     for (std::size_t l = 0; l < fab.numLinks(); ++l)
         EXPECT_TRUE(fab.linkUp(static_cast<FabricLinkId>(l)));
     EXPECT_GT(cs.server().reconciles(), 0u);
+}
+
+TEST(ChaosEngineTest, LanesOfOneFamilyShareItsCounters)
+{
+    CloudSimulation cs(chaosCloudSpec(1), 11);
+    HaManager ha(cs.server());
+    ChaosConfig cfg;
+    std::string err;
+    ASSERT_TRUE(parseChaosSpec("crash:mtbf=1h;disconnect;crash:mtbf=3h",
+                               cfg, err))
+        << err;
+    ChaosEngine chaos(cs.server(), ha, cfg, cs.sim().rng().fork());
+    TelemetryRegistry reg;
+    chaos.attachTelemetry(&reg);
+
+    // One probe per series: a repeated name would be a duplicate key
+    // in every snapshot.
+    std::vector<std::string> names;
+    for (const auto &p : reg.counterProbes())
+        names.push_back(p.name);
+    EXPECT_EQ(names, (std::vector<std::string>{
+                         "chaos.injected", "chaos.recovered",
+                         "chaos.crash.injected", "chaos.crash.recovered",
+                         "chaos.disconnect.injected",
+                         "chaos.disconnect.recovered"}));
 }
 
 struct ChaosArtifact

@@ -12,7 +12,11 @@ Per snapshot it checks the section envelope
 counts and rates, window totals never exceeding all-time totals,
 utilizations in [0, 1.5] (transient over-unity is tolerated while a
 window drains), and quantile sanity on every histogram with samples:
-min <= p50 <= p95 <= p99 <= max.  With --expect-series (repeatable)
+min <= p50 <= p95 <= p99 <= max.  Every counter's window must be
+exactly the change in its total since the previous snapshot (from 0
+in the first one that carries it), and a counter's rate_per_s must be
+window / (window_us / 1e6) to the 6 significant digits the emitter
+prints.  With --expect-series (repeatable)
 it requires a series of that name in any section of some snapshot --
 CI uses this to assert the scheduler, lock-manager, database,
 host-agent, fabric, and shard instruments all made it into the file.
@@ -62,6 +66,25 @@ def check_counter_entry(problems, where, entry):
         err(problems, f"{where}: window {window} exceeds total {total}")
 
 
+def check_counter_window(problems, where, entry, prev_total, window_us,
+                         with_rate):
+    """The window is the total's change; the rate is window / seconds."""
+    total, window = entry.get("total"), entry.get("window")
+    if not isinstance(total, int) or not isinstance(window, int):
+        return
+    if window != total - prev_total:
+        err(problems, f"{where}: window {window} is not the total's "
+                      f"change {total} - {prev_total}")
+    rate = entry.get("rate_per_s")
+    if not with_rate or not isinstance(rate, (int, float)) or \
+            not isinstance(window_us, int):
+        return
+    want = window / (window_us / 1e6) if window_us > 0 else 0.0
+    if rate != float(f"{want:.6g}"):
+        err(problems, f"{where}: rate_per_s {rate} is not window / "
+                      f"seconds = {want:.6g}")
+
+
 def check_hist_entry(problems, where, entry):
     if not isinstance(entry, dict):
         err(problems, f"{where}: not an object")
@@ -79,10 +102,13 @@ def check_hist_entry(problems, where, entry):
             err(problems, f"{where}: quantiles not monotone {q}")
 
 
-def check_snapshot(problems, i, obj, seen_series):
+def check_snapshot(problems, i, obj, seen_series, prev_totals):
+    """Check one snapshot line; @p prev_totals maps (section, name) to
+    the counter totals of the previous snapshot and is updated."""
     where = f"line {i}"
     for key in ("seq", "ts_us", "window_us"):
         check_number(problems, f"{where}.{key}", obj.get(key), 0)
+    totals = {}
     for section in ("counters", "gauges", "utils", "hists", "shards"):
         sec = obj.get(section)
         if not isinstance(sec, dict):
@@ -109,6 +135,16 @@ def check_snapshot(problems, i, obj, seen_series):
                     err(problems, f"{w}: not an object")
                 elif "total" in entry:
                     check_counter_entry(problems, w, entry)
+            if section in ("counters", "shards") and \
+                    isinstance(entry, dict) and "total" in entry:
+                key = (section, name)
+                check_counter_window(problems, w, entry,
+                                     prev_totals.get(key, 0),
+                                     obj.get("window_us"),
+                                     section == "counters")
+                totals[key] = entry.get("total")
+    prev_totals.clear()
+    prev_totals.update(totals)
 
 
 def check_health(problems, i, obj):
@@ -157,6 +193,7 @@ def check_ndjson(path, expect_series, problems):
         return
 
     seen_series = set()
+    prev_totals = {}
     prev_seq, prev_ts = -1, -1
     health_at = None
     for i, line in enumerate(lines):
@@ -167,7 +204,7 @@ def check_ndjson(path, expect_series, problems):
             continue
         kind = obj.get("type")
         if kind == "snapshot":
-            check_snapshot(problems, i, obj, seen_series)
+            check_snapshot(problems, i, obj, seen_series, prev_totals)
             seq, ts = obj.get("seq"), obj.get("ts_us")
             if isinstance(seq, int):
                 if seq <= prev_seq:
