@@ -186,7 +186,7 @@ SnapshotEmitter::renderSnapshot(const std::vector<ResourceUtilization> &u)
 
     // A counter probe's reading, and its change since the previous
     // snapshot: the window.
-    auto read = [](TelemetryRegistry::CounterProbe &p) {
+    auto readProbe = [](TelemetryRegistry::CounterProbe &p) {
         std::uint64_t cur = p.fn();
         std::uint64_t delta = cur >= p.prev ? cur - p.prev : 0;
         p.prev = cur;
@@ -199,7 +199,7 @@ SnapshotEmitter::renderSnapshot(const std::vector<ResourceUtilization> &u)
         const std::string &key = probe_keys.at(i++, p.name);
         if (p.shard_scoped)
             continue;
-        auto [cur, delta] = read(p);
+        auto [cur, delta] = readProbe(p);
         member(key);
         count("{\"total\":", cur);
         count(",\"window\":", delta);
@@ -266,7 +266,7 @@ SnapshotEmitter::renderSnapshot(const std::vector<ResourceUtilization> &u)
         const std::string &key = probe_keys.at(i++, p.name);
         if (!p.shard_scoped)
             continue;
-        auto [cur, delta] = read(p);
+        auto [cur, delta] = readProbe(p);
         member(key);
         count("{\"total\":", cur);
         count(",\"window\":", delta);
