@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Behaviour oracle: vcpsim output compared byte for byte.
 
-Each case runs vcpsim (or golden_opstorm) in its own work directory
-and compares what the run writes with the files recorded next to this
-script:
+Each case runs vcpsim (or golden_opstorm, or one of the paper-table
+benches) in its own work directory and compares what the run writes
+with the files recorded next to this script:
 
-    <case>.stdout     vcpsim's stdout
+    <case>.stdout     the program's stdout
     <case>.stats.csv  the --stats CSV
     <case>.ops.csv    the --dump-ops CSV
     digests.sha256    SHA-256 of the larger outputs: the traced runs'
@@ -25,7 +25,9 @@ Re-record cases after an intended behaviour change, listing every row
 that moved (all cases unless --case is given):
 
     tests/golden/golden.py rebaseline --vcpsim build/tools/vcpsim \
-        --opstorm build/tests/golden/golden_opstorm
+        --opstorm build/tests/golden/golden_opstorm \
+        --t2-opmix build/bench/bench_t2_opmix \
+        --f4-breakdown build/bench/bench_f4_breakdown
 
 Exit status: 0 identical (or re-recorded), 1 moved, 2 usage/run error.
 Stdlib only.
@@ -97,6 +99,10 @@ CASES = {
                      ("metrics.ndjson", None),
                      ("metrics.ndjson.prom", None)]),
     "opstorm": ("opstorm", ["17"], [("stdout", None)]),
+    # The paper's op-mix table (T2, 24 h per cloud) and phase-breakdown
+    # figure (F4), as the benches print them.
+    "t2-opmix": ("t2_opmix", [], [("stdout", "stdout")]),
+    "f4-breakdown": ("f4_breakdown", [], [("stdout", "stdout")]),
 }
 
 
@@ -104,7 +110,7 @@ def run_case(name, programs, workdir):
     """Run one case in @p workdir; return {recorded key: bytes/digest}."""
     program, args, outputs = CASES[name]
     if not programs.get(program):
-        raise RuntimeError(f"{name}: needs --{program}")
+        raise RuntimeError(f"{name}: needs --{program.replace('_', '-')}")
     os.makedirs(workdir, exist_ok=True)
     for f in os.listdir(workdir):
         os.remove(os.path.join(workdir, f))
@@ -251,8 +257,16 @@ def rebaseline(args):
     return 0
 
 
+PROGRAMS = ("vcpsim", "opstorm", "t2_opmix", "f4_breakdown")
+
+
 def programs(args):
-    return {"vcpsim": args.vcpsim, "opstorm": args.opstorm}
+    return {name: getattr(args, name) for name in PROGRAMS}
+
+
+def add_program_args(parser):
+    for name in PROGRAMS:
+        parser.add_argument("--" + name.replace("_", "-"), dest=name)
 
 
 def main():
@@ -260,14 +274,12 @@ def main():
     sub = p.add_subparsers(dest="cmd", required=True)
     c = sub.add_parser("check", help="compare one case")
     c.add_argument("case", choices=sorted(CASES))
-    c.add_argument("--vcpsim")
-    c.add_argument("--opstorm")
+    add_program_args(c)
     c.add_argument("--workdir",
                    help="run here and keep the outputs (default: a "
                         "temporary directory, removed on success)")
     r = sub.add_parser("rebaseline", help="re-record and list moved rows")
-    r.add_argument("--vcpsim")
-    r.add_argument("--opstorm")
+    add_program_args(r)
     r.add_argument("--case", action="append", choices=sorted(CASES),
                    help="re-record only this case (repeatable)")
     r.add_argument("--limit", type=int, default=40,
