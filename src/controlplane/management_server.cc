@@ -782,14 +782,14 @@ ManagementServer::finish(CtxPtr ctx, TaskError err)
     // The context goes back to the pool before the callback runs: the
     // callback routinely submits the tenant's next operation, which
     // may reuse this very slot.  The task record outlives it until
-    // after the callback has seen it.
+    // the callback returns; the latency cells are its only record
+    // after that.
     TaskCallback cb = std::move(ctx->cb);
     TaskId tid = t.id();
     releaseCtx(ctx);
     if (cb)
         cb(t);
-    if (!cfg.retain_finished_tasks)
-        tasks.destroy(tid);
+    tasks.destroy(tid);
 }
 
 /*

@@ -95,10 +95,6 @@ struct ManagementServerConfig
     int reconcile_base_txns = 8;
     int reconcile_txns_per_vm = 2;
 
-    /** Keep finished Task records for inspection (tests want this;
-     *  long-running benches may turn it off to bound memory). */
-    bool retain_finished_tasks = true;
-
     /**
      * Intra-run execution binding (sim/shard.hh).  With an engine
      * attached, per-host agents and per-datastore slot centers bind
@@ -140,10 +136,9 @@ class ManagementServer
      */
     bool cancel(TaskId id);
 
-    /** @{ Task lookup (only finished tasks may have been purged). */
+    /** True from submit() until the task finishes: a finished task's
+     *  record is recycled once its callback returns. */
     bool hasTask(TaskId id) const { return tasks.has(id); }
-    const Task &task(TaskId id) const { return tasks.get(id); }
-    /** @} */
 
     /** @{ Component access for tests, benches, and the cloud layer. */
     TaskScheduler &scheduler() { return sched; }

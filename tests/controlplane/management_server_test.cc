@@ -2,7 +2,7 @@
  * @file
  * Pipeline-level behaviour of the management server: phase
  * accounting, admission limits, lock serialization, statistics,
- * observers, and task retention.
+ * observers, and task recycling.
  */
 
 #include "cp_fixture.hh"
@@ -46,37 +46,16 @@ TEST_F(ServerTest, CountersTrackOutcomes)
     EXPECT_EQ(srv->latencyHistogram(OpType::PowerOn).count(), 2u);
 }
 
-TEST_F(ServerTest, TaskRecordsRetainedByDefault)
+TEST_F(ServerTest, TaskRecordsPurgedWhenFinished)
 {
-    VmId vm = makeVm(h0, ds0);
-    TaskId id = srv->submit([&] {
-        OpRequest req;
-        req.type = OpType::PowerOn;
-        req.vm = vm;
-        return req;
-    }());
-    sim->run();
-    ASSERT_TRUE(srv->hasTask(id));
-    EXPECT_TRUE(srv->task(id).succeeded());
-}
-
-TEST_F(ServerTest, TaskRecordsPurgedWhenDisabled)
-{
-    ManagementServerConfig cfg;
-    cfg.retain_finished_tasks = false;
-    build(cfg);
     VmId vm = makeVm(h0, ds0);
     OpRequest req;
     req.type = OpType::PowerOn;
     req.vm = vm;
     TaskId id = srv->submit(req);
+    EXPECT_TRUE(srv->hasTask(id));
     sim->run();
     EXPECT_FALSE(srv->hasTask(id));
-}
-
-TEST_F(ServerTest, UnknownTaskLookupPanics)
-{
-    EXPECT_THROW(srv->task(TaskId(777)), PanicError);
 }
 
 TEST_F(ServerTest, TaskObserverSeesEveryCompletion)

@@ -70,7 +70,6 @@ class OpFuzzer
     {
         ManagementServerConfig cfg;
         cfg.dispatch_width = 8;
-        cfg.retain_finished_tasks = false;
         return cfg;
     }
 
