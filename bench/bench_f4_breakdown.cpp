@@ -38,17 +38,19 @@ main()
         };
         printTable(std::string(linked ? "linked" : "full") +
                        "-clone cloud (mean ms per phase)",
-                   breakdownTable(cs.driver().ops(), ops));
+                   breakdownTable(cs.server(), ops));
 
         OpType clone_op =
             linked ? OpType::CloneLinked : OpType::CloneFull;
-        PhaseBreakdown b =
-            computeBreakdown(cs.driver().ops(), clone_op);
+        double total = cs.server().latencyHistogram(clone_op).sum();
+        double copy = cs.server()
+                          .phaseHistogram(clone_op, TaskPhase::DataCopy)
+                          .sum();
+        double share = total > 0.0 ? copy / total : 0.0;
         std::printf("%s: data-copy share of latency = %.1f%%, "
                     "control-plane share = %.1f%%\n\n",
-                    opTypeName(clone_op),
-                    100.0 * b.fraction(TaskPhase::DataCopy),
-                    100.0 * (1.0 - b.fraction(TaskPhase::DataCopy)));
+                    opTypeName(clone_op), 100.0 * share,
+                    100.0 * (1.0 - share));
     }
     return 0;
 }

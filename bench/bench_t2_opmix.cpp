@@ -11,6 +11,8 @@
  * (clone, destroy) the most frequent ones.
  */
 
+#include <array>
+
 #include "analysis/report.hh"
 #include "bench_util.hh"
 
@@ -28,8 +30,6 @@ main(int argc, char **argv)
     CloudSetupSpec spec_b = cloudBSpec();
     spec_a.workload.duration = hours(sim_hours);
     spec_b.workload.duration = hours(sim_hours);
-    spec_a.workload.record_ops = true;
-    spec_b.workload.record_ops = true;
 
     CloudSimulation cloud_a(spec_a, 11);
     CloudSimulation cloud_b(spec_b, 12);
@@ -38,15 +38,22 @@ main(int argc, char **argv)
 
     double days_simulated = sim_hours / 24.0;
     printTable("ops/day by type",
-               opMixTable({&cloud_a, &cloud_b},
-                          {&cloud_a.driver().ops(),
-                           &cloud_b.driver().ops()},
-                          days_simulated));
+               opMixTable({&cloud_a, &cloud_b}, days_simulated));
 
+    // Finished ops per category, summed over each server's cells.
+    auto byCategory = [](const CloudSimulation &cs) {
+        std::array<std::uint64_t, kNumOpCategories> counts{};
+        for (std::size_t o = 0; o < kNumOpTypes; ++o) {
+            auto op = static_cast<OpType>(o);
+            counts[static_cast<std::size_t>(opCategory(op))] +=
+                cs.server().latencyHistogram(op).count();
+        }
+        return counts;
+    };
     Table cat({"category", "cloud-a (ops/day)", "cloud-a (%)",
                "cloud-b (ops/day)", "cloud-b (%)"});
-    auto a_cat = cloud_a.driver().ops().countsByCategory();
-    auto b_cat = cloud_b.driver().ops().countsByCategory();
+    auto a_cat = byCategory(cloud_a);
+    auto b_cat = byCategory(cloud_b);
     double a_total = 0.0, b_total = 0.0;
     for (std::size_t c = 0; c < kNumOpCategories; ++c) {
         a_total += static_cast<double>(a_cat[c]);
@@ -67,7 +74,8 @@ main(int argc, char **argv)
     for (CloudSimulation *cs : {&cloud_a, &cloud_b}) {
         double actions =
             static_cast<double>(cs->driver().actions().size());
-        double ops = static_cast<double>(cs->driver().ops().size());
+        double ops = static_cast<double>(cs->server().opsCompleted() +
+                                         cs->server().opsFailed());
         expansion.row()
             .cell(cs->spec().name)
             .cell(actions, 0)

@@ -174,7 +174,6 @@ sweepCloud(bool linked)
     s.workload.arrival.rate_per_hour = 60.0;
     s.workload.arrival.cv = 1.0;
     s.workload.action_weights = {1, 0, 0, 0, 0, 0, 0};
-    s.workload.record_ops = true;
     return s;
 }
 

@@ -29,7 +29,6 @@ main(int argc, char **argv)
 
     CloudSetupSpec spec = cloudASpec();
     spec.workload.duration = hours(sim_hours);
-    spec.workload.record_ops = true;
 
     CloudSimulation cs(spec, seed);
     TimeSeries provisioned(hours(1)), destroyed(hours(1));
@@ -68,14 +67,13 @@ main(int argc, char **argv)
                 cs.inventory().numVms() - cs.templateIds().size());
 
     std::printf("\n== management-operation mix (finished ops) ==\n");
-    auto counts = cs.driver().ops().countsByType();
     for (std::size_t i = 0; i < kNumOpTypes; ++i) {
-        if (counts[i] == 0)
-            continue;
         OpType op = static_cast<OpType>(i);
+        const LatencyHistogram &lat = srv.latencyHistogram(op);
+        if (lat.count() == 0)
+            continue;
         std::printf("  %-20s %6llu  mean %.2fs\n", opTypeName(op),
-                    (unsigned long long)counts[i],
-                    cs.driver().ops().meanLatency(op) / 1e6);
+                    (unsigned long long)lat.count(), lat.mean() / 1e6);
     }
 
     std::printf("\n== deploy latency ==\n  %s\n",
@@ -97,9 +95,8 @@ main(int argc, char **argv)
                     cloud.pool().replicationsSucceeded());
 
     std::printf("\n== phase breakdown of linked clones ==\n%s",
-                breakdownTable(cs.driver().ops(),
-                               {OpType::CloneLinked, OpType::PowerOn,
-                                OpType::Destroy})
+                breakdownTable(srv, {OpType::CloneLinked,
+                                     OpType::PowerOn, OpType::Destroy})
                     .toText()
                     .c_str());
 

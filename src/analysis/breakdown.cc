@@ -4,40 +4,9 @@
 
 namespace vcp {
 
-double
-PhaseBreakdown::fraction(TaskPhase p) const
-{
-    if (total_mean_us <= 0.0)
-        return 0.0;
-    return mean_us[static_cast<std::size_t>(p)] / total_mean_us;
-}
-
-PhaseBreakdown
-computeBreakdown(const OpTrace &trace, OpType type)
-{
-    PhaseBreakdown b;
-    b.type = type;
-    double total = 0.0;
-    std::array<double, kNumTaskPhases> sums{};
-    for (const OpRecord &r : trace.all()) {
-        if (r.type != type || !r.success)
-            continue;
-        b.count += 1;
-        total += static_cast<double>(r.latency);
-        for (std::size_t p = 0; p < kNumTaskPhases; ++p)
-            sums[p] += static_cast<double>(r.phases[p]);
-    }
-    if (b.count == 0)
-        return b;
-    double n = static_cast<double>(b.count);
-    b.total_mean_us = total / n;
-    for (std::size_t p = 0; p < kNumTaskPhases; ++p)
-        b.mean_us[p] = sums[p] / n;
-    return b;
-}
-
 Table
-breakdownTable(const OpTrace &trace, const std::vector<OpType> &types)
+breakdownTable(const ManagementServer &srv,
+               const std::vector<OpType> &types)
 {
     std::vector<std::string> cols = {"op", "count"};
     for (std::size_t p = 0; p < kNumTaskPhases; ++p) {
@@ -49,11 +18,15 @@ breakdownTable(const OpTrace &trace, const std::vector<OpType> &types)
 
     Table t(cols);
     for (OpType type : types) {
-        PhaseBreakdown b = computeBreakdown(trace, type);
-        t.row().cell(opTypeName(type)).cell(b.count);
-        for (std::size_t p = 0; p < kNumTaskPhases; ++p)
-            t.cell(b.mean_us[p] / 1000.0, 2);
-        t.cell(b.total_mean_us / 1000.0, 2);
+        const LatencyHistogram &op = srv.latencyHistogram(type);
+        double n = static_cast<double>(op.count());
+        t.row().cell(opTypeName(type)).cell(op.count());
+        for (std::size_t p = 0; p < kNumTaskPhases; ++p) {
+            double sum =
+                srv.phaseHistogram(type, static_cast<TaskPhase>(p)).sum();
+            t.cell(n > 0 ? sum / n / 1000.0 : 0.0, 2);
+        }
+        t.cell(op.mean() / 1000.0, 2);
     }
     return t;
 }

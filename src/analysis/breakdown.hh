@@ -1,48 +1,32 @@
 /**
  * @file
  * Latency-breakdown analysis: decomposes end-to-end operation
- * latencies from an OpTrace into the pipeline phases (the paper's
- * "where does provisioning time go" figure, F4).
+ * latencies into the pipeline phases (the paper's "where does
+ * provisioning time go" figure, F4), read from the management
+ * server's latency cells.
  */
 
 #ifndef VCP_ANALYSIS_BREAKDOWN_HH
 #define VCP_ANALYSIS_BREAKDOWN_HH
 
-#include <array>
 #include <vector>
 
+#include "controlplane/task.hh"
 #include "stats/table.hh"
-#include "workload/trace.hh"
 
 namespace vcp {
 
-/** Aggregated per-phase latency for one op type. */
-struct PhaseBreakdown
-{
-    OpType type = OpType::PowerOn;
-    std::uint64_t count = 0;
-
-    /** Mean time in each phase (usec), over successful ops. */
-    std::array<double, kNumTaskPhases> mean_us{};
-
-    /** Mean end-to-end latency (usec). */
-    double total_mean_us = 0.0;
-
-    /** Fraction of total attributable to a phase, in [0, 1]. */
-    double fraction(TaskPhase p) const;
-};
-
-/** Compute the breakdown of one op type from a trace. */
-PhaseBreakdown computeBreakdown(const OpTrace &trace, OpType type);
+class ManagementServer;
 
 /**
- * Paper-style table: one row per requested op type, one column per
- * phase (mean milliseconds), plus count and total.
+ * Paper-style table from the server's latency cells: one row per
+ * requested op type, with the count of finished ops (failed ones
+ * included), the mean time of each phase over those ops (a phase an
+ * op never entered counts as zero) and the mean total, in
+ * milliseconds.
  */
-Table breakdownTable(const OpTrace &trace,
+Table breakdownTable(const ManagementServer &srv,
                      const std::vector<OpType> &types);
-
-class ManagementServer;
 
 /**
  * Per-(op, phase) percentiles from the server's latency cells (exact

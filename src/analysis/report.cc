@@ -41,11 +41,8 @@ setupTable(const std::vector<const CloudSimulation *> &sims)
 
 Table
 opMixTable(const std::vector<const CloudSimulation *> &sims,
-           const std::vector<const OpTrace *> &traces,
            double simulated_days)
 {
-    if (sims.size() != traces.size())
-        panic("opMixTable: sims/traces size mismatch");
     if (simulated_days <= 0.0)
         panic("opMixTable: non-positive duration");
 
@@ -63,8 +60,8 @@ opMixTable(const std::vector<const CloudSimulation *> &sims,
                 continue;
             // Skip rows that are zero in every cloud.
             bool any = false;
-            for (const OpTrace *tr : traces) {
-                if (tr->countsByType()[o] > 0) {
+            for (const CloudSimulation *s : sims) {
+                if (s->server().latencyHistogram(op).count() > 0) {
                     any = true;
                     break;
                 }
@@ -72,9 +69,10 @@ opMixTable(const std::vector<const CloudSimulation *> &sims,
             if (!any)
                 continue;
             t.row().cell(opCategoryName(cat)).cell(opTypeName(op));
-            for (const OpTrace *tr : traces) {
+            for (const CloudSimulation *s : sims) {
                 double per_day =
-                    static_cast<double>(tr->countsByType()[o]) /
+                    static_cast<double>(
+                        s->server().latencyHistogram(op).count()) /
                     simulated_days;
                 t.cell(per_day, 1);
             }

@@ -12,7 +12,6 @@
 #include "stats/table.hh"
 #include "stats/timeseries.hh"
 #include "workload/profiles.hh"
-#include "workload/trace.hh"
 
 namespace vcp {
 
@@ -20,11 +19,11 @@ namespace vcp {
 Table setupTable(const std::vector<const CloudSimulation *> &sims);
 
 /**
- * T2: management-operation mix — ops finished per day by type, one
- * column per cloud, grouped by category.
+ * T2: management-operation mix — ops finished per day by type (each
+ * server's latency-cell counts, failed ops included), one column per
+ * cloud, grouped by category.
  */
 Table opMixTable(const std::vector<const CloudSimulation *> &sims,
-                 const std::vector<const OpTrace *> &traces,
                  double simulated_days);
 
 /**

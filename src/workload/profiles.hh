@@ -144,6 +144,7 @@ class CloudSimulation
     Inventory &inventory() { return inv_; }
     Network &network() { return net_; }
     ManagementServer &server() { return srv_; }
+    const ManagementServer &server() const { return srv_; }
     CloudDirector &cloud() { return cloud_; }
     WorkloadDriver &driver() { return *driver_; }
     const CloudSetupSpec &spec() const { return spec_; }

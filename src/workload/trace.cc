@@ -112,38 +112,6 @@ OpTrace::add(const Task &t)
     records.push_back(r);
 }
 
-std::array<std::uint64_t, kNumOpTypes>
-OpTrace::countsByType() const
-{
-    std::array<std::uint64_t, kNumOpTypes> counts{};
-    for (const auto &r : records)
-        counts[static_cast<std::size_t>(r.type)] += 1;
-    return counts;
-}
-
-std::array<std::uint64_t, kNumOpCategories>
-OpTrace::countsByCategory() const
-{
-    std::array<std::uint64_t, kNumOpCategories> counts{};
-    for (const auto &r : records)
-        counts[static_cast<std::size_t>(opCategory(r.type))] += 1;
-    return counts;
-}
-
-double
-OpTrace::meanLatency(OpType t) const
-{
-    double sum = 0.0;
-    std::uint64_t n = 0;
-    for (const auto &r : records) {
-        if (r.type == t && r.success) {
-            sum += static_cast<double>(r.latency);
-            ++n;
-        }
-    }
-    return n ? sum / static_cast<double>(n) : 0.0;
-}
-
 std::string
 OpTrace::toCsv() const
 {

@@ -9,8 +9,8 @@
  *    CloudDirector for deterministic A/B experiments.
  *  - OpTrace: every primitive management operation the control plane
  *    finished, with its latency, disposition, and per-phase
- *    breakdown.  This is the raw material of the characterization
- *    tables.
+ *    breakdown (the --dump-ops log).  Counts and means come from the
+ *    server's latency cells, not from this log.
  *
  * CSV serialization keeps traces inspectable and diffable.
  */
@@ -78,16 +78,6 @@ class OpTrace
 
     const std::vector<OpRecord> &all() const { return records; }
     std::size_t size() const { return records.size(); }
-
-    /** Count of finished ops per type. */
-    std::array<std::uint64_t, kNumOpTypes> countsByType() const;
-
-    /** Count of finished ops per category. */
-    std::array<std::uint64_t, kNumOpCategories>
-    countsByCategory() const;
-
-    /** Mean latency (usec) of successful ops of a type; 0 if none. */
-    double meanLatency(OpType t) const;
 
     /** CSV with header (see implementation). */
     std::string toCsv() const;

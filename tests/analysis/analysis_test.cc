@@ -68,52 +68,95 @@ finishedTask(OpType type, SimDuration db, SimDuration host,
     t.markStarted(0);
     t.addPhaseTime(TaskPhase::Db, db);
     t.addPhaseTime(TaskPhase::HostAgent, host);
-    t.addPhaseTime(TaskPhase::DataCopy, copy);
+    if (copy > 0)
+        t.addPhaseTime(TaskPhase::DataCopy, copy);
     t.markFinished(db + host + copy,
                    ok ? TaskError::None : TaskError::InvalidState);
     return t;
 }
 
-TEST(BreakdownTest, ComputesPhaseMeansAndFractions)
+/** A server whose latency cells the tests fill by their dump names. */
+struct CellServer
 {
-    OpTrace trace;
-    trace.add(finishedTask(OpType::CloneFull, msec(100), seconds(1),
-                           seconds(9)));
-    trace.add(finishedTask(OpType::CloneFull, msec(300), seconds(1),
-                           seconds(11)));
-    PhaseBreakdown b = computeBreakdown(trace, OpType::CloneFull);
-    EXPECT_EQ(b.count, 2u);
-    EXPECT_DOUBLE_EQ(
-        b.mean_us[static_cast<std::size_t>(TaskPhase::Db)],
-        static_cast<double>(msec(200)));
-    EXPECT_DOUBLE_EQ(
-        b.mean_us[static_cast<std::size_t>(TaskPhase::DataCopy)],
-        static_cast<double>(seconds(10)));
-    EXPECT_NEAR(b.fraction(TaskPhase::DataCopy),
-                10.0 / 11.2, 1e-9);
+    /** Add @p t to the cells, as ManagementServer::finish() does. */
+    void
+    record(const Task &t)
+    {
+        std::string op = opTypeName(t.type());
+        stats.latency("cp.latency_us." + op).add(t.latency());
+        for (std::size_t p = 0; p < kNumTaskPhases; ++p) {
+            auto phase = static_cast<TaskPhase>(p);
+            if (t.enteredPhase(phase))
+                stats.latency("cp.phase_us." + op + "." +
+                              taskPhaseName(phase))
+                    .add(t.phaseTime(phase));
+        }
+    }
+
+    Simulator sim;
+    Inventory inv{sim};
+    Network net{sim, NetworkConfig{}};
+    StatRegistry stats;
+    ManagementServer srv{sim, inv, net, stats};
+};
+
+/** Column of phase @p p in a breakdown table (after op and count). */
+std::size_t
+col(TaskPhase p)
+{
+    return 2 + static_cast<std::size_t>(p);
 }
 
-TEST(BreakdownTest, IgnoresFailuresAndOtherTypes)
+constexpr std::size_t kTotalCol = 2 + kNumTaskPhases;
+
+TEST(BreakdownTest, ComputesPhaseMeansAndTotal)
 {
-    OpTrace trace;
-    trace.add(finishedTask(OpType::CloneFull, msec(100), seconds(1),
-                           seconds(9), /*ok=*/false));
-    trace.add(finishedTask(OpType::PowerOn, msec(10), seconds(2), 0));
-    PhaseBreakdown b = computeBreakdown(trace, OpType::CloneFull);
-    EXPECT_EQ(b.count, 0u);
-    EXPECT_DOUBLE_EQ(b.total_mean_us, 0.0);
-    EXPECT_DOUBLE_EQ(b.fraction(TaskPhase::Db), 0.0);
+    CellServer b;
+    b.record(finishedTask(OpType::CloneFull, msec(100), seconds(1),
+                          seconds(9)));
+    b.record(finishedTask(OpType::CloneFull, msec(300), seconds(1),
+                          seconds(11)));
+    Table t = breakdownTable(b.srv, {OpType::CloneFull});
+    ASSERT_EQ(t.numRows(), 1u);
+    EXPECT_EQ(t.at(0, 1), "2");
+    EXPECT_EQ(t.at(0, col(TaskPhase::Db)), "200.00");
+    EXPECT_EQ(t.at(0, col(TaskPhase::HostAgent)), "1000.00");
+    EXPECT_EQ(t.at(0, col(TaskPhase::DataCopy)), "10000.00");
+    EXPECT_EQ(t.at(0, col(TaskPhase::Api)), "0.00"); // never entered
+    EXPECT_EQ(t.at(0, kTotalCol), "11200.00");
+}
+
+TEST(BreakdownTest, CountsFailuresAndIgnoresOtherTypes)
+{
+    // A failed op is averaged in; its skipped phases count as zero.
+    CellServer b;
+    b.record(finishedTask(OpType::CloneFull, msec(100), seconds(1),
+                          seconds(9)));
+    b.record(finishedTask(OpType::CloneFull, msec(300), seconds(1), 0,
+                          /*ok=*/false));
+    b.record(finishedTask(OpType::PowerOn, msec(10), seconds(2), 0));
+    Table t =
+        breakdownTable(b.srv, {OpType::CloneFull, OpType::Destroy});
+    ASSERT_EQ(t.numRows(), 2u);
+    EXPECT_EQ(t.at(0, 1), "2");
+    EXPECT_EQ(t.at(0, col(TaskPhase::Db)), "200.00");
+    EXPECT_EQ(t.at(0, col(TaskPhase::DataCopy)), "4500.00");
+    EXPECT_EQ(t.at(0, kTotalCol), "5700.00");
+    // An op type with no finished op is an all-zero row.
+    EXPECT_EQ(t.at(1, 1), "0");
+    EXPECT_EQ(t.at(1, col(TaskPhase::Db)), "0.00");
+    EXPECT_EQ(t.at(1, kTotalCol), "0.00");
 }
 
 TEST(BreakdownTest, TableHasRowPerTypeAndPhaseColumns)
 {
-    OpTrace trace;
-    trace.add(finishedTask(OpType::CloneFull, msec(100), seconds(1),
-                           seconds(9)));
-    trace.add(finishedTask(OpType::CloneLinked, msec(120), seconds(4),
-                           0));
+    CellServer b;
+    b.record(finishedTask(OpType::CloneFull, msec(100), seconds(1),
+                          seconds(9)));
+    b.record(finishedTask(OpType::CloneLinked, msec(120), seconds(4),
+                          0));
     Table t = breakdownTable(
-        trace, {OpType::CloneFull, OpType::CloneLinked});
+        b.srv, {OpType::CloneFull, OpType::CloneLinked});
     EXPECT_EQ(t.numRows(), 2u);
     EXPECT_EQ(t.numColumns(), 2u + kNumTaskPhases + 1);
     EXPECT_EQ(t.at(0, 0), "clone-full");
@@ -170,29 +213,22 @@ TEST(BottleneckTest, TableSortedByUtilization)
     EXPECT_EQ(t.at(2, 0), "low");
 }
 
-/** A server whose latency cells the tests fill by their dump names. */
-struct CellServer
+/** Ten clone-full ops: api 0.1 ms each, db 1..10 ms (55 ms). */
+struct TenClones : CellServer
 {
-    CellServer()
+    TenClones()
     {
-        // Ten clone-full ops: api 0.1 ms each, db 1..10 ms (55 ms).
         for (int i = 1; i <= 10; ++i) {
             stats.latency("cp.latency_us.clone-full").add(100 + i * 1000);
             stats.latency("cp.phase_us.clone-full.api").add(100);
             stats.latency("cp.phase_us.clone-full.db").add(i * 1000);
         }
     }
-
-    Simulator sim;
-    Inventory inv{sim};
-    Network net{sim, NetworkConfig{}};
-    StatRegistry stats;
-    ManagementServer srv{sim, inv, net, stats};
 };
 
 TEST(SpanBreakdown, TableHasPerPhaseRowsAndTotals)
 {
-    CellServer c;
+    TenClones c;
     Table table = spanBreakdownTable(c.srv);
     EXPECT_EQ(table.numRows(), 3u); // api, db, total
 
@@ -209,7 +245,7 @@ TEST(SpanBreakdown, TableHasPerPhaseRowsAndTotals)
 
 TEST(PhaseAttribution, FractionsSumToOneSortedByTotal)
 {
-    CellServer c;
+    TenClones c;
     auto attrib = attributePhases(c.srv);
 
     ASSERT_EQ(attrib.size(), kNumTaskPhases);

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 
 #include "sim/logging.hh"
 #include "workload/profiles.hh"
@@ -119,9 +120,17 @@ TEST(DriverTest, OpTraceRecordsEveryFinishedOp)
     cs.run();
     EXPECT_EQ(cs.driver().ops().size(),
               cs.server().opsCompleted() + cs.server().opsFailed());
+    // Per type, the log holds one record per op in the latency cell.
+    std::array<std::uint64_t, kNumOpTypes> logged{};
+    for (const OpRecord &r : cs.driver().ops().all())
+        logged[static_cast<std::size_t>(r.type)] += 1;
+    for (std::size_t o = 0; o < kNumOpTypes; ++o) {
+        auto op = static_cast<OpType>(o);
+        EXPECT_EQ(logged[o], cs.server().latencyHistogram(op).count())
+            << opTypeName(op);
+    }
     // Linked clones show up.
-    auto counts = cs.driver().ops().countsByType();
-    EXPECT_GT(counts[static_cast<std::size_t>(OpType::CloneLinked)],
+    EXPECT_GT(logged[static_cast<std::size_t>(OpType::CloneLinked)],
               0u);
 }
 

@@ -102,41 +102,6 @@ TEST(OpTraceTest, RecordsTaskFields)
               msec(100));
 }
 
-TEST(OpTraceTest, CountsByTypeAndCategory)
-{
-    OpTrace trace;
-    auto add = [&](OpType t, bool ok) {
-        OpRequest req;
-        req.type = t;
-        Task task(TaskId(1), req);
-        task.markSubmitted(0);
-        task.markStarted(0);
-        task.markFinished(seconds(1), ok ? TaskError::None
-                                         : TaskError::InvalidState);
-        trace.add(task);
-    };
-    add(OpType::PowerOn, true);
-    add(OpType::PowerOn, false);
-    add(OpType::CloneLinked, true);
-    add(OpType::Migrate, true);
-
-    auto by_type = trace.countsByType();
-    EXPECT_EQ(by_type[static_cast<std::size_t>(OpType::PowerOn)], 2u);
-    EXPECT_EQ(by_type[static_cast<std::size_t>(OpType::CloneLinked)],
-              1u);
-
-    auto by_cat = trace.countsByCategory();
-    EXPECT_EQ(by_cat[static_cast<std::size_t>(OpCategory::Power)],
-              2u);
-    EXPECT_EQ(by_cat[static_cast<std::size_t>(OpCategory::Mobility)],
-              1u);
-
-    // Mean latency only counts successes.
-    EXPECT_DOUBLE_EQ(trace.meanLatency(OpType::PowerOn),
-                     static_cast<double>(seconds(1)));
-    EXPECT_DOUBLE_EQ(trace.meanLatency(OpType::Destroy), 0.0);
-}
-
 TEST(OpTraceTest, CsvRoundTrip)
 {
     OpTrace trace;

@@ -406,7 +406,6 @@ main(int argc, char **argv)
     int metrics_interval_s = 60;
     int sample_interval_ms = 100;
     std::size_t trace_capacity = 1u << 20;
-    spec.workload.record_ops = true;
 
     for (int i = 2; i < argc; ++i) {
         std::string arg = argv[i];
@@ -512,6 +511,9 @@ main(int argc, char **argv)
     }
     // After the loop: --chaos replaces its lane list, --mtbf adds to it.
     addMtbfCrashLane(chaos_cfg, hours(mtbf_hours));
+    // The op log is kept only to be dumped; the latency cells hold
+    // every count and mean the report prints.
+    spec.workload.record_ops = !dump_ops.empty();
 
     std::printf("vcpsim: profile=%s hours=%.1f seed=%llu linked=%s "
                 "shards=%d\n",
