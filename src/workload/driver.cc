@@ -16,6 +16,11 @@ WorkloadDriver::WorkloadDriver(CloudDirector &cloud_,
 {
     tenant_ids = cloud.tenantIds();
     template_ids = cloud.catalog().ids();
+    // Installed here, not in start(), so a replayed run logs its ops.
+    if (cfg.record_ops) {
+        srv.setTaskObserver(
+            [this](const Task &t) { op_trace.add(t); });
+    }
 }
 
 void
@@ -30,10 +35,6 @@ WorkloadDriver::start()
         static_cast<std::int64_t>(tenant_ids.size()),
         cfg.tenant_zipf_s);
     end_time = sim.now() + cfg.duration;
-    if (cfg.record_ops) {
-        srv.setTaskObserver(
-            [this](const Task &t) { op_trace.add(t); });
-    }
     scheduleNext();
 }
 
@@ -74,14 +75,12 @@ WorkloadDriver::scheduleReplay(const ActionTrace &trace)
 void
 WorkloadDriver::issue(CloudAction a, int tenant_idx, int template_idx)
 {
-    if (cfg.record_actions) {
-        ActionRecord rec;
-        rec.time = sim.now();
-        rec.action = a;
-        rec.tenant_index = tenant_idx;
-        rec.template_index = template_idx;
-        action_trace.add(rec);
-    }
+    ActionRecord rec;
+    rec.time = sim.now();
+    rec.action = a;
+    rec.tenant_index = tenant_idx;
+    rec.template_index = template_idx;
+    action_trace.add(rec);
 
     bool ok = false;
     switch (a) {

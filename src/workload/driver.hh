@@ -6,8 +6,9 @@
  * snapshots) pick their target by drawing a rank from the director's
  * Deployed list, which keeps the order in which vApps reached
  * Deployed.  The driver keeps no live set of its own, so vApps
- * deployed outside it are targets too.  Also supports
- * deterministic replay of a recorded ActionTrace for A/B experiments.
+ * deployed outside it are targets too.  Also replays a recorded
+ * ActionTrace: the same actions at the same times (see
+ * scheduleReplay()).
  */
 
 #ifndef VCP_WORKLOAD_DRIVER_HH
@@ -53,10 +54,12 @@ struct WorkloadConfig
     /** Priority stamped on all generated operations. */
     int priority = 0;
 
-    /** Record generator decisions into an ActionTrace. */
-    bool record_actions = true;
-
-    /** Record every finished op into an OpTrace (server observer). */
+    /**
+     * Record every finished op into an OpTrace (the server's task
+     * observer, installed when the driver is constructed).  Only an
+     * op log needs this: the server's latency cells already count
+     * every finished op by type and phase.
+     */
     bool record_ops = false;
 };
 
@@ -84,11 +87,15 @@ class WorkloadDriver
     /**
      * Schedule a recorded trace for replay instead of generating.
      * Records are issued at their recorded times (which must be in
-     * the future).
+     * the future).  Replay re-issues the actions, not their targets:
+     * a churn action draws its target from this driver's random
+     * stream, at a different position than in the recorded run, so
+     * the replayed ops differ from the recorded ones.
      */
     void scheduleReplay(const ActionTrace &trace);
 
     /** @{ Results. */
+    /** Every action issued, generated or replayed. */
     const ActionTrace &actions() const { return action_trace; }
     OpTrace &ops() { return op_trace; }
 

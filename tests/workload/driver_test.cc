@@ -134,6 +134,26 @@ TEST(DriverTest, OpTraceRecordsEveryFinishedOp)
               0u);
 }
 
+TEST(DriverTest, ReplayReissuesRecordedActions)
+{
+    CloudSetupSpec spec = driverSpec();
+    CloudSimulation recorded(spec, 5);
+    recorded.run();
+    std::string csv = recorded.driver().actions().toCsv();
+    ASSERT_GT(recorded.driver().actions().size(), 60u);
+
+    CloudSimulation replay(spec, 5);
+    replay.driver().scheduleReplay(ActionTrace::fromCsv(csv));
+    replay.runFor(spec.workload.duration + minutes(30));
+    EXPECT_EQ(replay.driver().actions().toCsv(), csv);
+    // The op log sees the replayed run's ops, not only a generated
+    // run's.
+    EXPECT_GT(replay.driver().ops().size(), 0u);
+    EXPECT_EQ(replay.driver().ops().size(),
+              replay.server().opsCompleted() +
+                  replay.server().opsFailed());
+}
+
 TEST(DriverTest, ChurnActionsEventuallyFire)
 {
     CloudSetupSpec spec = driverSpec();
