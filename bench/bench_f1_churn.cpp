@@ -17,7 +17,7 @@ main(int argc, char **argv)
     using namespace vcp;
     setLogQuiet(true);
     double sim_hours =
-        argc > 1 ? parsePositiveDoubleOption("hours", argv[1]) : 72.0;
+        argc > 1 ? parseHoursOption("hours", argv[1]) : 72.0;
     banner("F1", "VM churn over time, Cloud A (" +
                      std::to_string(sim_hours) + "h)");
 

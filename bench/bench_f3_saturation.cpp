@@ -80,8 +80,7 @@ main(int argc, char **argv)
     SweepOptions opts = parseSweepOptions(argc, argv);
     double window_h = opts.positional.empty()
         ? 1.0
-        : parsePositiveDoubleOption("window-hours",
-                                    opts.positional[0].c_str());
+        : parseHoursOption("window-hours", opts.positional[0].c_str());
     banner("F3", "throughput and latency vs offered deploy rate");
 
     std::vector<F3Point> points;

@@ -22,7 +22,7 @@ main(int argc, char **argv)
     using namespace vcp;
     setLogQuiet(true);
     double sim_hours =
-        argc > 1 ? parsePositiveDoubleOption("hours", argv[1]) : 24.0;
+        argc > 1 ? parseHoursOption("hours", argv[1]) : 24.0;
     banner("T2", "management-operation mix (" +
                      std::to_string(sim_hours) + "h simulated/cloud)");
 

@@ -65,27 +65,39 @@ struct SweepOptions
     std::vector<std::string> positional;
 };
 
-/** Strict positive-integer option parsing (std::atoi would silently
- *  turn garbage into 0). */
+/** Strict positive-integer option parsing, at most @p max (std::atoi
+ *  would silently turn garbage into 0).  Anything else exits 2. */
 inline int
-parsePositiveOption(const std::string &flag, const char *value)
+parsePositiveOption(const std::string &flag, const char *value,
+                    int max = INT32_MAX)
 {
     int v = 0;
-    if (!parseStrictPositiveInt(value, v))
-        fatal("%s expects a positive integer, got '%s'",
-              flag.c_str(), value);
+    if (!parseStrictPositiveInt(value, v) || v > max) {
+        std::fprintf(stderr,
+                     "%s expects a positive integer, at most %d, got "
+                     "'%s'\n",
+                     flag.c_str(), max, value);
+        std::exit(2);
+    }
     return v;
 }
 
-/** Strict positive real option parsing (std::atof would silently
- *  turn garbage — "4h", "" — into 0.0). */
+/** Strict hours option parsing: a positive number (std::atof would
+ *  silently turn garbage — "4h", "" — into 0.0) whose run, drain
+ *  included, ends inside the simulator's event horizon.  Anything
+ *  else exits 2. */
 inline double
-parsePositiveDoubleOption(const std::string &flag, const char *value)
+parseHoursOption(const std::string &flag, const char *value)
 {
     double v = 0;
-    if (!parseStrictPositiveDouble(value, v))
-        fatal("%s expects a positive number, got '%s'",
-              flag.c_str(), value);
+    if (!parseStrictHours(value, CloudSimulation::kDrain, v) ||
+        v == 0.0) {
+        std::fprintf(stderr,
+                     "%s expects a positive number of hours within the "
+                     "simulator's event horizon, got '%s'\n",
+                     flag.c_str(), value);
+        std::exit(2);
+    }
     return v;
 }
 
@@ -110,7 +122,8 @@ parseSweepOptions(int argc, char **argv)
         else if (arg == "--jobs")
             o.jobs = parsePositiveOption(arg, next());
         else if (arg == "--parallel-shards")
-            o.shards = parsePositiveOption(arg, next());
+            o.shards = parsePositiveOption(arg, next(),
+                                           ShardedSimulator::kMaxShards);
         else if (arg == "--csv")
             o.csv = next();
         else

@@ -9,10 +9,10 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "analysis/bottleneck.hh"
 #include "sim/logging.hh"
+#include "sim/parse_util.hh"
 #include "workload/profiles.hh"
 
 namespace {
@@ -90,7 +90,14 @@ main(int argc, char **argv)
 {
     using namespace vcp;
     setLogQuiet(true);
-    int n = argc > 1 ? std::atoi(argv[1]) : 200;
+    int n = 200;
+    if (argc > 1 && !parseStrictPositiveInt(argv[1], n)) {
+        std::fprintf(stderr,
+                     "provisioning_storm: vapps expects a positive "
+                     "integer, got '%s'\n",
+                     argv[1]);
+        return 2;
+    }
     std::printf("9am lab storm: %d single-VM vApps requested at "
                 "once\n",
                 n);

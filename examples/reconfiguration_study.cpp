@@ -11,10 +11,10 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "cloud/storage_rebalancer.hh"
 #include "sim/logging.hh"
+#include "sim/parse_util.hh"
 #include "workload/profiles.hh"
 
 int
@@ -22,7 +22,17 @@ main(int argc, char **argv)
 {
     using namespace vcp;
     setLogQuiet(true);
-    double sim_hours = argc > 1 ? std::atof(argv[1]) : 8.0;
+    double sim_hours = 8.0;
+    if (argc > 1 &&
+        (!parseStrictHours(argv[1], CloudSimulation::kDrain, sim_hours) ||
+         sim_hours == 0.0)) {
+        std::fprintf(stderr,
+                     "reconfiguration_study: hours expects a positive "
+                     "number within the simulator's event horizon, "
+                     "got '%s'\n",
+                     argv[1]);
+        return 2;
+    }
 
     CloudSetupSpec spec = cloudASpec();
     spec.infra.hosts = 16;
@@ -93,7 +103,7 @@ main(int argc, char **argv)
         });
     }
 
-    cs.runFor(hours(sim_hours) + minutes(30));
+    cs.runFor(hours(sim_hours) + CloudSimulation::kDrain);
 
     std::printf("\n== outcome ==\n");
     std::printf("maintenance workflow: %s\n",

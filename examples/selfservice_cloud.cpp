@@ -9,12 +9,12 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "analysis/bottleneck.hh"
-#include "sim/logging.hh"
 #include "analysis/breakdown.hh"
 #include "analysis/report.hh"
+#include "sim/logging.hh"
+#include "sim/parse_util.hh"
 #include "workload/profiles.hh"
 
 int
@@ -22,10 +22,25 @@ main(int argc, char **argv)
 {
     using namespace vcp;
     setLogQuiet(true);
-    double sim_hours = argc > 1 ? std::atof(argv[1]) : 24.0;
-    std::uint64_t seed = argc > 2
-        ? static_cast<std::uint64_t>(std::atoll(argv[2]))
-        : 1;
+    double sim_hours = 24.0;
+    std::uint64_t seed = 1;
+    if (argc > 1 &&
+        (!parseStrictHours(argv[1], CloudSimulation::kDrain, sim_hours) ||
+         sim_hours == 0.0)) {
+        std::fprintf(stderr,
+                     "selfservice_cloud: hours expects a positive "
+                     "number within the simulator's event horizon, "
+                     "got '%s'\n",
+                     argv[1]);
+        return 2;
+    }
+    if (argc > 2 && !parseStrictU64(argv[2], seed)) {
+        std::fprintf(stderr,
+                     "selfservice_cloud: seed expects an unsigned "
+                     "integer, got '%s'\n",
+                     argv[2]);
+        return 2;
+    }
 
     CloudSetupSpec spec = cloudASpec();
     spec.workload.duration = hours(sim_hours);

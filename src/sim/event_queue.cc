@@ -50,7 +50,7 @@ EventQueue::pushSeq(SimTime when, int priority, std::uint32_t seq,
     if (priority < -kPrioBias || priority >= kPrioBias)
         panic("EventQueue::push: priority %d out of 16-bit range",
               priority);
-    if (when < 0 || when > kMaxWhen)
+    if (when < 0 || when > kMaxEventTime)
         panic("EventQueue::push: time %lld out of 47-bit range",
               static_cast<long long>(when));
     std::uint32_t s = acquireSlot(std::move(action));

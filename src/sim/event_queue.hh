@@ -162,9 +162,6 @@ class EventQueue
     static constexpr std::uint32_t kInUse = UINT32_MAX - 1;
     /** Priority bias: int16 priority -> unsigned 16-bit key field. */
     static constexpr int kPrioBias = 32768;
-    /** Event times must fit in 47 bits (~4.4 years of microseconds). */
-    static constexpr SimTime kMaxWhen =
-        (SimTime(1) << 47) - 1;
     /**
      * Callback storage grows in fixed chunks rather than a single
      * reallocating vector: InlineAction's move is a vtable call, so

@@ -18,6 +18,8 @@
 #include <cstdint>
 #include <cstdlib>
 
+#include "sim/types.hh"
+
 namespace vcp {
 
 /**
@@ -123,6 +125,25 @@ parseStrictNonNegativeDouble(const char *s, double &out)
     double v = 0.0;
     if (!parseStrictDouble(s, v) || v < 0.0)
         return false;
+    out = v;
+    return true;
+}
+
+/**
+ * Parse @p s as a non-negative number of hours that a run can last:
+ * its microseconds plus @p extra (a drain, say) must not pass
+ * kMaxEventTime.  Check before hours() converts the value: past
+ * that, runs panic in the event queue, and past INT64_MAX the
+ * conversion itself is undefined.
+ */
+inline bool
+parseStrictHours(const char *s, SimDuration extra, double &out)
+{
+    double v = 0.0;
+    if (!parseStrictNonNegativeDouble(s, v) ||
+        v * 3600e6 > static_cast<double>(kMaxEventTime - extra)) {
+        return false;
+    }
     out = v;
     return true;
 }

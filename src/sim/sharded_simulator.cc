@@ -42,10 +42,10 @@ ShardedSimulator::ShardedSimulator(int num_shards, std::uint64_t seed,
 {
     if (num_shards < 1)
         num_shards = 1;
-    if (num_shards > 128)
+    if (num_shards > kMaxShards)
         panic("ShardedSimulator: %d shards exceeds the 7-bit "
-              "cross-shard key budget (max 128)",
-              num_shards);
+              "cross-shard key budget (max %d)",
+              num_shards, kMaxShards);
     shards_.reserve(static_cast<std::size_t>(num_shards));
     for (int s = 0; s < num_shards; ++s) {
         // Shard 0 carries the caller's seed unchanged so a one-shard

@@ -70,6 +70,10 @@ const char *shardExecModeName(ShardExecMode m);
 class ShardedSimulator
 {
   public:
+    /** Most shards an engine can have: the cross-shard event key
+     *  spends 7 bits on the source shard. */
+    static constexpr int kMaxShards = 128;
+
     struct Options
     {
         ShardExecMode mode = ShardExecMode::Merge;

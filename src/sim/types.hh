@@ -24,6 +24,12 @@ using SimDuration = std::int64_t;
 /** The maximum representable simulated time. */
 constexpr SimTime kMaxSimTime = INT64_MAX;
 
+/**
+ * The latest time an event can be scheduled at: event times fit in
+ * 47 bits, about 4.4 simulated years (see EventQueue).
+ */
+constexpr SimTime kMaxEventTime = (SimTime(1) << 47) - 1;
+
 /** @{ Duration constructors from humane units. */
 constexpr SimDuration
 usec(double n)

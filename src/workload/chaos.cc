@@ -1,5 +1,6 @@
 #include "workload/chaos.hh"
 
+#include <algorithm>
 #include <string>
 #include <utility>
 #include <vector>
@@ -71,6 +72,11 @@ parseChaosDuration(const std::string &tok, SimDuration &out,
     double v = 0;
     if (!parseStrictPositiveDouble(num.c_str(), v)) {
         err = "duration '" + tok + "' is not a positive number";
+        return false;
+    }
+    if (v * scale * 1e6 > static_cast<double>(kMaxEventTime)) {
+        err = "duration '" + tok + "' is past the simulator's event "
+              "horizon (2^47 us)";
         return false;
     }
     out = seconds(v * scale);
@@ -222,9 +228,7 @@ void
 ChaosEngine::armLane(std::size_t lane)
 {
     Lane &l = lanes[lane];
-    SimDuration gap = static_cast<SimDuration>(
-        l.rng.exponential(static_cast<double>(l.spec.mtbf)));
-    sim.schedule(gap, [this, lane] {
+    sim.schedule(draw(l, l.spec.mtbf), [this, lane] {
         if (!running)
             return;
         fireLane(lane);
@@ -256,10 +260,11 @@ ChaosEngine::fireLane(std::size_t lane)
 }
 
 SimDuration
-ChaosEngine::drawDuration(Lane &l)
+ChaosEngine::draw(Lane &l, SimDuration mean)
 {
+    double d = l.rng.exponential(static_cast<double>(mean));
     return static_cast<SimDuration>(
-        l.rng.exponential(static_cast<double>(l.spec.duration)));
+        std::min(d, static_cast<double>(kMaxEventTime - sim.now())));
 }
 
 HostId

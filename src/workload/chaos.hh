@@ -183,8 +183,16 @@ class ChaosEngine
     /** Record one completed recovery injected at @p injected_at. */
     void countRecovered(FaultFamily family, SimTime injected_at);
 
+    /**
+     * Draw an exponential gap of mean @p mean from lane @p l's
+     * stream, capped at the event horizon: an event past it would
+     * panic in the event queue, and one at it never fires in a run
+     * that ends inside the horizon.
+     */
+    SimDuration draw(Lane &l, SimDuration mean);
+
     /** Draw a fault duration for lane @p l. */
-    SimDuration drawDuration(Lane &l);
+    SimDuration drawDuration(Lane &l) { return draw(l, l.spec.duration); }
 
     /** Random connected, non-crashed host; invalid if none. */
     HostId pickHost(Lane &l);

@@ -119,11 +119,14 @@ class CloudSimulation
     /** Detaches the log clock if it still points at this sim. */
     ~CloudSimulation();
 
+    /** run()'s default drain. */
+    static constexpr SimDuration kDrain = minutes(30);
+
     /**
      * Start the workload and run until the workload window closes
      * plus @p drain (letting in-flight operations finish).
      */
-    void run(SimDuration drain = minutes(30));
+    void run(SimDuration drain = kDrain);
 
     /** Start the workload generator without running the clock. */
     void start() { driver_->start(); }

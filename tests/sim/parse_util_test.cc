@@ -110,3 +110,20 @@ TEST(ParseStrictNonNegativeDouble, AllowsZero)
     EXPECT_FALSE(parseStrictNonNegativeDouble("-0.1", v));
     EXPECT_FALSE(parseStrictNonNegativeDouble("0x", v));
 }
+
+TEST(ParseStrictHours, StaysInsideTheEventHorizon)
+{
+    double v = 1;
+    EXPECT_TRUE(parseStrictHours("0", 0, v));
+    EXPECT_DOUBLE_EQ(v, 0.0);
+    EXPECT_TRUE(parseStrictHours("24", minutes(30), v));
+    EXPECT_DOUBLE_EQ(v, 24.0);
+    // 2^47 us is 39093.75 h; the extra time counts against it.
+    EXPECT_FALSE(parseStrictHours("39093.7", minutes(30), v));
+    EXPECT_FALSE(parseStrictHours("39094", 0, v));
+    EXPECT_FALSE(parseStrictHours("1e12", 0, v));
+    EXPECT_FALSE(parseStrictHours("-5", 0, v));
+    EXPECT_FALSE(parseStrictHours("abc", 0, v));
+    EXPECT_DOUBLE_EQ(v, 24.0); // untouched on failure
+    EXPECT_TRUE(parseStrictHours("39093.7", 0, v));
+}

@@ -27,6 +27,16 @@ comparison does not state on its own.
         stdout's "completed + failed" and to the last snapshot's
         cp.op_us count.
 
+    check_vcpsim.py bad-args VCPSIM T2_OPMIX SELFSERVICE RECONFIG STORM
+        Out-of-range and malformed command-line values are usage
+        errors, never a panic or a silently different run: hours and
+        mtbf values past the simulator's event horizon, more shards
+        than ShardedSimulator allows, and the examples' garbage or
+        negative positional arguments each exit 2 and name their flag
+        on stderr.  The other programs are bench_t2_opmix and the
+        selfservice_cloud, reconfiguration_study and
+        provisioning_storm examples.
+
 Exit status: 0 holds, 1 violated, 2 run error.  Stdlib only.
 """
 
@@ -214,13 +224,59 @@ def latency(vcpsim, tmp):
     return 1 if problems else 0
 
 
+def bad_args(vcpsim, tmp, t2_opmix, selfservice, reconfig, storm):
+    cases = [
+        (vcpsim, ["cloud-a", "--hours", "1e12"], "--hours"),
+        (vcpsim, ["cloud-a", "--hours", "1", "--mtbf", "1e12"], "--mtbf"),
+        (vcpsim, ["cloud-a", "--hours", "1", "--mtbf", "1e6"], "--mtbf"),
+        (vcpsim, ["cloud-a", "--hours", "1", "--chaos",
+                  "crash:mtbf=1e12h,duration=5m"], "--chaos"),
+        (vcpsim, ["cloud-a", "--hours", "1", "--parallel-shards", "200"],
+         "--parallel-shards"),
+        (vcpsim, ["sweep", "cloud-a", "--hours", "1e12"], "--hours"),
+        (vcpsim, ["sweep", "cloud-a", "--parallel-shards", "200"],
+         "--parallel-shards"),
+        (t2_opmix, ["1e12"], "hours"),
+        (selfservice, ["-5"], "hours"),
+        (selfservice, ["abc"], "hours"),
+        (reconfig, ["-2"], "hours"),
+        (reconfig, ["abc"], "hours"),
+        (storm, ["abc"], "vapps"),
+        (storm, ["-3"], "vapps"),
+    ]
+    problems = []
+    for program, args, flag in cases:
+        name = f"{os.path.basename(program)} {' '.join(args)}"
+        try:
+            proc = subprocess.run([program] + args, cwd=tmp,
+                                  stdout=subprocess.DEVNULL,
+                                  stderr=subprocess.PIPE, timeout=120)
+        except subprocess.TimeoutExpired:
+            problems.append(f"{name}: still running after 120 s")
+            continue
+        err = proc.stderr.decode(errors="replace").strip()
+        if proc.returncode != 2 or flag not in err:
+            problems.append(f"{name}: exit {proc.returncode}, want 2 "
+                            f"naming {flag}; stderr: {err[-200:]!r}")
+    for p in problems:
+        print(f"FAIL: {p}")
+    if not problems:
+        print(f"OK: {len(cases)} bad arguments exit 2 naming their flag")
+    return 1 if problems else 0
+
+
 def main():
-    checks = {"verdict": verdict, "mtbf": mtbf, "latency": latency}
-    if len(sys.argv) != 3 or sys.argv[1] not in checks:
+    checks = {"verdict": verdict, "mtbf": mtbf, "latency": latency,
+              "bad-args": bad_args}
+    # bad-args takes four more programs after vcpsim.
+    want = 7 if sys.argv[1:2] == ["bad-args"] else 3
+    if len(sys.argv) != want or sys.argv[1] not in checks:
         print(__doc__)
         return 2
+    programs = [os.path.abspath(p) for p in sys.argv[3:]]
     with tempfile.TemporaryDirectory(prefix="check-vcpsim-") as tmp:
-        return checks[sys.argv[1]](os.path.abspath(sys.argv[2]), tmp)
+        return checks[sys.argv[1]](os.path.abspath(sys.argv[2]), tmp,
+                                   *programs)
 
 
 if __name__ == "__main__":

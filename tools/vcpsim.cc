@@ -202,6 +202,46 @@ parseNonNegativeDouble(const char *flag, const char *value)
     return v;
 }
 
+/**
+ * Parse an hours option value (--hours, or --mtbf when @p allow_zero)
+ * whose run, drain included, ends inside the simulator's event
+ * horizon; a longer one would panic in the event queue.
+ */
+double
+parseHours(const char *flag, const char *value, bool allow_zero)
+{
+    using vcp::CloudSimulation;
+    double v = 0;
+    if (!vcp::parseStrictHours(value, CloudSimulation::kDrain, v) ||
+        (v == 0.0 && !allow_zero)) {
+        std::fprintf(stderr,
+                     "vcpsim: %s expects a %s number of hours, at most "
+                     "%lld (the simulator's event horizon less the "
+                     "drain), got '%s'\n",
+                     flag, allow_zero ? "non-negative" : "positive",
+                     static_cast<long long>(vcp::toHours(
+                         vcp::kMaxEventTime - CloudSimulation::kDrain)),
+                     value);
+        std::exit(2);
+    }
+    return v;
+}
+
+/** Parse --parallel-shards: at most ShardedSimulator::kMaxShards. */
+int
+parseShards(const char *value)
+{
+    int v = parsePositiveInt("--parallel-shards", value);
+    if (v > vcp::ShardedSimulator::kMaxShards) {
+        std::fprintf(stderr,
+                     "vcpsim: --parallel-shards expects at most %d "
+                     "shards, got '%s'\n",
+                     vcp::ShardedSimulator::kMaxShards, value);
+        std::exit(2);
+    }
+    return v;
+}
+
 /** Parse an unsigned 64-bit option value (seeds; 0 is a fine seed). */
 std::uint64_t
 parseU64(const char *flag, const char *value)
@@ -308,7 +348,7 @@ sweepMain(int argc, char **argv)
                 return 2;
             }
         } else if (arg == "--hours") {
-            hours_per_point = parsePositiveDouble("--hours", next());
+            hours_per_point = parseHours("--hours", next(), false);
         } else if (arg == "--seed") {
             seed = parseU64("--seed", next());
         } else if (arg == "--full-clones") {
@@ -318,8 +358,7 @@ sweepMain(int argc, char **argv)
         } else if (arg == "--serial") {
             jobs = 1;
         } else if (arg == "--parallel-shards") {
-            spec.exec.shards =
-                parsePositiveInt("--parallel-shards", next());
+            spec.exec.shards = parseShards(next());
         } else if (arg == "--csv") {
             csv_path = next();
         } else {
@@ -418,7 +457,7 @@ main(int argc, char **argv)
         };
         if (arg == "--hours") {
             spec.workload.duration =
-                hours(parsePositiveDouble("--hours", next()));
+                hours(parseHours("--hours", next(), false));
         } else if (arg == "--seed") {
             seed = parseU64("--seed", next());
         } else if (arg == "--rate") {
@@ -427,10 +466,9 @@ main(int argc, char **argv)
         } else if (arg == "--hosts") {
             spec.infra.hosts = parsePositiveInt("--hosts", next());
         } else if (arg == "--parallel-shards") {
-            spec.exec.shards =
-                parsePositiveInt("--parallel-shards", next());
+            spec.exec.shards = parseShards(next());
         } else if (arg == "--mtbf") {
-            mtbf_hours = parseNonNegativeDouble("--mtbf", next());
+            mtbf_hours = parseHours("--mtbf", next(), true);
         } else if (arg == "--chaos") {
             std::string err;
             if (!parseChaosSpec(next(), chaos_cfg, err)) {
