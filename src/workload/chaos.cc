@@ -314,7 +314,7 @@ ChaosEngine::injectCrash(Lane &l)
     SimTime at = sim.now();
     ha.crashHost(victim);
     countInjected(FaultFamily::HostCrash);
-    sim.schedule(drawDuration(l), [this, victim, at] {
+    sim.schedule(draw(l, l.spec.duration), [this, victim, at] {
         // A stopped scenario leaves its crashed hosts down: nothing
         // the engine scheduled mutates the cloud after stop().
         if (!running)
@@ -335,7 +335,7 @@ ChaosEngine::injectDisconnect(Lane &l)
     SimTime at = sim.now();
     srv.disconnectHost(victim);
     countInjected(FaultFamily::HostDisconnect);
-    sim.schedule(drawDuration(l), [this, victim, at] {
+    sim.schedule(draw(l, l.spec.duration), [this, victim, at] {
         if (!running)
             return;
         // A crash lane cannot have hit the dark host meanwhile
@@ -355,7 +355,7 @@ ChaosEngine::injectDbStall(Lane &l)
     if (++db_stall_depth == 1)
         srv.database().setStalled(true);
     countInjected(FaultFamily::DbStall);
-    sim.schedule(drawDuration(l), [this, at] {
+    sim.schedule(draw(l, l.spec.duration), [this, at] {
         // Environmental heals always fire, even after stop():
         // leaving the database wedged forever would deadlock every
         // in-flight op and the drain with it.  Only the accounting
@@ -392,7 +392,7 @@ ChaosEngine::injectLinkDown(Lane &l)
     SimTime at = sim.now();
     fab.setLinkUp(victim, false);
     countInjected(FaultFamily::LinkDown);
-    sim.schedule(drawDuration(l), [this, victim, at] {
+    sim.schedule(draw(l, l.spec.duration), [this, victim, at] {
         srv.network().topology().setLinkUp(victim, true);
         if (running)
             countRecovered(FaultFamily::LinkDown, at);
@@ -425,7 +425,7 @@ ChaosEngine::injectSwitchDown(Lane &l)
     SimTime at = sim.now();
     fab.setNodeUp(victim, false);
     countInjected(FaultFamily::SwitchDown);
-    sim.schedule(drawDuration(l), [this, victim, at] {
+    sim.schedule(draw(l, l.spec.duration), [this, victim, at] {
         srv.network().topology().setNodeUp(victim, true);
         if (running)
             countRecovered(FaultFamily::SwitchDown, at);

@@ -191,9 +191,6 @@ class ChaosEngine
      */
     SimDuration draw(Lane &l, SimDuration mean);
 
-    /** Draw a fault duration for lane @p l. */
-    SimDuration drawDuration(Lane &l) { return draw(l, l.spec.duration); }
-
     /** Random connected, non-crashed host; invalid if none. */
     HostId pickHost(Lane &l);
 
