@@ -52,7 +52,8 @@ f3Artifact(int shards, std::uint64_t *events = nullptr)
 double
 pumpSeconds(int shards, ShardExecMode mode)
 {
-    struct Pump
+    // One pump per cache line: each shard's events write `remaining`.
+    struct alignas(64) Pump
     {
         ShardedSimulator *eng;
         ShardId id;

@@ -1,9 +1,12 @@
 #include "sim/sharded_simulator.hh"
 
 #include <algorithm>
-#include <barrier>
 #include <chrono>
 #include <thread>
+
+#if defined(__linux__)
+#include <sched.h>
+#endif
 
 #include "sim/logging.hh"
 #include "sim/parallel_sweep.hh"
@@ -17,6 +20,99 @@ thread_local ShardId tls_shard = ~ShardId(0);
 
 /** Trace-lane window cap per shard (16 B each). */
 constexpr std::size_t kMaxWindowsPerShard = 16384;
+
+/**
+ * A waiting worker polls the neighbours' bounds kSpinPolls times with
+ * a pause (~5 us on a 2.1 GHz Xeon, past most of a neighbour's lag),
+ * then kYieldPolls times with a yield (~0.14 ms while no other thread
+ * wants the core), then parks.  Measured with perf_smoke_parallel on
+ * a 4-vCPU KVM guest: parking after 500 pauses missed the 1.5x floor
+ * more often alone, as a parked vCPU is slow to wake; 2,000 pauses
+ * without yields collapsed to 0.03-0.09x when two copies shared the
+ * vCPUs, holding cores that the awaited workers needed.
+ */
+constexpr int kSpinPolls = 200;
+constexpr int kYieldPolls = 400;
+
+/** ShardedSimulator::sync_: census epoch above, waiting count below. */
+constexpr std::uint64_t kWaitingMask = 0xffffffffu;
+
+std::uint64_t epochOf(std::uint64_t v) { return v >> 32; }
+std::uint64_t waitingOf(std::uint64_t v) { return v & kWaitingMask; }
+
+void
+cpuRelax()
+{
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#elif defined(__aarch64__)
+    asm volatile("yield");
+#endif
+}
+
+/**
+ * Starting CPUs for the workers.  Linux may leave a new thread on its
+ * parent's CPU until a load balance; on a 4-vCPU KVM guest that took
+ * up to a second, with every worker taking turns on one core.  Each
+ * worker moves itself to its own allowed CPU, then drops the pin, so
+ * the scheduler stays free to migrate it.
+ */
+class CpuSpread
+{
+  public:
+    CpuSpread()
+    {
+#if defined(__linux__)
+        CPU_ZERO(&allowed_);
+        if (sched_getaffinity(0, sizeof(allowed_), &allowed_) != 0)
+            return;
+        for (int c = 0; c < CPU_SETSIZE; ++c)
+            if (CPU_ISSET(c, &allowed_))
+                cpus_.push_back(c);
+        auto here = std::find(cpus_.begin(), cpus_.end(), sched_getcpu());
+        if (here != cpus_.end())
+            first_ = static_cast<std::size_t>(here - cpus_.begin());
+#endif
+    }
+
+    /** Move the calling thread, worker @p k, to the k-th allowed CPU
+     *  after the launching thread's. */
+    void
+    place(std::size_t k) const
+    {
+#if defined(__linux__)
+        if (cpus_.size() < 2)
+            return;
+        cpu_set_t one;
+        CPU_ZERO(&one);
+        CPU_SET(cpus_[(first_ + k) % cpus_.size()], &one);
+        if (sched_setaffinity(0, sizeof(one), &one) == 0)
+            sched_setaffinity(0, sizeof(allowed_), &allowed_);
+#else
+        (void)k;
+#endif
+    }
+
+  private:
+#if defined(__linux__)
+    cpu_set_t allowed_;
+#endif
+    std::vector<int> cpus_;
+    std::size_t first_ = 0;
+};
+
+SimTime
+satAdd(SimTime t, SimDuration d)
+{
+    return t > kMaxSimTime - d ? kMaxSimTime : t + d;
+}
+
+/** The bound of a shard with nothing left up to @p until. */
+SimTime
+justPast(SimTime until)
+{
+    return satAdd(until, 1);
+}
 
 } // namespace
 
@@ -154,7 +250,17 @@ ShardedSimulator::mailboxBacklog(ShardId s) const
 void
 ShardedSimulator::stop()
 {
-    stopping_.store(true, std::memory_order_release);
+    stopping_.store(true, std::memory_order_seq_cst);
+    wakeSleepers();
+}
+
+std::uint64_t
+ShardedSimulator::rounds() const
+{
+    std::uint64_t n = 0;
+    for (const auto &sh : shards_)
+        n += sh->stats.rounds;
+    return n;
 }
 
 void
@@ -201,7 +307,6 @@ ShardedSimulator::post(ShardId src, ShardId dst, SimTime when,
     ev.seq = seq;
     ev.action = std::move(action);
     ++s.stats.cross_sent;
-    cross_pending_.fetch_add(1, std::memory_order_release);
     d.inbox[src]->push(std::move(ev));
 }
 
@@ -223,11 +328,7 @@ ShardedSimulator::drainInboxes(Shard &sh)
             ++n;
         }
     }
-    if (n) {
-        sh.stats.cross_received += n;
-        cross_pending_.fetch_sub(static_cast<std::int64_t>(n),
-                                 std::memory_order_acq_rel);
-    }
+    sh.stats.cross_received += n;
     return n;
 }
 
@@ -352,20 +453,37 @@ void
 ShardedSimulator::runThreadedUntil(SimTime until)
 {
     const std::size_t K = shards_.size();
+    const SimTime cap = justPast(until);
     for (auto &sh : shards_) {
         sh->sim.stopping = false;
+        // No shard executes before its clock: a safe starting bound,
+        // which decideStep raises to the exact one.
         sh->bound.store(sh->sim.now(), std::memory_order_relaxed);
+        sh->step_next = std::min(sh->sim.nextEventTime(), cap);
     }
-    done_flag_.store(false);
-    std::barrier<> bar(static_cast<std::ptrdiff_t>(K));
-    std::vector<std::thread> threads;
-    threads.reserve(K - 1);
-    for (ShardId s = 1; s < K; ++s)
-        threads.emplace_back(
-            [this, s, until, &bar] { worker(s, until, bar); });
-    worker(0, until, bar);
-    for (std::thread &t : threads)
-        t.join();
+    sync_.store(0, std::memory_order_relaxed);
+    arrived_.store(0, std::memory_order_relaxed);
+    // Nothing is in flight before the launch, so it is a synchronous
+    // step: the workers start from its decision.
+    decideStep(cap);
+    if (step_action_ != StepAction::Done) {
+        const CpuSpread spread;
+        std::vector<std::thread> threads;
+        threads.reserve(K - 1);
+        for (ShardId s = 1; s < K; ++s)
+            threads.emplace_back([this, s, until, &spread] {
+                spread.place(s);
+                worker(s, until);
+            });
+        worker(0, until);
+        for (std::thread &t : threads)
+            t.join();
+    }
+    // Sends that land past `until`, or that a stop left undrained,
+    // join their queues; none is in its receiver's past, since it
+    // was at or beyond the horizon the receiver last ran to.
+    for (auto &sh : shards_)
+        drainInboxes(*sh);
     // A drain run (until == kMaxSimTime) leaves each clock at its
     // shard's last event, matching serial run() semantics.
     if (until != kMaxSimTime && !stopping_.load())
@@ -374,99 +492,308 @@ ShardedSimulator::runThreadedUntil(SimTime until)
 }
 
 void
-ShardedSimulator::worker(ShardId s, SimTime until, std::barrier<> &bar)
+ShardedSimulator::worker(ShardId s, SimTime until)
 {
     Shard &sh = *shards_[s];
-    const std::size_t K = shards_.size();
+    const SimTime cap = justPast(until);
     tls_shard = s;
-    // Wall-clock time parked at round barriers, attributed to this
-    // shard — the telemetry export's load-imbalance signal.
-    auto timedBarrier = [&sh, &bar] {
-        auto t0 = std::chrono::steady_clock::now();
-        bar.arrive_and_wait();
-        auto dt = std::chrono::steady_clock::now() - t0;
-        sh.stats.barrier_wait_ns += static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(dt)
-                .count());
-    };
     for (;;) {
-        // (1) Adopt every delivery from completed rounds, then
-        // (2) publish this shard's send bound for the round: no event
-        // it can still execute — and therefore no send it can still
-        // make — happens before min(next local event, until).
-        drainInboxes(sh);
-        SimTime local_next = sh.sim.nextEventTime();
-        SimTime bound = std::min(local_next, until);
-        sh.bound.store(bound, std::memory_order_release);
-        timedBarrier();
-
-        // (3) Execute the window admitted by every *other* shard's
-        // bound plus its declared lookahead.  Any send they can still
-        // make lands at >= bound + lookahead >= H, so nothing can
-        // arrive in this window's past — even over zero-lookahead
-        // edges and chains through third shards.
-        SimTime h = until;
-        for (ShardId o = 0; o < K; ++o) {
-            if (o == s)
-                continue;
-            SimTime b =
-                shards_[o]->bound.load(std::memory_order_acquire);
-            SimDuration la = shards_[o]->lookahead;
-            SimTime safe =
-                b > kMaxSimTime - la ? kMaxSimTime : b + la;
-            h = std::min(h, safe);
-        }
-        ++sh.stats.rounds;
-        std::uint64_t before = sh.sim.eventsProcessed();
-        SimTime wstart = sh.sim.now();
-        while (!stopping_.load(std::memory_order_relaxed) &&
-               !sh.sim.stopRequested()) {
-            SimTime nt = sh.sim.nextEventTime();
-            if (nt == kMaxSimTime || nt > h)
-                break;
-            sh.sim.executeNext();
-        }
-        if (sh.sim.stopRequested())
-            stopping_.store(true, std::memory_order_release);
-        std::uint64_t ran = sh.sim.eventsProcessed() - before;
-        sh.stats.events += ran;
-        if (ran == 0 && local_next <= until)
-            ++sh.stats.stalled_rounds;
-        if (ran && opts_.collect_windows &&
-            sh.windows.size() < kMaxWindowsPerShard)
-            sh.windows.push_back({wstart, sh.sim.now(),
-                                  static_cast<std::uint32_t>(
-                                      std::min<std::uint64_t>(
-                                          ran, UINT32_MAX))});
-        timedBarrier();
-
-        // (4) Termination, decided by shard 0 alone while the others
-        // hold at the closing barrier (so the counters it reads are
-        // quiescent): every bound at `until` and no cross event still
-        // in a mailbox.  Bounds are pre-window, but a bound of
-        // `until` admits the full window, so any work it spawned
-        // either already ran or shows up in cross_pending_.
-        if (s == 0) {
-            bool done = stopping_.load(std::memory_order_relaxed);
-            if (!done &&
-                cross_pending_.load(std::memory_order_acquire) == 0) {
-                done = true;
-                for (const auto &o : shards_) {
-                    if (o->bound.load(std::memory_order_relaxed) <
-                        until) {
-                        done = false;
-                        break;
-                    }
-                }
-            }
-            done_flag_.store(done, std::memory_order_release);
-            ++rounds_;
-        }
-        timedBarrier();
-        if (done_flag_.load(std::memory_order_acquire))
+        if (step_action_ == StepAction::Done)
+            break;
+        if (step_action_ == StepAction::Tie &&
+            sh.step_next == step_time_)
+            runBelow(sh, step_time_ + 1, until, false);
+        if (runAsync(s, until, cap) == Wake::Stop ||
+            !syncStep(sh, cap))
             break;
     }
     tls_shard = kNoShard;
+}
+
+ShardedSimulator::Wake
+ShardedSimulator::runAsync(ShardId s, SimTime until, SimTime cap)
+{
+    Shard &sh = *shards_[s];
+    SimTime h = horizon(s);
+    for (;;) {
+        // Every send below h was pushed before the bound that put h
+        // there, so after this drain the queue holds all of them.
+        drainInboxes(sh);
+        std::uint64_t ran = runBelow(sh, h, until, true);
+        if (stopping_.load(std::memory_order_relaxed))
+            return Wake::Stop;
+        // This shard's future events are its queue's and deliveries
+        // at or beyond h; its sends above were pushed before this.
+        publishBound(sh, std::min({sh.sim.nextEventTime(), h, cap}),
+                     ran > 0);
+        SimTime nh = horizon(s);
+        if (nh != h) {
+            h = nh;
+            continue;
+        }
+        const bool stalled = sh.sim.nextEventTime() <= until;
+        if (stalled)
+            ++sh.stats.stalled_rounds;
+        auto t0 = std::chrono::steady_clock::now();
+        Wake w = awaitHorizon(s, h, ran > 0 && stalled, until, cap);
+        sh.stats.barrier_wait_ns += static_cast<std::uint64_t>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(
+                std::chrono::steady_clock::now() - t0)
+                .count());
+        if (w != Wake::Run)
+            return w;
+    }
+}
+
+ShardedSimulator::Wake
+ShardedSimulator::awaitHorizon(ShardId s, SimTime &h, bool spin_first,
+                               SimTime until, SimTime cap)
+{
+    Shard &sh = *shards_[s];
+    const std::uint64_t K = shards_.size();
+    int polls = 0;
+    // A worker that just ran a batch and has more expects its
+    // neighbours to finish theirs shortly: poll without joining the
+    // census.
+    if (spin_first) {
+        for (; polls < kSpinPolls + kYieldPolls; ++polls) {
+            if (stopping_.load(std::memory_order_relaxed))
+                return Wake::Stop;
+            SimTime nh = horizon(s);
+            if (nh != h) {
+                h = nh;
+                return Wake::Run;
+            }
+            if (polls < kSpinPolls)
+                cpuRelax();
+            else
+                std::this_thread::yield();
+        }
+    }
+    // Join the census of waiting workers; the one that completes it
+    // takes the step, and nobody executes events while it is
+    // complete.  A worker that runs events restarts the census (a new
+    // epoch), so it completes only when no worker made progress
+    // since it joined.
+    std::uint64_t v = sync_.fetch_add(1, std::memory_order_seq_cst) + 1;
+    const std::uint64_t epoch = epochOf(v);
+    if (waitingOf(v) == K) {
+        wakeSleepers();
+        return Wake::Step;
+    }
+    auto changed = [&] {
+        std::uint64_t now = sync_.load(std::memory_order_seq_cst);
+        return stopping_.load(std::memory_order_seq_cst) ||
+               epochOf(now) != epoch || waitingOf(now) == K ||
+               horizon(s) != h;
+    };
+    for (;;) {
+        if (stopping_.load(std::memory_order_seq_cst))
+            return Wake::Stop;
+        v = sync_.load(std::memory_order_seq_cst);
+        if (epochOf(v) != epoch)
+            return Wake::Run; // restarted: re-check, then rejoin
+        if (waitingOf(v) == K)
+            return Wake::Step;
+        SimTime nh = horizon(s);
+        if (nh != h) {
+            h = nh;
+            drainInboxes(sh);
+            SimTime next = sh.sim.nextEventTime();
+            if (next < h && next <= until) {
+                // Leave the census, unless it completed or restarted
+                // meanwhile.
+                while (epochOf(v) == epoch && waitingOf(v) < K)
+                    if (sync_.compare_exchange_weak(
+                            v, v - 1, std::memory_order_seq_cst))
+                        return Wake::Run;
+                return epochOf(v) == epoch ? Wake::Step : Wake::Run;
+            }
+            // Still nothing to run: pass the higher bound on (idle
+            // shards creep up by a lookahead per exchange) and stay
+            // counted, so creeping cannot postpone the step.
+            publishBound(sh, std::min({next, h, cap}), false);
+            continue;
+        }
+        backOff(polls, changed);
+    }
+}
+
+bool
+ShardedSimulator::syncStep(Shard &sh, SimTime cap)
+{
+    const std::uint32_t K = static_cast<std::uint32_t>(shards_.size());
+    // Every worker is counted, so every send is already pushed: this
+    // drain leaves nothing in flight toward this shard.
+    drainInboxes(sh);
+    sh.step_next = std::min(sh.sim.nextEventTime(), cap);
+    // Nobody runs events during the step, so only its end moves the
+    // epoch.
+    const std::uint64_t epoch =
+        epochOf(sync_.load(std::memory_order_seq_cst));
+    if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 == K) {
+        arrived_.store(0, std::memory_order_relaxed);
+        decideStep(cap);
+        sync_.store((epoch + 1) << 32, std::memory_order_seq_cst);
+        wakeSleepers();
+        return !stopping_.load(std::memory_order_relaxed);
+    }
+    auto t0 = std::chrono::steady_clock::now();
+    auto moved = [&] {
+        return stopping_.load(std::memory_order_seq_cst) ||
+               epochOf(sync_.load(std::memory_order_seq_cst)) != epoch;
+    };
+    for (int polls = 0; !moved();)
+        backOff(polls, moved);
+    sh.stats.barrier_wait_ns += static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - t0)
+            .count());
+    return !stopping_.load(std::memory_order_relaxed);
+}
+
+void
+ShardedSimulator::decideStep(SimTime cap)
+{
+    // With nothing in flight, shard o's next event n_o bounds all it
+    // will ever execute, and its sends land at >= n_o + lookahead.
+    // So shard s executes nothing before
+    //   b_s = min(n_s, min over o != s of (n_o + lookahead_o))
+    // (one hop suffices: a longer chain adds lookaheads >= 0).
+    SimTime first = kMaxSimTime;
+    for (const auto &sh : shards_)
+        first = std::min(first, sh->step_next);
+    for (ShardId s = 0; s < shards_.size(); ++s) {
+        SimTime arrive = kMaxSimTime;
+        for (ShardId o = 0; o < shards_.size(); ++o)
+            if (o != s)
+                arrive = std::min(arrive, satAdd(shards_[o]->step_next,
+                                                 shards_[o]->lookahead));
+        Shard &sh = *shards_[s];
+        sh.bound.store(std::max(sh.bound.load(std::memory_order_relaxed),
+                                std::min(sh.step_next, arrive)),
+                       std::memory_order_relaxed);
+    }
+    bool runnable = false;
+    for (ShardId s = 0; s < shards_.size(); ++s)
+        runnable |= shards_[s]->step_next < std::min(horizon(s), cap);
+    // Nobody runnable below its exact horizon means every shard
+    // holding the earliest time is tied at it with a zero-lookahead
+    // neighbour: they all run their events at exactly that time.
+    step_action_ = first >= cap  ? StepAction::Done
+                   : runnable    ? StepAction::Resume
+                                 : StepAction::Tie;
+    step_time_ = first;
+}
+
+std::uint64_t
+ShardedSimulator::runBelow(Shard &sh, SimTime h, SimTime until,
+                           bool publish)
+{
+    const SimTime cap = justPast(until);
+    const std::uint64_t before = sh.sim.eventsProcessed();
+    const SimTime start = sh.sim.now();
+    // Publish on the way once the bound can rise by a lookahead: a
+    // neighbour that skipped ahead by one window then runs its next
+    // window beside this batch, not after it (with two shards they
+    // would otherwise take turns for the rest of the run).
+    SimTime next_pub =
+        publish && sh.lookahead > 0
+            ? satAdd(sh.bound.load(std::memory_order_relaxed),
+                     sh.lookahead)
+            : kMaxSimTime;
+    SimTime nt = sh.sim.nextEventTime();
+    while (nt < h && nt <= until &&
+           !stopping_.load(std::memory_order_relaxed)) {
+        sh.sim.executeNext();
+        if (sh.sim.stopRequested()) {
+            stop();
+            break;
+        }
+        nt = sh.sim.nextEventTime();
+        if (nt >= next_pub) {
+            SimTime b = std::min({nt, h, cap});
+            publishBound(sh, b, true);
+            next_pub = satAdd(b, sh.lookahead);
+        }
+    }
+    std::uint64_t ran = sh.sim.eventsProcessed() - before;
+    sh.stats.events += ran;
+    if (ran && opts_.collect_windows &&
+        sh.windows.size() < kMaxWindowsPerShard)
+        sh.windows.push_back(
+            {start, sh.sim.now(),
+             static_cast<std::uint32_t>(
+                 std::min<std::uint64_t>(ran, UINT32_MAX))});
+    return ran;
+}
+
+SimTime
+ShardedSimulator::horizon(ShardId s) const
+{
+    SimTime h = kMaxSimTime;
+    for (ShardId o = 0; o < shards_.size(); ++o) {
+        if (o == s)
+            continue;
+        const Shard &sh = *shards_[o];
+        h = std::min(h, satAdd(sh.bound.load(std::memory_order_seq_cst),
+                               sh.lookahead));
+    }
+    return h;
+}
+
+void
+ShardedSimulator::publishBound(Shard &sh, SimTime b, bool progress)
+{
+    if (b <= sh.bound.load(std::memory_order_relaxed))
+        return;
+    sh.bound.store(b, std::memory_order_seq_cst);
+    ++sh.stats.rounds;
+    // Restart a partial census: its members may be able to run now.
+    std::uint64_t v = sync_.load(std::memory_order_seq_cst);
+    while (progress && waitingOf(v) != 0 &&
+           !sync_.compare_exchange_weak(v, (epochOf(v) + 1) << 32,
+                                        std::memory_order_seq_cst)) {
+    }
+    wakeSleepers();
+}
+
+template <typename Ready>
+void
+ShardedSimulator::backOff(int &polls, Ready ready)
+{
+    if (polls < kSpinPolls) {
+        ++polls;
+        cpuRelax();
+    } else if (polls < kSpinPolls + kYieldPolls) {
+        ++polls;
+        std::this_thread::yield();
+    } else {
+        park(ready);
+    }
+}
+
+template <typename Ready>
+void
+ShardedSimulator::park(Ready ready)
+{
+    // Announce the sleep before re-checking: a waker either sees the
+    // announcement and bumps wake_, or made its change visible to
+    // the re-check (all seq_cst).
+    std::uint32_t e = wake_.load(std::memory_order_seq_cst);
+    sleepers_.fetch_add(1, std::memory_order_seq_cst);
+    if (!ready())
+        wake_.wait(e, std::memory_order_seq_cst);
+    sleepers_.fetch_sub(1, std::memory_order_seq_cst);
+}
+
+void
+ShardedSimulator::wakeSleepers()
+{
+    if (sleepers_.load(std::memory_order_seq_cst) == 0)
+        return;
+    wake_.fetch_add(1, std::memory_order_seq_cst);
+    wake_.notify_all();
 }
 
 const std::vector<ShardedSimulator::Window> &

@@ -6,9 +6,10 @@
  * A ShardedSimulator owns K per-shard kernels (each a full Simulator:
  * event queue, clock, RNG) plus the machinery that lets them advance
  * together correctly: per-edge SPSC mailboxes for cross-shard sends
- * and a round-based conservative horizon protocol driven by each
- * shard's published *bound* (a lower limit on any event it can still
- * send).  Two execution modes share that structure:
+ * and a conservative (Chandy–Misra–Bryant) protocol driven by each
+ * shard's published *bound* (a lower limit on the time of any event
+ * it can still execute, hence on any send it can still make).  Two
+ * execution modes share that structure:
  *
  *  - **DeterministicMerge** (the oracle): one thread pops the
  *    globally minimal (time, priority, sequence) event across all K
@@ -18,20 +19,26 @@
  *    Cross-shard model calls stay legal (it is one thread), which is
  *    what lets the single-management-server model run sharded today.
  *
- *  - **Threaded**: one worker per shard.  Each round, every shard
- *    (1) drains its inbound mailboxes, (2) publishes
- *    bound = min(next local event time, until), then after a barrier
- *    (3) executes local events up to
- *    H = min over other shards (bound + their declared lookahead).
- *    A send posted while executing an event at time t satisfies
- *    when >= t + lookahead >= bound + lookahead >= every receiver's
- *    H, so no shard ever receives an event in its past — including
- *    chains through third shards and zero-lookahead edges (the
- *    receiver's H is then capped at the sender's bound itself).
- *    Rounds are separated by barriers, which also makes mailbox
- *    drain points — and hence the whole execution — deterministic
- *    for a fixed shard count: cross-shard ties are ordered by a
- *    (source shard, source sequence) key, not by arrival timing.
+ *  - **Threaded**: one worker per shard, no rounds.  A worker reads
+ *    the other shards' bounds, drains its inboxes, runs its local
+ *    events strictly below H = min over other shards of (bound +
+ *    their lookahead), and after pushing its sends publishes
+ *    bound = min(next local event, H, just past the run's end) — at
+ *    the end of the batch, and on the way once it can rise by a
+ *    lookahead.  A shard's future events come from its queue or from
+ *    deliveries, which land at or after H, so the bound is safe; every
+ *    send with when < H was pushed before the bound that admitted it,
+ *    so the drain finds it.  H is strict because a send may land at
+ *    exactly bound + lookahead and must sort against local events at
+ *    that time.  A worker with nothing below H waits (brief spin, then
+ *    std::atomic::wait) for a neighbour's bound to move.  When every
+ *    worker is waiting, the last one in takes a synchronous step:
+ *    all drain, the exact bounds are computed from every shard's next
+ *    event, and the run either ends (nothing left up to `until`),
+ *    resumes, or — zero-lookahead shards tied at one time L — runs
+ *    every shard's events at exactly L.  Cross-shard ties are ordered
+ *    by a (source shard, source sequence) key, not by arrival timing,
+ *    so threaded runs are deterministic for a fixed shard count.
  *
  * Threaded mode requires the model partition to be *shard-closed*:
  * an event handler may touch only state owned by its shard, and all
@@ -46,7 +53,6 @@
 #define VCP_SIM_SHARDED_SIMULATOR_HH
 
 #include <atomic>
-#include <barrier>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -81,8 +87,8 @@ class ShardedSimulator
         /**
          * Default outgoing-lookahead promise per shard: every post()
          * from shard s must satisfy when >= s.now() + lookahead(s).
-         * 0 is always safe (the round protocol tolerates it); larger
-         * values widen every other shard's execution window.
+         * 0 is always safe (tied shards then advance by synchronous
+         * steps); larger values widen every other shard's horizon.
          */
         SimDuration lookahead = 0;
 
@@ -94,18 +100,20 @@ class ShardedSimulator
         bool collect_windows = true;
     };
 
-    /** Per-shard execution counters (horizon-stall attribution). */
+    /** Per-shard execution counters (horizon-stall attribution;
+     *  the round counters stay zero in merge mode). */
     struct ShardStats
     {
         std::uint64_t events = 0;
+        /** Bound publications (threaded mode). */
         std::uint64_t rounds = 0;
-        /** Rounds where the horizon admitted no local event while
-         *  the queue was non-empty — time lost to neighbors' lag. */
+        /** Waits on a neighbour while a local event up to the run's
+         *  end was pending — time lost to neighbours' lag. */
         std::uint64_t stalled_rounds = 0;
         std::uint64_t cross_sent = 0;
         std::uint64_t cross_received = 0;
-        /** Wall-clock nanoseconds this shard's worker spent inside
-         *  round barriers (threaded mode) — load-imbalance signal. */
+        /** Wall-clock nanoseconds this shard's worker spent waiting
+         *  on a neighbour (threaded mode) — load-imbalance signal. */
         std::uint64_t barrier_wait_ns = 0;
     };
 
@@ -155,8 +163,8 @@ class ShardedSimulator
     /** Run until every queue and mailbox drains (or stop()). */
     void run();
 
-    /** Request the run to end at the next event (merge) or the next
-     *  horizon round (threaded). */
+    /** Request the run to end at the next event; in threaded mode
+     *  every worker returns after its current event or wait. */
     void stop();
     bool stopRequested() const { return stopping_.load(); }
 
@@ -183,11 +191,12 @@ class ShardedSimulator
      *  its inboxes (racy while running; telemetry backlog probe). */
     std::size_t mailboxBacklog(ShardId s) const;
 
-    /** Horizon rounds completed (threaded mode). */
-    std::uint64_t rounds() const { return rounds_; }
+    /** Bound publications summed over shards (threaded mode). */
+    std::uint64_t rounds() const;
 
-    /** One executed horizon window (threaded runs; trace-lane
-     *  material — see flushShardLanes in trace/shard_lanes.hh). */
+    /** One batch of local events run below one horizon (threaded
+     *  runs; trace-lane material — see flushShardLanes in
+     *  trace/shard_lanes.hh). */
     struct Window
     {
         SimTime start = 0;
@@ -210,8 +219,6 @@ class ShardedSimulator
     struct Shard
     {
         Simulator sim;
-        /** Published lower bound on future sends (round protocol). */
-        std::atomic<SimTime> bound{0};
         SimDuration lookahead = 0;
         /** inbox[src]: SPSC ring from shard src. */
         std::vector<std::unique_ptr<SpscMailbox<CrossEvent>>> inbox;
@@ -219,13 +226,66 @@ class ShardedSimulator
         std::vector<std::uint32_t> edge_seq;
         ShardStats stats;
         std::vector<Window> windows;
+        /** Next local event, capped just past the run's end, as
+         *  recorded for the latest synchronous step. */
+        SimTime step_next = 0;
+        /** Published lower bound on the time of any event this shard
+         *  can still execute.  Alone on its cache line: every other
+         *  worker polls it. */
+        alignas(64) std::atomic<SimTime> bound{0};
 
         explicit Shard(std::uint64_t seed) : sim(seed) {}
     };
 
+    /** What a synchronous step decided (see decideStep). */
+    enum class StepAction : std::uint8_t
+    {
+        Resume, ///< some shard has events below its exact horizon
+        Tie,    ///< zero-lookahead tie: run every event at step_time_
+        Done,   ///< nothing left up to the run's end
+    };
+
+    /** How a wait for a neighbour ended. */
+    enum class Wake : std::uint8_t
+    {
+        Run,  ///< the horizon moved past a local event
+        Step, ///< every worker is waiting: take a synchronous step
+        Stop, ///< stop() was requested
+    };
+
     void runMergeUntil(SimTime until, bool drain);
     void runThreadedUntil(SimTime until);
-    void worker(ShardId s, SimTime until, std::barrier<> &bar);
+    void worker(ShardId s, SimTime until);
+    /** The asynchronous protocol from the worker of shard @p s, until
+     *  every worker waits (Wake::Step) or a stop (Wake::Stop). */
+    Wake runAsync(ShardId s, SimTime until, SimTime cap);
+    /** Wait until horizon @p h moves past a local event (updating
+     *  h), every worker waits, or a stop; @p spin_first polls before
+     *  joining the census. */
+    Wake awaitHorizon(ShardId s, SimTime &h, bool spin_first,
+                      SimTime until, SimTime cap);
+    /** One synchronous step; false on stop. */
+    bool syncStep(Shard &sh, SimTime cap);
+    /** Exact bounds and step_action_ from every shard's step_next
+     *  (the caller is the only thread touching them). */
+    void decideStep(SimTime cap);
+
+    /** Local events of @p sh below @p h and up to @p until; returns
+     *  the number run and records a window.  @p publish: h is a
+     *  horizon, so bounds may be published on the way. */
+    std::uint64_t runBelow(Shard &sh, SimTime h, SimTime until,
+                           bool publish);
+    /** min over shards other than @p s of bound + lookahead. */
+    SimTime horizon(ShardId s) const;
+    /** Raise @p sh's bound to @p b; @p progress (events ran since
+     *  the last one) restarts a partial census. */
+    void publishBound(Shard &sh, SimTime b, bool progress);
+    /** One poll of a waiting worker: a pause, later a yield, at last
+     *  park(); @p polls counts them. */
+    template <typename Ready> void backOff(int &polls, Ready ready);
+    /** Block until @p ready() or wakeSleepers(). */
+    template <typename Ready> void park(Ready ready);
+    void wakeSleepers();
 
     /** Drain shard @p s's inboxes into its queue; returns items. */
     std::uint64_t drainInboxes(Shard &sh);
@@ -246,10 +306,23 @@ class ShardedSimulator
 
     std::atomic<bool> stopping_{false};
     std::atomic<bool> running_{false};
-    std::atomic<bool> done_flag_{false};
-    /** Cross events sent but not yet drained (termination check). */
-    std::atomic<std::int64_t> cross_pending_{0};
-    std::uint64_t rounds_ = 0;
+
+    /** Written by the step's last worker before the census epoch
+     *  moves; read by every worker after it. */
+    StepAction step_action_ = StepAction::Resume;
+    SimTime step_time_ = 0;
+
+    /** Census of waiting workers: their count in the low 32 bits,
+     *  the census epoch above.  The worker whose arrival makes the
+     *  count K takes the step; the step's end and any worker that
+     *  ran events since joining start a new epoch. */
+    alignas(64) std::atomic<std::uint64_t> sync_{0};
+    /** Workers that reached the current step. */
+    alignas(64) std::atomic<std::uint32_t> arrived_{0};
+    /** Parking word, bumped by wakeSleepers() while any worker
+     *  sleeps on it. */
+    alignas(64) std::atomic<std::uint32_t> wake_{0};
+    std::atomic<std::uint32_t> sleepers_{0};
 };
 
 } // namespace vcp

@@ -110,7 +110,7 @@ class SpscMailbox
     }
 
     /** Consumer-visible emptiness (racy by nature; exact once the
-     *  producer is quiescent, e.g.\ after a round barrier). */
+     *  producer is quiescent, e.g.\ once the workers joined). */
     bool
     empty() const
     {

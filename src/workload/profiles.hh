@@ -182,7 +182,7 @@ class CloudSimulation
      * database, ops, agents) plus polled probes for every saturation
      * point — queue-depth gauges, the collectUtilizations() resource
      * list, the fabric's counters, and per-shard engine series
-     * (events, mailbox backlog, horizon stalls, barrier wait).  Pass
+     * (events, mailbox backlog, horizon stalls, neighbour wait).  Pass
      * nullptr to detach the histograms.
      */
     void enableTelemetry(TelemetryRegistry *reg);

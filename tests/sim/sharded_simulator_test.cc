@@ -317,6 +317,44 @@ TEST(ShardedSimulator, ThreadedMatchesMergeOnShardClosedWorkload)
     }
 }
 
+/**
+ * A token bouncing 0->1->0->1 through a shard that starts idle, while
+ * shard 0 also holds an unrelated event at t=50.  The idle shard's
+ * bound must still admit the reply it can send, or shard 0 runs t=50
+ * while the token is in flight and the reply lands in its past.
+ */
+RingState
+runIdleReply(ShardExecMode mode)
+{
+    ShardedSimulator::Options o;
+    o.mode = mode;
+    o.lookahead = 5;
+    ShardedSimulator engine(2, 3, o);
+    RingState st;
+    st.log.assign(2, {});
+    std::function<void(ShardId, int)> hop = [&](ShardId s, int left) {
+        st.log[s].push_back(engine.shard(s).now());
+        if (left == 0)
+            return;
+        ShardId dst = 1 - s;
+        engine.post(s, dst, engine.shard(s).now() + 5, 0,
+                    [&hop, dst, left] { hop(dst, left - 1); });
+    };
+    engine.shard(0).scheduleAt(0, [&hop] { hop(0, 3); });
+    engine.shard(0).scheduleAt(
+        50, [&st, &engine] { st.log[0].push_back(engine.shard(0).now()); });
+    engine.runUntil(100);
+    return st;
+}
+
+TEST(ShardedSimulator, ThreadedReplyThroughIdleShardMatchesMerge)
+{
+    RingState merge = runIdleReply(ShardExecMode::Merge);
+    EXPECT_EQ(merge.log, (std::vector<std::vector<SimTime>>{
+                             {0, 10, 50}, {5, 15}}));
+    EXPECT_EQ(runIdleReply(ShardExecMode::Threaded).log, merge.log);
+}
+
 TEST(ShardedSimulator, ThreadedRunsAreDeterministic)
 {
     RingState a = runRing(4, ShardExecMode::Threaded, 600);
