@@ -479,9 +479,9 @@ ShardedSimulator::runThreadedUntil(SimTime until)
         for (std::thread &t : threads)
             t.join();
     }
-    // Sends that land past `until`, or that a stop left undrained,
-    // join their queues; none is in its receiver's past, since it
-    // was at or beyond the horizon the receiver last ran to.
+    // Sends a stop left in the mailboxes join their queues; none is
+    // in its receiver's past, since it was at or beyond the horizon
+    // the receiver last ran to.
     for (auto &sh : shards_)
         drainInboxes(*sh);
     // A drain run (until == kMaxSimTime) leaves each clock at its
