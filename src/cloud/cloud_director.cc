@@ -1,7 +1,6 @@
 #include "cloud/cloud_director.hh"
 
 #include <algorithm>
-#include <limits>
 
 #include "sim/logging.hh"
 #include "trace/tracer.hh"
@@ -550,33 +549,7 @@ CloudDirector::enterMaintenance(HostId host,
     }
 
     for (VmId v : to_move) {
-        // Pick the least-loaded other host that can take the VM and
-        // reach its storage.
-        const Vm &vm = inv.vm(v);
-        HostId best;
-        double best_load = std::numeric_limits<double>::infinity();
-        for (HostId h : inv.hostIds()) {
-            if (h == host)
-                continue;
-            const Host &cand = inv.host(h);
-            if (!cand.connected() || cand.inMaintenance())
-                continue;
-            if (!cand.canAdmit(vm.vcpus, vm.memory))
-                continue;
-            bool reaches = true;
-            for (DiskId d : vm.disks) {
-                if (!cand.hasDatastore(inv.disk(d).datastore)) {
-                    reaches = false;
-                    break;
-                }
-            }
-            if (!reaches)
-                continue;
-            if (cand.cpuLoad() < best_load) {
-                best_load = cand.cpuLoad();
-                best = h;
-            }
-        }
+        HostId best = placer.migrationTarget(inv.vm(v), host);
         if (!best.valid()) {
             ectx->ok = false;
             if (--ectx->pending == 0)

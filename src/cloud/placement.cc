@@ -1,7 +1,5 @@
 #include "cloud/placement.hh"
 
-#include <algorithm>
-#include <functional>
 #include <limits>
 
 #include "sim/logging.hh"
@@ -107,6 +105,7 @@ PlacementEngine::resolve(HostId host, int vcpus, Bytes memory)
         panic("PlacementEngine: pending ledger underflow");
     if (it->second.vcpus == 0 && it->second.memory == 0)
         pending.erase(it);
+    inv.host(host).markLoadChanged();
 }
 
 int
@@ -123,40 +122,72 @@ PlacementEngine::pendingMemory(HostId host) const
     return it == pending.end() ? 0 : it->second.memory;
 }
 
+double
+PlacementEngine::effectiveLoad(const Host &host) const
+{
+    double pend = static_cast<double>(pendingVcpus(host.id()));
+    return (host.committedVcpus() + pend) / host.vcpuCapacity();
+}
+
+PlacementEngine::LoadIndex::iterator
+PlacementEngine::rekey(LoadIndex &index, LoadIndex::iterator node,
+                       double load)
+{
+    if (node->first == load)
+        return node;
+    auto nh = index.extract(node);
+    nh.value().first = load;
+    return index.insert(std::move(nh)).position;
+}
+
+void
+PlacementEngine::syncIndex()
+{
+    const std::vector<HostId> &ids = inv.hostIds();
+    for (std::size_t i = by_load.size(); i < ids.size(); ++i) {
+        HostId h = ids[i];
+        const Host &host = inv.host(h);
+        if (h.slot >= nodes.size())
+            nodes.resize(h.slot + 1);
+        nodes[h.slot] = {by_load.emplace(effectiveLoad(host), h).first,
+                         by_committed.emplace(host.cpuLoad(), h).first};
+    }
+    inv.drainLoadChanges([this](HostId h) {
+        const Host &host = inv.host(h);
+        Nodes &n = nodes[h.slot];
+        n.effective = rekey(by_load, n.effective, effectiveLoad(host));
+        n.committed = rekey(by_committed, n.committed, host.cpuLoad());
+    });
+}
+
 Placement
 PlacementEngine::place(const PlacementQuery &q)
 {
-    // Visit hosts in ascending (effective load, id) order.  Each load
-    // is computed once; hosts pop off a min-heap only as the walk
-    // needs them, and the first host usually takes the VM.
-    by_load.clear();
-    for (HostId h : inv.hostIds()) {
-        const Host &host = inv.host(h);
-        double pend = static_cast<double>(pendingVcpus(h));
-        by_load.emplace_back(
-            (host.committedVcpus() + pend) / host.vcpuCapacity(), h);
-    }
-    std::make_heap(by_load.begin(), by_load.end(), std::greater<>());
+    // Visit hosts in ascending (effective load, id) order; the first
+    // host usually takes the VM.
+    syncIndex();
 
     Placement result;
-    auto accept = [&](HostId h, DatastoreId ds) {
+    auto accept = [&](LoadIndex::iterator node, DatastoreId ds) {
+        HostId h = node->second;
         result.ok = true;
         result.host = h;
         result.datastore = ds;
         PendingLoad &p = pending[h];
         p.vcpus += q.vcpus;
         p.memory += q.memory;
+        nodes[h.slot].effective =
+            rekey(by_load, node, effectiveLoad(inv.host(h)));
     };
-    for (auto end = by_load.end(); end != by_load.begin(); --end) {
-        std::pop_heap(by_load.begin(), end, std::greater<>());
-        HostId h = end[-1].second;
+    for (auto node = by_load.begin(); node != by_load.end(); ++node) {
+        HostId h = node->second;
         const Host &host = inv.host(h);
         if (!admits(host, q))
             continue;
 
         if (q.linked && pool) {
             if (auto r = pool->findReplica(q.tmpl, h, q.disk_need)) {
-                accept(h, r->datastore);
+                accept(node, r->datastore);
                 result.base_found = true;
                 result.base = *r;
                 return result;
@@ -165,11 +196,36 @@ PlacementEngine::place(const PlacementQuery &q)
         DatastoreId ds = pickDatastore(host, q.disk_need);
         if (!ds.valid())
             continue;
-        accept(h, ds);
+        accept(node, ds);
         result.base_found = false;
         return result;
     }
     return result;
+}
+
+HostId
+PlacementEngine::migrationTarget(const Vm &vm, HostId from)
+{
+    // The first qualifying host in (committed load, id) order is the
+    // lowest-loaded one, and the lowest id among equals.
+    syncIndex();
+    for (const auto &[load, h] : by_committed) {
+        if (h == from)
+            continue;
+        const Host &cand = inv.host(h);
+        if (!cand.canAdmit(vm.vcpus, vm.memory))
+            continue;
+        bool reaches = true;
+        for (DiskId d : vm.disks) {
+            if (!cand.hasDatastore(inv.disk(d).datastore)) {
+                reaches = false;
+                break;
+            }
+        }
+        if (reaches)
+            return h;
+    }
+    return HostId();
 }
 
 } // namespace vcp

@@ -12,6 +12,7 @@
 #ifndef VCP_CLOUD_PLACEMENT_HH
 #define VCP_CLOUD_PLACEMENT_HH
 
+#include <set>
 #include <utility>
 #include <vector>
 
@@ -67,6 +68,14 @@ struct Placement
  * and committed real resources, or the provisioning failed).
  * Without this, a burst of simultaneous deploys all sees the same
  * committed load and piles onto one host.
+ *
+ * The engine keeps its hosts ordered by (effective load, id) and by
+ * (committed load, id) between calls.  It is the one consumer of its
+ * inventory's load-change list (Inventory::drainLoadChanges()):
+ * place() and migrationTarget() first index new hosts and re-key the
+ * hosts on that list, and place() re-keys the host it accepts.  So a
+ * call costs O(changed hosts * log hosts + hosts skipped), not a walk
+ * of the fleet.
  */
 class PlacementEngine
 {
@@ -91,7 +100,23 @@ class PlacementEngine
      */
     Placement place(const PlacementQuery &q);
 
-    /** Release a pending footprint taken by a successful place(). */
+    /**
+     * Where a migration should move @p vm: of the hosts other than
+     * @p from that are connected, not in maintenance, admit the VM's
+     * shape and reach the datastore of every disk it has, the one
+     * with the lowest Host::cpuLoad() (committed load; the pending
+     * ledger does not count), the lowest id on a tie.  Invalid when
+     * no host qualifies.  Admin migrations and maintenance
+     * evacuations both choose their target here.
+     */
+    HostId migrationTarget(const Vm &vm, HostId from);
+
+    /**
+     * Release a pending footprint taken by a successful place().  It
+     * only marks the host's load as changed; the next place()
+     * re-keys it.  So resolve() may run on the thread that runs the
+     * inventory's events while no place() is in flight.
+     */
     void resolve(HostId host, int vcpus, Bytes memory);
 
     /** Pending (placed but unresolved) vCPUs on a host. */
@@ -116,14 +141,41 @@ class PlacementEngine
     /** Admission including the pending ledger. */
     bool admits(const Host &host, const PlacementQuery &q) const;
 
+    /** (committed + pending vCPUs) / vCPU capacity. */
+    double effectiveLoad(const Host &host) const;
+
+    /** Hosts in ascending (load, id) order. */
+    using LoadIndex = std::set<std::pair<double, HostId>>;
+
+    /** A host's node in each index. */
+    struct Nodes
+    {
+        LoadIndex::iterator effective;
+        LoadIndex::iterator committed;
+    };
+
+    /** Index hosts added since the last call; re-key changed ones. */
+    void syncIndex();
+
+    /** Move @p node of @p index to @p load (no allocation). */
+    static LoadIndex::iterator rekey(LoadIndex &index,
+                                     LoadIndex::iterator node,
+                                     double load);
+
     Inventory &inv;
     BaseDiskPoolManager *pool;
     DsPolicy ds_policy;
     std::size_t rr_cursor = 0;
     std::unordered_map<HostId, PendingLoad> pending;
 
-    /** place()'s min-heap of (effective load, host); reused. */
-    std::vector<std::pair<double, HostId>> by_load;
+    /** place()'s visit order: (effectiveLoad(), id). */
+    LoadIndex by_load;
+
+    /** migrationTarget()'s visit order: (Host::cpuLoad(), id). */
+    LoadIndex by_committed;
+
+    /** Each indexed host's nodes, by arena slot. */
+    std::vector<Nodes> nodes;
 };
 
 } // namespace vcp

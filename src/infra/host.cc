@@ -64,6 +64,7 @@ Host::commit(int vcpus, Bytes memory)
         return false;
     committed_vcpus += vcpus;
     committed_memory += memory;
+    markLoadChanged();
     return true;
 }
 
@@ -74,6 +75,16 @@ Host::release(int vcpus, Bytes memory)
     committed_memory -= memory;
     if (committed_vcpus < 0 || committed_memory < 0)
         panic("Host %s: released more than committed", cfg.name.c_str());
+    markLoadChanged();
+}
+
+void
+Host::markLoadChanged()
+{
+    if (load_changes && !load_marked) {
+        load_marked = true;
+        load_changes->push_back(host_id);
+    }
 }
 
 double

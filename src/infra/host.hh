@@ -70,6 +70,15 @@ class Host
     /** Release a powered-on VM's resources. */
     void release(int vcpus, Bytes memory);
 
+    /**
+     * Put this host on its inventory's load-change list unless it is
+     * already there (Inventory::drainLoadChanges()).  commit() and
+     * release() call it, and so does the placement engine when a
+     * pending footprint on the host goes.  A host built outside an
+     * inventory has no list.
+     */
+    void markLoadChanged();
+
     /** Register / unregister a VM on this host. */
     void registerVm(VmId vm) { vm_ids.insert(vm); }
     void unregisterVm(VmId vm) { vm_ids.erase(vm); }
@@ -95,6 +104,8 @@ class Host
     double memLoad() const;
 
   private:
+    friend class Inventory;
+
     HostId host_id;
     HostConfig cfg;
     ClusterId cluster_id;
@@ -104,6 +115,11 @@ class Host
     bool maintenance = false;
     int committed_vcpus = 0;
     Bytes committed_memory = 0;
+
+    /** The owning inventory's load-change list, and whether this
+     *  host is on it. */
+    std::vector<HostId> *load_changes = nullptr;
+    bool load_marked = false;
 };
 
 } // namespace vcp

@@ -11,9 +11,12 @@ Inventory::Inventory(Simulator &sim_)
 HostId
 Inventory::addHost(const HostConfig &cfg)
 {
-    return hosts.emplace(next_id++, [&](void *mem, HostId id) {
-        new (mem) Host(id, cfg);
+    HostId id = hosts.emplace(next_id++, [&](void *mem, HostId hid) {
+        Host *h = new (mem) Host(hid, cfg);
+        h->load_changes = &load_changes;
     });
+    host_ids.push_back(id);
+    return id;
 }
 
 DatastoreId
@@ -225,12 +228,6 @@ const VirtualDisk &
 Inventory::disk(DiskId id) const
 {
     return disks.get(id);
-}
-
-std::vector<HostId>
-Inventory::hostIds() const
-{
-    return hosts.ids();
 }
 
 std::vector<DatastoreId>

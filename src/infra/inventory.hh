@@ -127,8 +127,31 @@ class Inventory
      */
     bool growDisk(DiskId id, Bytes by);
 
+    /** Host ids in creation order, which is id order.  Hosts are
+     *  never destroyed, so the list only grows (at the end). */
+    const std::vector<HostId> &hostIds() const { return host_ids; }
+
+    /**
+     * Call @p f(host id) for every host whose load may have changed
+     * since the last drain, once each, then empty the list.
+     * Host::commit() and Host::release() put a host on it, as does
+     * PlacementEngine::resolve().  One consumer drains an inventory's
+     * list: its PlacementEngine.  A second consumer would take
+     * changes the first never sees.
+     */
+    template <typename F>
+    void
+    drainLoadChanges(F &&f)
+    {
+        for (std::size_t i = 0; i < load_changes.size(); ++i) {
+            HostId h = load_changes[i];
+            hosts.get(h).load_marked = false;
+            f(h);
+        }
+        load_changes.clear();
+    }
+
     /** @{ Id enumeration (sorted for determinism). */
-    std::vector<HostId> hostIds() const;
     std::vector<DatastoreId> datastoreIds() const;
     std::vector<ClusterId> clusterIds() const;
     std::vector<VmId> vmIds() const;
@@ -154,6 +177,9 @@ class Inventory
     SlotArena<Cluster, ClusterId> clusters{"cluster"};
     SlotArena<Vm, VmId> vms{"vm"};
     SlotArena<VirtualDisk, DiskId> disks{"disk"};
+
+    std::vector<HostId> host_ids;
+    std::vector<HostId> load_changes;
 
     std::int64_t next_id = 0;
     std::uint64_t vm_creations = 0;

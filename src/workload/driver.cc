@@ -1,7 +1,5 @@
 #include "workload/driver.hh"
 
-#include <limits>
-
 #include "sim/logging.hh"
 
 namespace vcp {
@@ -265,31 +263,7 @@ WorkloadDriver::doAdminMigrate()
     if (!vm.valid())
         return false;
     const Vm &v = inv.vm(vm);
-
-    HostId best;
-    double best_load = std::numeric_limits<double>::infinity();
-    for (HostId h : inv.hostIds()) {
-        if (h == v.host)
-            continue;
-        const Host &cand = inv.host(h);
-        if (!cand.connected() || cand.inMaintenance())
-            continue;
-        if (!cand.canAdmit(v.vcpus, v.memory))
-            continue;
-        bool reaches = true;
-        for (DiskId d : v.disks) {
-            if (!cand.hasDatastore(inv.disk(d).datastore)) {
-                reaches = false;
-                break;
-            }
-        }
-        if (!reaches)
-            continue;
-        if (cand.cpuLoad() < best_load) {
-            best_load = cand.cpuLoad();
-            best = h;
-        }
-    }
+    HostId best = cloud.placement().migrationTarget(v, v.host);
     if (!best.valid())
         return false;
 

@@ -180,7 +180,9 @@ TEST_F(PlacementTest, PendingLoadBlocksAdmission)
 /**
  * place() against a brute-force reference on a 72-host plant with
  * random commitments, pending footprints, hosts in maintenance or
- * disconnected, uneven datastore reach and forced load ties.
+ * disconnected, uneven datastore reach and forced load ties.  Between
+ * queries the walk also commits and releases on random hosts and adds
+ * a host, so an engine whose host order goes stale fails it.
  */
 class PlacementOrderTest : public CloudFixture
 {
@@ -299,7 +301,10 @@ TEST_F(PlacementOrderTest, MatchesBruteForceSortOrder)
         Bytes memory;
     };
     std::vector<Held> held;
+    std::vector<Held> committed;
     int placed = 0, failed = 0, tied = 0, skipped = 0;
+    int commits = 0, releases = 0, on_added = 0;
+    HostId added;
     for (int i = 0; i < 400; ++i) {
         PlacementQuery q;
         q.vcpus = pick(std::vector<int>{1, 2, 4, 8, 16});
@@ -320,6 +325,7 @@ TEST_F(PlacementOrderTest, MatchesBruteForceSortOrder)
             EXPECT_GE(inv().datastore(p.datastore).free(), q.disk_need);
             held.push_back({p.host, q.vcpus, q.memory});
             ++placed;
+            on_added += p.host == added;
             tied += want.tied;
             skipped += want.skipped;
         }
@@ -335,12 +341,43 @@ TEST_F(PlacementOrderTest, MatchesBruteForceSortOrder)
             inv().host(pick(hosts)).setMaintenance(rng.bernoulli(0.5));
         if (rng.bernoulli(0.05))
             inv().host(pick(hosts)).setConnected(rng.bernoulli(0.5));
+
+        // Commitments move outside the engine (power-ons, power-offs,
+        // crashes).
+        if (rng.bernoulli(0.3)) {
+            Held c{pick(hosts), pick(std::vector<int>{1, 4, 8, 16}),
+                   pick(std::vector<Bytes>{gib(1), gib(8)})};
+            if (inv().host(c.host).commit(c.vcpus, c.memory)) {
+                committed.push_back(c);
+                ++commits;
+            }
+        }
+        if (!committed.empty() && rng.bernoulli(0.3)) {
+            std::size_t k = static_cast<std::size_t>(rng.uniformInt(
+                0, static_cast<std::int64_t>(committed.size()) - 1));
+            inv().host(committed[k].host)
+                .release(committed[k].vcpus, committed[k].memory);
+            committed.erase(committed.begin() +
+                            static_cast<std::ptrdiff_t>(k));
+            ++releases;
+        }
+        if (i == 200) {
+            HostConfig hc = inv().host(hosts[0]).config();
+            hc.name = "added";
+            added = inv().addHost(hc);
+            inv().connectHostToDatastore(added, ds0);
+            inv().connectHostToDatastore(added, priv[2]);
+            hosts.push_back(added);
+        }
     }
     // The walk saw every kind of decision.
     EXPECT_GT(placed, 100);
     EXPECT_GT(failed, 0);
     EXPECT_GT(tied, 0);
     EXPECT_GT(skipped, 0);
+    EXPECT_GT(commits, 50);
+    EXPECT_GT(releases, 50);
+    EXPECT_GT(on_added, 0);
 }
 
 TEST_F(PlacementTest, DsPolicyNames)
