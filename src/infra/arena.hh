@@ -81,8 +81,9 @@ class SlotArena
         } else {
             s = static_cast<std::uint32_t>(meta.size());
             meta.push_back({});
+            // Not zeroed: a slot's bytes are constructed before use.
             if (s / kChunkSize >= chunks.size())
-                chunks.push_back(std::make_unique<Chunk>());
+                chunks.push_back(std::make_unique_for_overwrite<Chunk>());
         }
         IdT id(value, s, meta[s].gen);
         factory(static_cast<void *>(slotPtr(s)), id);

@@ -24,6 +24,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <new>
 #include <vector>
 
 #if defined(__SSE2__)
@@ -87,9 +89,17 @@ static_assert(sizeof(SpanRecord) == 32, "keep ring records compact");
 class TraceRing
 {
   public:
-    /** @param capacity record slots; allocated once, up front. */
+    /**
+     * @param capacity record slots; allocated once, up front, and not
+     *        filled: a slot is read only after push() wrote it, so
+     *        an unused part of a large ring costs no page faults.
+     */
     explicit TraceRing(std::size_t capacity = 1u << 20)
-        : slots(capacity)
+        : slots(capacity ? static_cast<SpanRecord *>(::operator new(
+                               capacity * sizeof(SpanRecord),
+                               std::align_val_t{alignof(SpanRecord)}))
+                         : nullptr),
+          cap(capacity)
     {}
 
     /** Runtime switch; off costs one predictable branch per site. */
@@ -100,14 +110,14 @@ class TraceRing
     void
     push(const SpanRecord &r)
     {
-        if (slots.empty())
+        if (cap == 0)
             return;
 #if defined(__SSE2__)
         // A large ring is written once per slot and read only at
         // export: stream the record past the cache so recording does
         // not evict the model's working set (or pay the
         // read-for-ownership on every cold line).  Slots are 32 bytes
-        // and the heap block is 16-byte aligned, so two 16-byte
+        // and the block is allocated 16-byte aligned, so two 16-byte
         // streaming stores cover one record.  Single-threaded use:
         // same-core loads (snapshot) see the data without fencing.
         auto *dst = reinterpret_cast<__m128i *>(&slots[head]);
@@ -117,7 +127,7 @@ class TraceRing
 #else
         slots[head] = r;
 #endif
-        if (++head == slots.size()) {
+        if (++head == cap) {
             head = 0;
             wrapped = true;
         }
@@ -131,13 +141,13 @@ class TraceRing
     std::uint64_t
     dropped() const
     {
-        return wrapped ? total - slots.size() : 0;
+        return wrapped ? total - cap : 0;
     }
 
     /** Live records currently held. */
-    std::size_t size() const { return wrapped ? slots.size() : head; }
+    std::size_t size() const { return wrapped ? cap : head; }
 
-    std::size_t capacity() const { return slots.size(); }
+    std::size_t capacity() const { return cap; }
 
     /**
      * Visit the live records in place, oldest first.  Export-time
@@ -148,7 +158,7 @@ class TraceRing
     forEach(F &&f) const
     {
         if (wrapped)
-            for (std::size_t i = head; i < slots.size(); ++i)
+            for (std::size_t i = head; i < cap; ++i)
                 f(slots[i]);
         for (std::size_t i = 0; i < head; ++i)
             f(slots[i]);
@@ -177,7 +187,17 @@ class TraceRing
     }
 
   private:
-    std::vector<SpanRecord> slots;
+    struct Free
+    {
+        void
+        operator()(SpanRecord *p) const
+        {
+            ::operator delete(p, std::align_val_t{alignof(SpanRecord)});
+        }
+    };
+
+    std::unique_ptr<SpanRecord[], Free> slots;
+    std::size_t cap;
     std::size_t head = 0;
     bool wrapped = false;
     bool on = false;

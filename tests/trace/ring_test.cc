@@ -4,6 +4,8 @@
  * hot-path guard macro.
  */
 
+#include <cstdint>
+
 #include <gtest/gtest.h>
 
 #include "trace/ring.hh"
@@ -130,6 +132,24 @@ TEST(TraceRing, RecordLayoutStaysCompact)
     // The ring is sized in records; keep the record 32 bytes so a
     // 1M-slot ring stays at 32 MiB.
     EXPECT_EQ(sizeof(SpanRecord), 32u);
+}
+
+TEST(TraceRing, SlotsAreSixteenByteAligned)
+{
+    // push() covers a record with two 16-byte streaming stores, which
+    // need 16-byte aligned slots.
+    for (std::size_t cap : {1u, 3u, 4096u}) {
+        TraceRing ring(cap);
+        for (std::size_t i = 0; i < cap; ++i)
+            ring.push(rec(static_cast<SimTime>(i), 0));
+        std::size_t seen = 0;
+        ring.forEach([&](const SpanRecord &r) {
+            EXPECT_EQ(reinterpret_cast<std::uintptr_t>(&r) % 16, 0u);
+            EXPECT_EQ(r.start, static_cast<SimTime>(seen));
+            ++seen;
+        });
+        EXPECT_EQ(seen, cap);
+    }
 }
 
 } // namespace
