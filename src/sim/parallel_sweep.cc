@@ -7,6 +7,7 @@
 #include <thread>
 #include <vector>
 
+#include "sim/cpu_spread.hh"
 #include "sim/logging.hh"
 #include "sim/parse_util.hh"
 
@@ -47,7 +48,9 @@ ParallelSweepRunner::run(
     std::atomic<std::size_t> next{0};
     std::exception_ptr first_error;
     std::mutex error_mutex;
-    auto worker = [&] {
+    const CpuSpread spread;
+    auto worker = [&](std::size_t t) {
+        spread.place(t);
         for (;;) {
             std::size_t i =
                 next.fetch_add(1, std::memory_order_relaxed);
@@ -66,7 +69,7 @@ ParallelSweepRunner::run(
     std::vector<std::thread> pool;
     pool.reserve(workers);
     for (std::size_t t = 0; t < workers; ++t)
-        pool.emplace_back(worker);
+        pool.emplace_back(worker, t);
     for (auto &t : pool)
         t.join();
     if (first_error)
