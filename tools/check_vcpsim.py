@@ -37,6 +37,17 @@ comparison does not state on its own.
         selfservice_cloud, reconfiguration_study and
         provisioning_storm examples.
 
+    check_vcpsim.py scale VCPSIM [HOSTS ...]
+        Per-op cost does not grow with the fleet: cloud-a --rate 4000
+        --hours 12 at each host count (default 128 512 2048 8192),
+        one vcpsim process per run so that each peak RSS is that
+        size's, in three interleaved rounds.  Prints, per size, the
+        run footer's events, the best events/s, wall seconds per
+        simulated hour and peak RSS, and holds when the best events/s
+        at the last size is at least a third of that at the first.
+        At 12 h, building 8192 hosts takes under 5% of the footer's
+        wall time.
+
 Exit status: 0 holds, 1 violated, 2 run error.  Stdlib only.
 """
 
@@ -265,18 +276,68 @@ def bad_args(vcpsim, tmp, t2_opmix, selfservice, reconfig, storm):
     return 1 if problems else 0
 
 
+SCALE_HOURS = 12
+SCALE_RUN = ["cloud-a", "--rate", "4000", "--hours", str(SCALE_HOURS)]
+SCALE_HOSTS = [128, 512, 2048, 8192]
+SCALE_ROUNDS = 3
+FOOTER = re.compile(r"info: run: (\d+) events, ([\d.]+) s wall, "
+                    r"(\d+) events/s, peak RSS ([\d.]+) MB")
+
+
+def footer(vcpsim, args, workdir):
+    """Run vcpsim; return (events, wall s, events/s, peak RSS MB)
+    from its run footer.  A shell forks vcpsim, because the footer's
+    peak RSS includes the peak of the process that execs vcpsim, and
+    this interpreter's is larger than a small run's."""
+    proc = subprocess.run(["/bin/sh", "-c", '"$@"; exit $?', "sh", vcpsim]
+                          + args, cwd=workdir, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.PIPE)
+    m = FOOTER.search(proc.stderr.decode(errors="replace"))
+    if proc.returncode != 0 or not m:
+        print(f"error: vcpsim {' '.join(args)} exited {proc.returncode} "
+              f"without a run footer")
+        sys.exit(2)
+    return (int(m[1]), float(m[2]), int(m[3]), float(m[4]))
+
+
+def scale(vcpsim, tmp, *hosts):
+    sizes = [int(h) for h in hosts] or SCALE_HOSTS
+    best = {}
+    for _ in range(SCALE_ROUNDS):
+        for h in sizes:
+            row = footer(vcpsim, SCALE_RUN + ["--hosts", str(h)], tmp)
+            if h not in best or row[2] > best[h][2]:
+                best[h] = row
+    print(f"cloud-a --rate 4000 --hours {SCALE_HOURS}, best of "
+          f"{SCALE_ROUNDS} interleaved runs per size")
+    print(f"{'hosts':>6} {'events':>9} {'events/s':>10} "
+          f"{'wall s/sim h':>12} {'peak RSS MB':>11}")
+    for h in sizes:
+        events, wall, eps, rss = best[h]
+        print(f"{h:>6} {events:>9} {eps:>10} {wall / SCALE_HOURS:>12.4f} "
+              f"{rss:>11.1f}")
+    ratio = best[sizes[-1]][2] / best[sizes[0]][2]
+    verdict = "OK" if ratio >= 1 / 3 else "FAIL"
+    print(f"{verdict}: events/s at {sizes[-1]} hosts is {ratio:.2f}x "
+          f"events/s at {sizes[0]} hosts (floor 0.33)")
+    return 0 if verdict == "OK" else 1
+
+
 def main():
     checks = {"verdict": verdict, "mtbf": mtbf, "latency": latency,
-              "bad-args": bad_args}
-    # bad-args takes four more programs after vcpsim.
-    want = 7 if sys.argv[1:2] == ["bad-args"] else 3
-    if len(sys.argv) != want or sys.argv[1] not in checks:
+              "bad-args": bad_args, "scale": scale}
+    # bad-args takes four more programs after vcpsim; scale, any
+    # number of host counts.
+    name = sys.argv[1] if len(sys.argv) > 1 else None
+    want = {"bad-args": 7, "scale": len(sys.argv)}.get(name, 3)
+    if name not in checks or len(sys.argv) != want or want < 3:
         print(__doc__)
         return 2
-    programs = [os.path.abspath(p) for p in sys.argv[3:]]
+    extra = sys.argv[3:]
+    if name != "scale":
+        extra = [os.path.abspath(p) for p in extra]
     with tempfile.TemporaryDirectory(prefix="check-vcpsim-") as tmp:
-        return checks[sys.argv[1]](os.path.abspath(sys.argv[2]), tmp,
-                                   *programs)
+        return checks[name](os.path.abspath(sys.argv[2]), tmp, *extra)
 
 
 if __name__ == "__main__":
