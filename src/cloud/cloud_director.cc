@@ -24,7 +24,7 @@ CloudDirector::CloudDirector(ManagementServer &server,
                              const CloudDirectorConfig &cfg_)
     : srv(server), inv(server.inventory()), sim(server.simulator()),
       stats(server.statRegistry()), cfg(cfg_),
-      pool_mgr(server, cfg_.pool),
+      pool_mgr(server, cfg_.pool, placer),
       placer(server.inventory(), &pool_mgr, cfg_.ds_policy),
       lease_mgr(server.simulator(),
                 [this](VAppId id) { onLeaseExpired(id); })

@@ -206,26 +206,14 @@ PlacementEngine::place(const PlacementQuery &q)
 HostId
 PlacementEngine::migrationTarget(const Vm &vm, HostId from)
 {
-    // The first qualifying host in (committed load, id) order is the
-    // lowest-loaded one, and the lowest id among equals.
-    syncIndex();
-    for (const auto &[load, h] : by_committed) {
-        if (h == from)
-            continue;
-        const Host &cand = inv.host(h);
-        if (!cand.canAdmit(vm.vcpus, vm.memory))
-            continue;
-        bool reaches = true;
-        for (DiskId d : vm.disks) {
-            if (!cand.hasDatastore(inv.disk(d).datastore)) {
-                reaches = false;
-                break;
-            }
-        }
-        if (reaches)
-            return h;
-    }
-    return HostId();
+    return leastCommitted([&](const Host &cand) {
+        if (cand.id() == from || !cand.canAdmit(vm.vcpus, vm.memory))
+            return false;
+        for (DiskId d : vm.disks)
+            if (!cand.hasDatastore(inv.disk(d).datastore))
+                return false;
+        return true;
+    });
 }
 
 } // namespace vcp

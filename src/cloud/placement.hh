@@ -72,7 +72,7 @@ struct Placement
  * The engine keeps its hosts ordered by (effective load, id) and by
  * (committed load, id) between calls.  It is the one consumer of its
  * inventory's load-change list (Inventory::drainLoadChanges()):
- * place() and migrationTarget() first index new hosts and re-key the
+ * place() and leastCommitted() first index new hosts and re-key the
  * hosts on that list, and place() re-keys the host it accepts.  So a
  * call costs O(changed hosts * log hosts + hosts skipped), not a walk
  * of the fleet.
@@ -110,6 +110,24 @@ class PlacementEngine
      * evacuations both choose their target here.
      */
     HostId migrationTarget(const Vm &vm, HostId from);
+
+    /**
+     * The first host in ascending (Host::cpuLoad(), id) order for
+     * which @p accept(host) holds: the least committed such host, the
+     * lowest id on a tie.  The pending ledger does not count.  Invalid
+     * when no host qualifies.  migrationTarget() and the base-disk
+     * pool's replication worker choose here.
+     */
+    template <typename Accept>
+    HostId
+    leastCommitted(Accept &&accept)
+    {
+        syncIndex();
+        for (const auto &[load, h] : by_committed)
+            if (accept(inv.host(h)))
+                return h;
+        return HostId();
+    }
 
     /**
      * Release a pending footprint taken by a successful place().  It
@@ -171,7 +189,7 @@ class PlacementEngine
     /** place()'s visit order: (effectiveLoad(), id). */
     LoadIndex by_load;
 
-    /** migrationTarget()'s visit order: (Host::cpuLoad(), id). */
+    /** leastCommitted()'s visit order: (Host::cpuLoad(), id). */
     LoadIndex by_committed;
 
     /** Each indexed host's nodes, by arena slot. */

@@ -3,13 +3,16 @@
 #include <algorithm>
 #include <limits>
 
+#include "cloud/placement.hh"
 #include "sim/logging.hh"
 
 namespace vcp {
 
 BaseDiskPoolManager::BaseDiskPoolManager(ManagementServer &server,
-                                         const PoolConfig &cfg_)
-    : srv(server), inv(server.inventory()), cfg(cfg_)
+                                         const PoolConfig &cfg_,
+                                         PlacementEngine &placement_)
+    : srv(server), inv(server.inventory()), placement(placement_),
+      cfg(cfg_)
 {
     if (cfg.max_clones_per_base < 1)
         fatal("BaseDiskPoolManager: max_clones_per_base must be >= 1");
@@ -136,22 +139,11 @@ BaseDiskPoolManager::pickTargetDatastore(TemplateId tmpl,
 }
 
 HostId
-BaseDiskPoolManager::pickWorkerHost(DatastoreId ds) const
+BaseDiskPoolManager::pickWorkerHost(DatastoreId ds)
 {
-    HostId best;
-    double best_load = std::numeric_limits<double>::infinity();
-    for (HostId h : inv.hostIds()) {
-        const Host &host = inv.host(h);
-        if (!host.connected() || host.inMaintenance())
-            continue;
-        if (!host.hasDatastore(ds))
-            continue;
-        if (host.cpuLoad() < best_load) {
-            best_load = host.cpuLoad();
-            best = h;
-        }
-    }
-    return best;
+    return placement.leastCommitted([ds](const Host &h) {
+        return h.connected() && !h.inMaintenance() && h.hasDatastore(ds);
+    });
 }
 
 void

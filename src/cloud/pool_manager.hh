@@ -32,6 +32,8 @@
 
 namespace vcp {
 
+class PlacementEngine;
+
 /** Pool-management policy knobs. */
 struct PoolConfig
 {
@@ -68,7 +70,13 @@ struct BaseReplica
 class BaseDiskPoolManager
 {
   public:
-    BaseDiskPoolManager(ManagementServer &server, const PoolConfig &cfg);
+    /**
+     * @param placement the engine whose committed-load order picks
+     *        each replication's worker host; only stored here, so it
+     *        may be constructed after the pool manager.
+     */
+    BaseDiskPoolManager(ManagementServer &server, const PoolConfig &cfg,
+                        PlacementEngine &placement);
 
     BaseDiskPoolManager(const BaseDiskPoolManager &) = delete;
     BaseDiskPoolManager &operator=(const BaseDiskPoolManager &) = delete;
@@ -136,8 +144,9 @@ class BaseDiskPoolManager
     /** Pick the least-subscribed existing replica as a copy source. */
     std::optional<BaseReplica> pickSource(TemplateId tmpl) const;
 
-    /** Pick a connected host that can reach @p ds to run the copy. */
-    HostId pickWorkerHost(DatastoreId ds) const;
+    /** The least committed connected host, out of maintenance, that
+     *  reaches @p ds: it runs the copy. */
+    HostId pickWorkerHost(DatastoreId ds);
 
     /** Issue the ReplicateBaseDisk op. */
     void requestReplica(TemplateId tmpl, DatastoreId dst);
@@ -146,6 +155,7 @@ class BaseDiskPoolManager
 
     ManagementServer &srv;
     Inventory &inv;
+    PlacementEngine &placement;
     PoolConfig cfg;
 
     std::map<TemplateId, std::vector<BaseReplica>> pools;
