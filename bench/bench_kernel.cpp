@@ -222,7 +222,6 @@ BM_ShardedKernelPump(benchmark::State &state)
         o.mode = threaded ? ShardExecMode::Threaded
                           : ShardExecMode::Merge;
         o.lookahead = 100;
-        o.collect_windows = false;
         ShardedSimulator eng(shards, 1, o);
         std::vector<ShardPump> pumps(
             static_cast<std::size_t>(shards));

@@ -78,7 +78,6 @@ pumpSeconds(int shards, ShardExecMode mode)
     ShardedSimulator::Options o;
     o.mode = mode;
     o.lookahead = 100;
-    o.collect_windows = false;
     ShardedSimulator eng(shards, 1, o);
     std::vector<Pump> pumps;
     pumps.reserve(static_cast<std::size_t>(shards));

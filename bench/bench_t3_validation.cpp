@@ -31,33 +31,25 @@ main()
         double lambda = rho * servers * mu;
         const int n = 200000;
 
-        // Also track time-average number-in-system for Little's law.
-        double area_l = 0.0;
-        SimTime last = 0;
-        int in_system = 0;
-        auto note = [&](int delta) {
-            area_l += static_cast<double>(in_system) *
-                toSeconds(sim.now() - last);
-            last = sim.now();
-            in_system += delta;
-        };
-
         SimTime at = 0;
         for (int i = 0; i < n; ++i) {
             at += seconds(rng.exponential(1.0 / lambda));
             SimDuration service =
                 seconds(rng.exponential(1.0 / mu));
-            sim.scheduleAt(at, [&, service] {
-                note(+1);
-                sc.submit(service, [&] { note(-1); });
+            sim.scheduleAt(at, [&sc, service] {
+                sc.submit(service, [] {});
             });
         }
         sim.run();
-        note(0);
 
         MmcResult mmc = mmcAnalysis(lambda, mu, servers);
-        double sim_wq = sc.waitTimes().mean() / 1e6;
-        double sim_l = area_l / toSeconds(sim.now());
+        double sim_wq = sc.meanWait() / 1e6;
+        // Little's law: the time-average number in system is the
+        // queue's integral plus the busy servers', over the run.
+        double area_l =
+            static_cast<double>(sc.queueLevel().integralAt(sim.now()) +
+                                sc.busyLevel().integralAt(sim.now()));
+        double sim_l = area_l / static_cast<double>(sim.now());
         double err = mmc.wq > 0.0
             ? 100.0 * (sim_wq - mmc.wq) / mmc.wq
             : 0.0;

@@ -5,9 +5,10 @@
  * interleaved best-of-N, and fails when the instrumented events/sec
  * rate falls more than 5% below the bare rate.  Also checks the
  * zero-perturbation contract: a span tracer or a telemetry registry
- * alone (no gauge sampler or snapshot emitter, which legitimately add
- * their own periodic events) must leave the processed event count
- * exactly unchanged.
+ * alone must leave the processed event count exactly unchanged, and
+ * the full telemetry export (snapshot emitter, no sampler) may add
+ * exactly one event per snapshot.  The trace's gauge sampler
+ * legitimately adds its own periodic events, so Full is report-only.
  *
  * The export path is guarded too: the Full and TelemExport slices
  * render their exports into memory (the Perfetto JSON of the ring,
@@ -39,6 +40,8 @@ struct SliceResult
     std::uint64_t events = 0;
     double seconds = 0.0;
     std::uint64_t recorded = 0;
+    /** TelemExport: snapshots emitted by the run (before the burst). */
+    std::uint64_t snapshots = 0;
     /** Full: Perfetto render time per ring record (ns). */
     double trace_render_ns = 0.0;
     /** TelemExport: time per snapshot line of a burst (ns). */
@@ -51,7 +54,7 @@ enum class Mode
     TracerOnly,  ///< spans only (event-count comparable with Off)
     Full,        ///< spans + periodic gauge sampling, as vcpsim wires it
     TelemOnly,   ///< telemetry histograms + probes (comparable w/ Off)
-    TelemExport, ///< telemetry + sampler + snapshot emitter, as vcpsim
+    TelemExport, ///< telemetry + snapshot emitter, as vcpsim wires it
 };
 
 /** Window width: wide enough that the timed region (~15 ms) is not
@@ -96,7 +99,7 @@ runSlice(Mode mode)
     TracerConfig cfg;
     cfg.capacity = 1u << 17;
     auto tracer = std::make_unique<SpanTracer>(cfg);
-    auto telem = std::make_unique<TelemetryRegistry>(seconds(60));
+    auto telem = std::make_unique<TelemetryRegistry>();
 
     CloudSimulation cs(spec, /*seed=*/31);
     std::unique_ptr<GaugeSampler> sampler;
@@ -117,11 +120,6 @@ runSlice(Mode mode)
                 cs.sim(), *telem, seconds(60));
             emitter->writeTo(&sink);
             emitter->start();
-            sampler = std::make_unique<GaugeSampler>(cs.sim(),
-                                                     nullptr);
-            cs.addStandardGauges(*sampler);
-            sampler->attachTelemetry(telem.get());
-            sampler->start();
         }
     }
 
@@ -135,6 +133,7 @@ runSlice(Mode mode)
     r.events = cs.sim().eventsProcessed();
     r.seconds = std::chrono::duration<double>(t1 - t0).count();
     r.recorded = tracer ? tracer->ring().totalRecorded() : 0;
+    r.snapshots = emitter ? emitter->snapshots() : 0;
 
     // Export render cost, outside the timed slice.
     if (mode == Mode::Full) {
@@ -187,6 +186,19 @@ main()
                     "(%llu events instrumented vs %llu bare)\n",
                     static_cast<unsigned long long>(telem.events),
                     static_cast<unsigned long long>(off.events));
+        return 1;
+    }
+    // The export's only events are its snapshot ticks: gauges read
+    // the components' integrals, so nothing samples them.
+    SliceResult exported = runSlice(Mode::TelemExport);
+    if (exported.snapshots == 0 ||
+        exported.events != off.events + exported.snapshots) {
+        std::printf("FAIL: telemetry export added events beyond its "
+                    "snapshots (%llu events vs %llu bare + %llu "
+                    "snapshots)\n",
+                    static_cast<unsigned long long>(exported.events),
+                    static_cast<unsigned long long>(off.events),
+                    static_cast<unsigned long long>(exported.snapshots));
         return 1;
     }
 
@@ -250,7 +262,7 @@ main()
                 best_off, ratio, median, best_on / best_off,
                 best_full);
     std::printf("telemetry/bare ratio %.3f (median %.3f, best-of "
-                "%.3f; floor 0.95; with sampler+emitter %.3g)\n",
+                "%.3f; floor 0.95; with emitter %.3g)\n",
                 telem_ratio, telem_median, best_telem / best_off,
                 best_export);
     std::printf("export render / bare ns per event: %.3f per trace "

@@ -140,10 +140,6 @@ class CloudDirector
     const std::vector<VAppId> &deployedVApps() const { return deployed; }
     /** @} */
 
-    /** The director mutates shared vApp/catalog/pool state on every
-     *  workflow step: an explicitly serialized control domain. */
-    static constexpr ShardDomain kShardDomain = ShardDomain::Control;
-
     /** Shard the director's workflow events execute on. */
     ShardId shard() const { return sim.shardId(); }
 

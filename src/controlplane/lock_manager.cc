@@ -10,7 +10,7 @@
 namespace vcp {
 
 LockManager::LockManager(Simulator &sim_)
-    : sim(sim_)
+    : sim(sim_), keys(sim_.now())
 {}
 
 void
@@ -47,7 +47,10 @@ void
 LockManager::acquireOne(const LockKey &key, LockMode mode,
                         InlineAction granted)
 {
-    Entry &e = table[key];
+    auto [it, inserted] = table.try_emplace(key);
+    if (inserted)
+        keys.add(sim.now(), 1);
+    Entry &e = it->second;
     // FIFO fairness: even a compatible request waits behind queued
     // waiters, preventing writer starvation.
     if (e.queue.empty() && compatible(e, mode)) {
@@ -98,8 +101,10 @@ LockManager::releaseOne(const LockKey &key, LockMode mode)
         if (w.mode == LockMode::Exclusive)
             break;
     }
-    if (e.queue.empty() && !e.exclusive_held && e.shared_holders == 0)
+    if (e.queue.empty() && !e.exclusive_held && e.shared_holders == 0) {
         table.erase(it);
+        keys.add(sim.now(), -1);
+    }
     for (auto &cb : to_fire)
         sim.schedule(0, std::move(cb));
 }

@@ -25,6 +25,7 @@
 
 #include "infra/ids.hh"
 #include "sim/inline_action.hh"
+#include "sim/level_integral.hh"
 #include "sim/simulator.hh"
 
 namespace vcp {
@@ -135,13 +136,11 @@ class LockManager
      *  Pass nullptr to detach the histogram. */
     void setTelemetry(TelemetryRegistry *reg);
 
-    /** Distinct keys currently locked (telemetry gauge probe). */
+    /** Distinct keys currently locked. */
     std::size_t lockedKeys() const { return table.size(); }
 
-    /** Lock grant/queue state is shared across every operation: the
-     *  lock manager is an explicitly serialized domain, pinned to
-     *  the control shard. */
-    static constexpr ShardDomain kShardDomain = ShardDomain::Control;
+    /** lockedKeys() with its time integral (a telemetry gauge). */
+    const LevelIntegral &lockedKeysLevel() const { return keys; }
 
     /** Shard the grant events execute on. */
     ShardId shard() const { return sim.shardId(); }
@@ -177,6 +176,8 @@ class LockManager
 
     Simulator &sim;
     std::map<LockKey, Entry> table;
+    /** table.size(), with its integral. */
+    LevelIntegral keys;
     std::uint64_t grant_count = 0;
     std::uint64_t contended_count = 0;
     SpanTracer *tracer = nullptr;

@@ -275,7 +275,6 @@ ManagementServer::datastoreSlots(DatastoreId d)
         center = std::make_unique<ServiceCenter>(
             dsim, "ds-slots:" + std::to_string(d.value),
             cfg.datastore_slots);
-        center->setShardDomain(ShardDomain::Datastore);
     }
     return *center;
 }
@@ -501,44 +500,16 @@ ManagementServer::attachTelemetry(TelemetryRegistry *reg)
     });
 }
 
-int
-ManagementServer::agentSlotsBusy() const
+LevelReading
+ManagementServer::agentLevels(
+    const LevelIntegral &(ServiceCenter::*level)() const,
+    SimTime now) const
 {
-    int n = 0;
+    LevelReading sum;
     for (const auto &a : agents)
         if (a)
-            n += a->center().busyServers();
-    return n;
-}
-
-std::size_t
-ManagementServer::agentQueueLength() const
-{
-    std::size_t n = 0;
-    for (const auto &a : agents)
-        if (a)
-            n += a->center().queueLength();
-    return n;
-}
-
-int
-ManagementServer::datastoreSlotsBusy() const
-{
-    int n = 0;
-    for (const auto &d : ds_slots)
-        if (d)
-            n += d->busyServers();
-    return n;
-}
-
-std::size_t
-ManagementServer::datastoreQueueLength() const
-{
-    std::size_t n = 0;
-    for (const auto &d : ds_slots)
-        if (d)
-            n += d->queueLength();
-    return n;
+            sum += (a->center().*level)().at(now);
+    return sum;
 }
 
 std::vector<ResourceUtilization>

@@ -248,15 +248,14 @@ class ManagementServer
     void attachTelemetry(TelemetryRegistry *reg);
 
     /**
-     * @{ Aggregates over the per-host agents and per-datastore slot
-     * centers — the telemetry gauge probes poll these so the export
-     * stays O(instruments) instead of O(hosts).
+     * One level of every per-host agent's op-slot center (@p level is
+     * &ServiceCenter::busyLevel or &ServiceCenter::queueLevel),
+     * summed with its integral up to @p now: the "agents.*"
+     * telemetry gauges, one series per level instead of one per host.
      */
-    int agentSlotsBusy() const;
-    std::size_t agentQueueLength() const;
-    int datastoreSlotsBusy() const;
-    std::size_t datastoreQueueLength() const;
-    /** @} */
+    LevelReading agentLevels(
+        const LevelIntegral &(ServiceCenter::*level)() const,
+        SimTime now) const;
 
   private:
     /**

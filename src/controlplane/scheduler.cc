@@ -22,12 +22,11 @@ schedPolicyName(SchedPolicy p)
 
 TaskScheduler::TaskScheduler(Simulator &sim_, SchedPolicy policy,
                              int dispatch_width)
-    : sim(sim_), sched_policy(policy), width(dispatch_width)
+    : sim(sim_), sched_policy(policy), width(dispatch_width),
+      running(sim_.now()), queued(sim_.now()), created_at(sim_.now())
 {
     if (width < 1)
         fatal("TaskScheduler: dispatch width must be >= 1");
-    created_at = sim.now();
-    last_change = sim.now();
 }
 
 void
@@ -40,22 +39,13 @@ TaskScheduler::setTelemetry(TelemetryRegistry *reg)
     t_wait = reg->histogram("sched.wait_us");
 }
 
-void
-TaskScheduler::noteOccupancyChange()
-{
-    busy_accum += static_cast<double>(running) *
-        static_cast<double>(sim.now() - last_change);
-    last_change = sim.now();
-}
-
 double
 TaskScheduler::utilization() const
 {
     double elapsed = static_cast<double>(sim.now() - created_at);
     if (elapsed <= 0.0)
         return 0.0;
-    double busy = busy_accum + static_cast<double>(running) *
-        static_cast<double>(sim.now() - last_change);
+    double busy = static_cast<double>(running.integralAt(sim.now()));
     return busy / (elapsed * width);
 }
 
@@ -76,7 +66,7 @@ TaskScheduler::enqueue(Task *task, InlineAction run)
             : 0;
         ordered.emplace(std::make_pair(prio, w.seq), std::move(w));
     }
-    ++queued;
+    queued.add(sim.now(), 1);
     drain();
 }
 
@@ -115,11 +105,10 @@ TaskScheduler::pickNext()
 void
 TaskScheduler::drain()
 {
-    while (running < width && queued > 0) {
+    while (inFlight() < width && queued.level() > 0) {
         Waiting w = pickNext();
-        --queued;
-        noteOccupancyChange();
-        ++running;
+        queued.add(sim.now(), -1);
+        running.add(sim.now(), 1);
         ++dispatch_count;
         w.task->addPhaseTime(TaskPhase::Queue, sim.now() - w.enqueued);
         if (VCP_TELEM_ON(t_wait))
@@ -138,10 +127,9 @@ TaskScheduler::drain()
 void
 TaskScheduler::onTaskDone()
 {
-    if (running <= 0)
+    if (running.level() <= 0)
         panic("TaskScheduler: onTaskDone with nothing running");
-    noteOccupancyChange();
-    --running;
+    running.add(sim.now(), -1);
     drain();
 }
 

@@ -21,6 +21,7 @@
 #include "controlplane/task.hh"
 #include "infra/ids.hh"
 #include "sim/inline_action.hh"
+#include "sim/level_integral.hh"
 #include "sim/simulator.hh"
 
 namespace vcp {
@@ -64,8 +65,19 @@ class TaskScheduler
     /** Signal a dispatched task finished, freeing its slot. */
     void onTaskDone();
 
-    std::size_t queueLength() const { return queued; }
-    int inFlight() const { return running; }
+    std::size_t
+    queueLength() const
+    {
+        return static_cast<std::size_t>(queued.level());
+    }
+    int inFlight() const { return static_cast<int>(running.level()); }
+
+    /** @{ Waiting and running tasks, with their time integrals
+     *  (telemetry gauges read these). */
+    const LevelIntegral &queueLevel() const { return queued; }
+    const LevelIntegral &runningLevel() const { return running; }
+    /** @} */
+
     int dispatchWidth() const { return width; }
     SchedPolicy policy() const { return sched_policy; }
 
@@ -103,17 +115,12 @@ class TaskScheduler
     /** Remove and return the next waiter per policy. */
     Waiting pickNext();
 
-    /** Fold running x elapsed into busy_accum at a state change. */
-    void noteOccupancyChange();
-
     Simulator &sim;
     SchedPolicy sched_policy;
     int width;
-    int running = 0;
+    LevelIntegral running;
+    LevelIntegral queued;
     SimTime created_at = 0;
-    SimTime last_change = 0;
-    double busy_accum = 0.0;
-    std::size_t queued = 0;
     std::uint64_t next_seq = 0;
     std::uint64_t dispatch_count = 0;
 

@@ -37,7 +37,7 @@ fabricPresetFromName(const std::string &name, FabricPreset &out)
 }
 
 Fabric::Fabric(Simulator &sim_, double core_bandwidth)
-    : sim(sim_)
+    : sim(sim_), active_(sim_.now())
 {
     if (core_bandwidth <= 0.0)
         fatal("Fabric: core bandwidth must be positive");
@@ -411,6 +411,7 @@ Fabric::completeTransfer(FabricTransferId id)
     InlineAction done = std::move(t.on_done);
     SimDuration tail = t.tail_latency;
     transfers_.erase(it);
+    active_.add(sim.now(), -1);
     // Zero-latency paths (the degenerate fabric) complete inline
     // from the final leg's pipe event — no extra event, so the flat
     // model's event stream is reproduced exactly.
@@ -458,6 +459,7 @@ Fabric::startTransfer(FabricNodeId src, FabricNodeId dst, Bytes bytes,
     t.trace_task = trace_task;
     t.trace_op = trace_op;
     auto [it, inserted] = transfers_.emplace(id, std::move(t));
+    active_.add(sim.now(), 1);
     chargeLegs(id, it->second, path_scratch_, bytes);
     return id;
 }
@@ -474,6 +476,7 @@ Fabric::cancelTransfer(FabricTransferId id)
                 .pipe->cancelTransfer(leg.pipe_job);
     }
     transfers_.erase(it);
+    active_.add(sim.now(), -1);
     return true;
 }
 
@@ -558,6 +561,7 @@ Fabric::repairTransfersOn(FabricLinkId dead)
         ++failed_;
         InlineAction err = std::move(t.on_error);
         transfers_.erase(it);
+        active_.add(sim.now(), -1);
         if (err)
             err();
     }

@@ -44,6 +44,7 @@
 
 #include "infra/bandwidth.hh"
 #include "infra/ids.hh"
+#include "sim/level_integral.hh"
 #include "sim/simulator.hh"
 #include "sim/types.hh"
 
@@ -224,6 +225,8 @@ class Fabric
     std::size_t numNodes() const { return nodes_.size(); }
     std::size_t numLinks() const { return links_.size(); }
     std::size_t activeTransfers() const { return transfers_.size(); }
+    /** activeTransfers() with its time integral (a telemetry gauge). */
+    const LevelIntegral &activeTransfersLevel() const { return active_; }
 
     /** A link's PS pipe (utilization probes, direct charging). */
     SharedBandwidthResource &link(FabricLinkId l);
@@ -350,6 +353,9 @@ class Fabric
     mutable std::vector<RouteTable> route_cache_;
 
     std::unordered_map<FabricTransferId, Transfer> transfers_;
+    /** transfers_.size(), with its integral: every insert and erase
+     *  of transfers_ moves it. */
+    LevelIntegral active_;
     FabricTransferId next_transfer_ = 1;
     std::vector<FabricLinkId> path_scratch_;
 

@@ -1,28 +1,17 @@
 #include "sim/parallel_sweep.hh"
 
 #include <atomic>
-#include <cstdlib>
 #include <exception>
 #include <mutex>
 #include <thread>
 #include <vector>
 
 #include "sim/cpu_spread.hh"
-#include "sim/logging.hh"
-#include "sim/parse_util.hh"
 
 namespace vcp {
 
 ParallelSweepRunner::ParallelSweepRunner(int threads)
 {
-    if (threads <= 0) {
-        if (const char *env = std::getenv("VCP_SWEEP_THREADS")) {
-            if (!parseStrictPositiveInt(env, threads))
-                warn("VCP_SWEEP_THREADS='%s' is not a positive "
-                     "integer; using hardware concurrency",
-                     env);
-        }
-    }
     if (threads <= 0)
         threads =
             static_cast<int>(std::thread::hardware_concurrency());

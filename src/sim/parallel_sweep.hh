@@ -32,9 +32,8 @@ class ParallelSweepRunner
 {
   public:
     /**
-     * @param threads worker count; 0 picks the hardware concurrency
-     *        (overridable with the VCP_SWEEP_THREADS environment
-     *        variable), 1 forces fully serial in-thread execution.
+     * @param threads worker count; 0 picks the hardware
+     *        concurrency, 1 forces fully serial in-thread execution.
      */
     explicit ParallelSweepRunner(int threads = 0);
 

@@ -6,20 +6,18 @@ namespace vcp {
 
 ServiceCenter::ServiceCenter(Simulator &sim_, std::string name,
                              int servers)
-    : sim(sim_), label(std::move(name)), num_servers(servers)
+    : sim(sim_), label(std::move(name)), num_servers(servers),
+      queued(sim_.now()), busy(sim_.now()), created_at(sim_.now())
 {
     if (num_servers < 1)
         panic("ServiceCenter %s: need at least one server",
               label.c_str());
-    created_at = sim.now();
-    last_busy_change = sim.now();
 }
 
 SimDuration
 ServiceCenter::totalBusyTime() const
 {
-    return busy_accum + static_cast<SimDuration>(busy) *
-        (sim.now() - last_busy_change);
+    return busy.integralAt(sim.now());
 }
 
 double
@@ -33,24 +31,19 @@ ServiceCenter::utilization() const
 }
 
 void
-ServiceCenter::occupy()
+ServiceCenter::occupy(SimDuration waited)
 {
-    busy_accum += static_cast<SimDuration>(busy) *
-        (sim.now() - last_busy_change);
-    last_busy_change = sim.now();
-    ++busy;
+    wait_sum += waited;
+    busy.add(sim.now(), 1);
 }
 
 void
 ServiceCenter::vacate()
 {
-    if (busy <= 0)
+    if (busy.level() <= 0)
         panic("ServiceCenter %s: release with no busy server",
               label.c_str());
-    busy_accum += static_cast<SimDuration>(busy) *
-        (sim.now() - last_busy_change);
-    last_busy_change = sim.now();
-    --busy;
+    busy.add(sim.now(), -1);
     ++done_count;
     drain();
 }
@@ -58,11 +51,11 @@ ServiceCenter::vacate()
 void
 ServiceCenter::drain()
 {
-    while (busy < num_servers && !waiting.empty()) {
+    while (busyServers() < num_servers && !waiting.empty()) {
         Pending p = std::move(waiting.front());
         waiting.pop_front();
-        wait_stats.add(static_cast<double>(sim.now() - p.enqueued));
-        occupy();
+        queued.add(sim.now(), -1);
+        occupy(sim.now() - p.enqueued);
         if (p.isJob())
             scheduleCompletion(p.service, std::move(p.start));
         else
@@ -73,9 +66,8 @@ ServiceCenter::drain()
 void
 ServiceCenter::acquire(InlineAction granted)
 {
-    if (busy < num_servers && waiting.empty()) {
-        wait_stats.add(0.0);
-        occupy();
+    if (busyServers() < num_servers && waiting.empty()) {
+        occupy(0);
         granted();
         return;
     }
@@ -83,6 +75,7 @@ ServiceCenter::acquire(InlineAction granted)
     p.enqueued = sim.now();
     p.start = std::move(granted);
     waiting.push_back(std::move(p));
+    queued.add(sim.now(), 1);
 }
 
 void
@@ -127,9 +120,8 @@ ServiceCenter::submit(SimDuration service_time, InlineAction done)
 {
     if (service_time < 0)
         panic("ServiceCenter %s: negative service time", label.c_str());
-    if (busy < num_servers && waiting.empty()) {
-        wait_stats.add(0.0);
-        occupy();
+    if (busyServers() < num_servers && waiting.empty()) {
+        occupy(0);
         scheduleCompletion(service_time, std::move(done));
         return;
     }
@@ -138,6 +130,7 @@ ServiceCenter::submit(SimDuration service_time, InlineAction done)
     p.service = service_time;
     p.start = std::move(done);
     waiting.push_back(std::move(p));
+    queued.add(sim.now(), 1);
 }
 
 } // namespace vcp

@@ -11,7 +11,8 @@
  *    asynchronous operation (e.g.\ a host-agent slot held while a
  *    multi-minute disk copy proceeds on the datastore pipe).
  *
- * Waiting time and utilization statistics are tracked, which lets the
+ * The center keeps its queue length and busy servers as exact time
+ * integrals, and the sum of its jobs' waits, which lets the
  * validation bench compare against analytic M/M/c results.
  */
 
@@ -24,10 +25,9 @@
 #include <vector>
 
 #include "sim/inline_action.hh"
-
+#include "sim/level_integral.hh"
 #include "sim/simulator.hh"
 #include "sim/types.hh"
-#include "sim/summary.hh"
 #include "trace/ring.hh"
 
 namespace vcp {
@@ -66,22 +66,31 @@ class ServiceCenter
     std::size_t queueLength() const { return waiting.size(); }
 
     /** Servers currently held or executing. */
-    int busyServers() const { return busy; }
+    int busyServers() const { return static_cast<int>(busy.level()); }
+
+    /** @{ The queue length and the busy servers, with their time
+     *  integrals (telemetry gauges read these). */
+    const LevelIntegral &queueLevel() const { return queued; }
+    const LevelIntegral &busyLevel() const { return busy; }
+    /** @} */
 
     int servers() const { return num_servers; }
     const std::string &name() const { return label; }
 
-    /** @{ Shard affinity.  A center's events execute on the shard of
-     *  the kernel it was constructed with; the domain tag records
-     *  which parallel/serialized class it belongs to (host-agent and
-     *  datastore centers parallelize, control centers serialize). */
+    /** Shard of the kernel the center was constructed with: its
+     *  events execute there. */
     ShardId shard() const { return sim.shardId(); }
-    ShardDomain shardDomain() const { return domain; }
-    void setShardDomain(ShardDomain d) { domain = d; }
-    /** @} */
 
     /** Completed submit() jobs plus released acquire() tokens. */
     std::uint64_t completed() const { return done_count; }
+
+    /** Jobs and tokens granted a server so far (completed plus those
+     *  still holding one). */
+    std::uint64_t
+    granted() const
+    {
+        return done_count + static_cast<std::uint64_t>(busy.level());
+    }
 
     /** Aggregate server-busy time (for utilization). */
     SimDuration totalBusyTime() const;
@@ -92,8 +101,18 @@ class ServiceCenter
      */
     double utilization() const;
 
-    /** Distribution of time spent waiting in queue (microseconds). */
-    const SummaryStats &waitTimes() const { return wait_stats; }
+    /** Time granted jobs and tokens spent waiting in queue, summed
+     *  (microseconds). */
+    SimDuration totalWait() const { return wait_sum; }
+
+    /** Mean wait in queue per grant (microseconds); 0 before any. */
+    double
+    meanWait() const
+    {
+        std::uint64_t n = granted();
+        return n ? static_cast<double>(wait_sum) / static_cast<double>(n)
+                 : 0.0;
+    }
 
     /**
      * Attach a span ring: each submit() job then records one
@@ -127,8 +146,8 @@ class ServiceCenter
     /** Grant servers to waiters while any are free. */
     void drain();
 
-    /** Internal: mark one server busy. */
-    void occupy();
+    /** Internal: mark one server busy after a wait of @p waited. */
+    void occupy(SimDuration waited);
 
     /** Internal: mark one server free and drain the queue. */
     void vacate();
@@ -147,15 +166,14 @@ class ServiceCenter
 
     Simulator &sim;
     std::string label;
-    ShardDomain domain = ShardDomain::Control;
     int num_servers;
-    int busy = 0;
     std::deque<Pending> waiting;
+    /** waiting.size() and the busy servers, with their integrals. */
+    LevelIntegral queued;
+    LevelIntegral busy;
     std::uint64_t done_count = 0;
     SimTime created_at = 0;
-    SimDuration busy_accum = 0;
-    SimTime last_busy_change = 0;
-    SummaryStats wait_stats;
+    SimDuration wait_sum = 0;
 
     /** Completion actions of executing jobs, recycled by index. */
     std::vector<InlineAction> in_flight;

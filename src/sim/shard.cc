@@ -4,22 +4,6 @@
 
 namespace vcp {
 
-const char *
-shardDomainName(ShardDomain d)
-{
-    switch (d) {
-    case ShardDomain::Control:
-        return "control";
-    case ShardDomain::HostAgent:
-        return "host_agent";
-    case ShardDomain::Datastore:
-        return "datastore";
-    case ShardDomain::Fabric:
-        return "fabric";
-    }
-    return "?";
-}
-
 std::string
 ShardMap::label(ShardId s)
 {

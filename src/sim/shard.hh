@@ -34,17 +34,6 @@ class Simulator;
 /** Index of one event-set shard; 0 is the serialized control shard. */
 using ShardId = std::uint32_t;
 
-/** Which serialized/parallel domain a component belongs to. */
-enum class ShardDomain : std::uint8_t
-{
-    Control,   ///< mgmt server core, locks, DB, cloud layer (serialized)
-    HostAgent, ///< per-host agent op-slot centers
-    Datastore, ///< per-datastore provisioning-slot centers
-    Fabric,    ///< network fabric pipes (serialized this PR; see DESIGN.md)
-};
-
-const char *shardDomainName(ShardDomain d);
-
 /** Static entity -> shard assignment for one simulation. */
 class ShardMap
 {
@@ -93,15 +82,6 @@ class ShardMap
     datastoreShard(std::size_t ds_index) const
     {
         return spread(ds_index);
-    }
-
-    /** Shard of a whole domain kind (serialized domains only). */
-    ShardId
-    domainShard(ShardDomain d) const
-    {
-        (void)d; // Control and Fabric both serialize on the
-                 // control shard this PR.
-        return controlShard();
     }
 
     /** Diagnostics label ("shard3"). */

@@ -15,9 +15,6 @@ namespace {
 /** Executing shard of this thread (post() routing and assertions). */
 thread_local ShardId tls_shard = ~ShardId(0);
 
-/** Trace-lane window cap per shard (16 B each). */
-constexpr std::size_t kMaxWindowsPerShard = 16384;
-
 /**
  * A waiting worker polls the neighbours' bounds kSpinPolls times with
  * a pause (~5 us on a 2.1 GHz Xeon, past most of a neighbour's lag),
@@ -638,7 +635,6 @@ ShardedSimulator::runBelow(Shard &sh, SimTime h, SimTime until,
 {
     const SimTime cap = justPast(until);
     const std::uint64_t before = sh.sim.eventsProcessed();
-    const SimTime start = sh.sim.now();
     // Publish on the way once the bound can rise by a lookahead: a
     // neighbour that skipped ahead by one window then runs its next
     // window beside this batch, not after it (with two shards they
@@ -665,12 +661,6 @@ ShardedSimulator::runBelow(Shard &sh, SimTime h, SimTime until,
     }
     std::uint64_t ran = sh.sim.eventsProcessed() - before;
     sh.stats.events += ran;
-    if (ran && opts_.collect_windows &&
-        sh.windows.size() < kMaxWindowsPerShard)
-        sh.windows.push_back(
-            {start, sh.sim.now(),
-             static_cast<std::uint32_t>(
-                 std::min<std::uint64_t>(ran, UINT32_MAX))});
     return ran;
 }
 
@@ -740,12 +730,6 @@ ShardedSimulator::wakeSleepers()
         return;
     wake_.fetch_add(1, std::memory_order_seq_cst);
     wake_.notify_all();
-}
-
-const std::vector<ShardedSimulator::Window> &
-ShardedSimulator::shardWindows(ShardId s) const
-{
-    return shards_.at(s)->windows;
 }
 
 } // namespace vcp

@@ -94,10 +94,6 @@ class ShardedSimulator
 
         /** Per-edge mailbox ring capacity (overflow spills safely). */
         std::size_t mailbox_capacity = 1024;
-
-        /** Record per-shard execution windows for trace lanes
-         *  (threaded mode; capped per shard). */
-        bool collect_windows = true;
     };
 
     /** Per-shard execution counters (horizon-stall attribution;
@@ -194,19 +190,6 @@ class ShardedSimulator
     /** Bound publications summed over shards (threaded mode). */
     std::uint64_t rounds() const;
 
-    /** One batch of local events run below one horizon (threaded
-     *  runs; trace-lane material — see flushShardLanes in
-     *  trace/shard_lanes.hh). */
-    struct Window
-    {
-        SimTime start = 0;
-        SimTime end = 0;
-        std::uint32_t events = 0;
-    };
-
-    /** Executed windows of shard @p s (capped; quiescent only). */
-    const std::vector<Window> &shardWindows(ShardId s) const;
-
   private:
     struct CrossEvent
     {
@@ -225,7 +208,6 @@ class ShardedSimulator
         /** Outgoing per-destination sequence (deterministic keys). */
         std::vector<std::uint32_t> edge_seq;
         ShardStats stats;
-        std::vector<Window> windows;
         /** Next local event, capped just past the run's end, as
          *  recorded for the latest synchronous step. */
         SimTime step_next = 0;
@@ -271,8 +253,8 @@ class ShardedSimulator
     void decideStep(SimTime cap);
 
     /** Local events of @p sh below @p h and up to @p until; returns
-     *  the number run and records a window.  @p publish: h is a
-     *  horizon, so bounds may be published on the way. */
+     *  the number run.  @p publish: h is a horizon, so bounds may be
+     *  published on the way. */
     std::uint64_t runBelow(Shard &sh, SimTime h, SimTime until,
                            bool publish);
     /** min over shards other than @p s of bound + lookahead. */

@@ -65,7 +65,6 @@ SnapshotEmitter::tick()
 void
 SnapshotEmitter::emitNow()
 {
-    reg.sampleGauges(sim.now());
     std::vector<ResourceUtilization> utils = reg.utilizations();
     noteDominant(utils);
     renderSnapshot(utils);
@@ -179,7 +178,7 @@ SnapshotEmitter::renderSnapshot(const std::vector<ResourceUtilization> &u)
         j += field;
         appendNum(j, v);
     };
-    auto count = [&](const char *field, std::uint64_t v) {
+    auto count = [&](const char *field, auto v) {
         j += field;
         appendInt(j, v);
     };
@@ -191,6 +190,21 @@ SnapshotEmitter::renderSnapshot(const std::vector<ResourceUtilization> &u)
         std::uint64_t delta = cur >= p.prev ? cur - p.prev : 0;
         p.prev = cur;
         return std::pair(cur, delta);
+    };
+
+    // A gauge's level now and, unless shard-scoped, its mean over the
+    // window: the change in its integral over the window's length (the
+    // level itself for an empty window).
+    auto readGauge = [&](TelemetryRegistry::GaugeProbe &g) {
+        LevelReading r = g.fn(now);
+        g.last = r.level;
+        if (g.shard_scoped)
+            return;
+        SimDuration w = now - last_emit;
+        g.mean = w > 0 ? static_cast<double>(r.integral - g.prev) /
+                             static_cast<double>(w)
+                       : static_cast<double>(r.level);
+        g.prev = r.integral;
     };
 
     j += ",\"counters\":{";
@@ -209,22 +223,20 @@ SnapshotEmitter::renderSnapshot(const std::vector<ResourceUtilization> &u)
     }
     j += '}';
 
-    // Gauges: decaying levels, probe-fed and sampler-fed alike.
+    // Gauges: each level and its time-weighted window mean.
     j += ",\"gauges\":{";
     first = true;
     i = 0;
-    reg.forEachGauge([&](const std::string &name, const DecayingGauge &g,
-                         bool shard_scoped) {
-        const std::string &key = gauge_keys.at(i++, name);
-        if (shard_scoped)
-            return;
+    for (auto &g : reg.gaugeProbes()) {
+        const std::string &key = gauge_keys.at(i++, g.name);
+        if (g.shard_scoped)
+            continue;
+        readGauge(g);
         member(key);
-        num("{\"last\":", g.last());
-        num(",\"ewma\":", g.ewma());
-        num(",\"min\":", g.min());
-        num(",\"max\":", g.max());
+        count("{\"last\":", g.last);
+        num(",\"mean\":", g.mean);
         j += '}';
-    });
+    }
     j += '}';
 
     // Utilizations: instantaneous whole-run busy fractions.  The list
@@ -273,16 +285,15 @@ SnapshotEmitter::renderSnapshot(const std::vector<ResourceUtilization> &u)
         j += '}';
     }
     i = 0;
-    reg.forEachGauge([&](const std::string &name, const DecayingGauge &g,
-                         bool shard_scoped) {
-        const std::string &key = gauge_keys.at(i++, name);
-        if (!shard_scoped)
-            return;
+    for (auto &g : reg.gaugeProbes()) {
+        const std::string &key = gauge_keys.at(i++, g.name);
+        if (!g.shard_scoped)
+            continue;
+        readGauge(g);
         member(key);
-        num("{\"last\":", g.last());
-        num(",\"max\":", g.max());
+        count("{\"last\":", g.last);
         j += '}';
-    });
+    }
     j += "}}";
 }
 
@@ -316,7 +327,7 @@ SnapshotEmitter::writeProm(const std::vector<ResourceUtilization> &u)
         appendNum(t, v);
         t += '\n';
     };
-    auto count = [&](std::uint64_t v) {
+    auto count = [&](auto v) {
         appendInt(t, v);
         t += '\n';
     };
@@ -325,13 +336,15 @@ SnapshotEmitter::writeProm(const std::vector<ResourceUtilization> &u)
         typed("vcp_", p.name, "_total", "counter");
         count(p.fn());
     }
-    reg.forEachGauge(
-        [&](const std::string &name, const DecayingGauge &g, bool) {
-            typed("vcp_", name, "", "gauge");
-            num(g.last());
-            typed("vcp_", name, "_ewma", "gauge");
-            num(g.ewma());
-        });
+    // The latest snapshot's levels and window means.
+    for (const auto &g : reg.gaugeProbes()) {
+        typed("vcp_", g.name, "", "gauge");
+        count(g.last);
+        if (g.shard_scoped)
+            continue;
+        typed("vcp_", g.name, "_mean", "gauge");
+        num(g.mean);
+    }
     for (const ResourceUtilization &r : u) {
         typed("vcp_util_", r.name, "", "gauge");
         num(r.utilization);

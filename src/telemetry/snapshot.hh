@@ -5,9 +5,14 @@
  * Every interval the emitter polls the registry's probes, reads its
  * histograms, and writes one newline-delimited JSON object to the
  * metrics stream; alongside it rewrites a Prometheus text-exposition
- * file so an external scraper always sees the latest state.  Like the
- * GaugeSampler, it only schedules sim events once start() is called —
- * a run without metrics keeps a byte-identical event stream.
+ * file so an external scraper always sees the latest state.  Its tick
+ * is the only event telemetry adds, and only once start() is called:
+ * a run without metrics keeps a byte-identical event stream, and a
+ * run with metrics adds one event per snapshot.
+ *
+ * Counters and gauges are read at the snapshot's time: a counter's
+ * window is the change in its total, and a gauge's window mean the
+ * change in its integral over window_us.
  *
  * Layout contract: the "shards" key is always the LAST key of a
  * snapshot object.  Everything before it is derived from

@@ -4,13 +4,14 @@
  *
  * The registry is the observation API for the whole simulator.  Hot
  * paths hold raw histogram pointers obtained once at attach time and
- * feed them with a few integer ops per event; cold paths (snapshot
- * emitter, gauge sampler) walk the registry to read them.  Counters
- * are never pushed: each one is a probe reading the monotone integer
- * its component already keeps, registered in the component's attach
- * call.  Memory is O(registered instruments) — independent of run
- * length, event count, and entity count — because every instrument is
- * one of the fixed-footprint primitives in instruments.hh.
+ * feed them with a few integer ops per event; the snapshot emitter
+ * walks the registry to read them.  Counters and gauges are never
+ * pushed: a counter is a probe reading the monotone integer its
+ * component already keeps, and a gauge is a probe reading a level and
+ * the level's time integral (LevelIntegral), both registered in the
+ * component's attach call.  Memory is O(registered instruments) —
+ * independent of run length, event count, and entity count — because
+ * the only stored instrument, LatencyHistogram, has a fixed footprint.
  *
  * One kernel feeds a registry: a CloudSimulation's components all run
  * on its control shard, and a threaded federation gives each domain
@@ -34,8 +35,8 @@
 #include <string>
 #include <vector>
 
+#include "sim/level_integral.hh"
 #include "sim/types.hh"
-#include "telemetry/instruments.hh"
 #include "trace/latency_hist.hh"
 
 #ifndef VCP_TELEMETRY_DISABLED
@@ -67,11 +68,8 @@ struct ResourceUtilization
 class TelemetryRegistry
 {
   public:
-    /**
-     * @param window the EWMA time constant for gauges (vcpsim passes
-     *        its snapshot interval).
-     */
-    explicit TelemetryRegistry(SimDuration window = seconds(60));
+    /** The argument is ignored; perfbench/vcpbench.cc still passes one. */
+    explicit TelemetryRegistry(SimDuration = seconds(60)) {}
 
     TelemetryRegistry(const TelemetryRegistry &) = delete;
     TelemetryRegistry &operator=(const TelemetryRegistry &) = delete;
@@ -82,17 +80,18 @@ class TelemetryRegistry
      */
     LatencyHistogram *histogram(const std::string &name);
 
-    /** Get-or-create the decaying gauge @p name. */
-    DecayingGauge *gauge(const std::string &name);
-
     /**
-     * Register a polled level probe (queue depth, slot occupancy).
-     * Sampled into the series' DecayingGauge by sampleGauges() —
-     * driven by the snapshot emitter and/or the GaugeSampler.
-     * @p shard_scoped series are exported under the "shards" section.
+     * Register gauge @p name: a probe reading a level (queue depth,
+     * slot occupancy) and the level's integral up to the instant it
+     * is passed.  The emitter passes its snapshot time and differences
+     * consecutive integrals, so a window's mean is the exact
+     * time-weighted mean of the level over the window.  A
+     * @p shard_scoped gauge is exported under the "shards" section
+     * with its level only; its integral is not read.  Register each
+     * name once.
      */
     void addGaugeProbe(const std::string &name,
-                       std::function<std::int64_t()> fn,
+                       std::function<LevelReading(SimTime)> fn,
                        bool shard_scoped = false);
 
     /**
@@ -118,9 +117,6 @@ class TelemetryRegistry
                          std::function<std::uint64_t()> fn,
                          bool shard_scoped = false);
 
-    /** Poll every gauge probe into its DecayingGauge at @p now. */
-    void sampleGauges(SimTime now);
-
     /** A counter read at one instant. */
     struct CounterReading
     {
@@ -136,8 +132,6 @@ class TelemetryRegistry
 
     // --- enumeration (snapshot emitter / tests) -------------------
 
-    const DecayingGauge *findGauge(const std::string &name) const;
-
     /** Call f(name, histogram) for every histogram series, in
      *  registration order. */
     template <typename F>
@@ -146,19 +140,6 @@ class TelemetryRegistry
     {
         for (const auto &s : hists_)
             f(s.name, *s.hist);
-    }
-
-    /**
-     * Call f(name, gauge, shard_scoped) for every gauge series, in
-     * registration order; @c shard_scoped is the flag of the first
-     * gauge probe that feeds the series (false when none does).
-     */
-    template <typename F>
-    void
-    forEachGauge(F &&f) const
-    {
-        for (const auto &g : gauges_)
-            f(g.name, *g.gauge, g.shard_scoped);
     }
 
     struct CounterProbe
@@ -173,13 +154,19 @@ class TelemetryRegistry
     struct GaugeProbe
     {
         std::string name;
-        std::function<std::int64_t()> fn;
+        std::function<LevelReading(SimTime)> fn;
         bool shard_scoped = false;
-        DecayingGauge *sink = nullptr;
+        /** The emitter's state: the integral at the previous
+         *  snapshot (0 before the first, like a counter's total), and
+         *  the latest snapshot's level and window mean (the
+         *  Prometheus file repeats them). */
+        std::int64_t prev = 0;
+        std::int64_t last = 0;
+        double mean = 0.0;
     };
 
     std::vector<CounterProbe> &counterProbes() { return cprobes_; }
-    const std::vector<GaugeProbe> &gaugeProbes() const { return gprobes_; }
+    std::vector<GaugeProbe> &gaugeProbes() { return gprobes_; }
 
     // --- footprint (O(1)-memory acceptance test) ------------------
 
@@ -200,19 +187,7 @@ class TelemetryRegistry
         std::unique_ptr<LatencyHistogram> hist;
     };
 
-    struct GaugeSeries
-    {
-        std::string name;
-        std::unique_ptr<DecayingGauge> gauge;
-        bool shard_scoped = false;
-    };
-
-    /** Get-or-create the gauge series @p name. */
-    GaugeSeries &gaugeSeries(const std::string &name);
-
-    SimDuration window_;
     std::vector<HistSeries> hists_;
-    std::vector<GaugeSeries> gauges_;
     std::function<std::vector<ResourceUtilization>()> utils_;
     std::vector<CounterProbe> cprobes_;
     std::vector<GaugeProbe> gprobes_;

@@ -1,7 +1,6 @@
 #include "trace/sampler.hh"
 
 #include "sim/logging.hh"
-#include "telemetry/telemetry.hh"
 
 namespace vcp {
 
@@ -17,20 +16,8 @@ void
 GaugeSampler::addGauge(const std::string &name,
                        std::function<std::int64_t()> probe)
 {
-    Probe p;
-    p.label = name;
-    p.name = tracer ? tracer->intern(name) : 0;
-    p.read = std::move(probe);
-    p.sink = telem ? telem->gauge(name) : nullptr;
-    probes.push_back(std::move(p));
-}
-
-void
-GaugeSampler::attachTelemetry(TelemetryRegistry *reg)
-{
-    telem = reg;
-    for (Probe &p : probes)
-        p.sink = telem ? telem->gauge(p.label) : nullptr;
+    probes.push_back({tracer ? tracer->intern(name) : std::uint16_t{0},
+                      std::move(probe)});
 }
 
 void
@@ -47,14 +34,9 @@ GaugeSampler::tick()
 {
     if (!running)
         return;
-    bool traced = tracer && tracer->enabled();
-    if (traced || telem) {
+    if (tracer && tracer->enabled()) {
         for (const Probe &p : probes) {
-            std::int64_t v = p.read();
-            if (traced)
-                tracer->recordCounter(p.name, sim.now(), v);
-            if (p.sink)
-                p.sink->sample(sim.now(), static_cast<double>(v));
+            tracer->recordCounter(p.name, sim.now(), p.read());
             ++sample_count;
         }
     }

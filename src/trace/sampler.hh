@@ -1,15 +1,14 @@
 /**
  * @file
- * Periodic gauge sampling into the trace ring and/or telemetry.
+ * Periodic gauge sampling into the trace ring.
  *
  * Queue depths and in-flight counts change on almost every event;
  * recording each change would flood the ring for no analytical gain.
  * Instead a GaugeSampler polls registered probes on a fixed sim-time
  * period and records one Counter sample per probe per tick — bounded,
  * cheap, and exactly what a trace viewer needs for a load timeline.
- * With a telemetry registry attached, every tick also feeds each
- * probe's DecayingGauge, so the streaming snapshot export sees the
- * same load timeline at the sampler's (CLI-configurable) resolution.
+ * Telemetry needs no sampler: its gauges read the time integrals the
+ * components keep (sim/level_integral.hh).
  *
  * The sampler only schedules events once start() is called, so a
  * simulation without tracing keeps a byte-identical event stream.
@@ -30,17 +29,16 @@
 
 namespace vcp {
 
-class DecayingGauge;
 class TelemetryRegistry;
 
-/** Polls registered gauges into Counter records / decaying gauges. */
+/** Polls registered gauges into Counter records. */
 class GaugeSampler
 {
   public:
     /**
      * @param sim event kernel.
-     * @param tracer destination ring (also supplies name interning),
-     *        or nullptr to sample into telemetry only.
+     * @param tracer destination ring (also supplies name interning);
+     *        with nullptr the sampler ticks but records nothing.
      * @param period sampling period (> 0), default 100 sim-ms.
      */
     GaugeSampler(Simulator &sim, SpanTracer *tracer,
@@ -53,12 +51,8 @@ class GaugeSampler
     void addGauge(const std::string &name,
                   std::function<std::int64_t()> probe);
 
-    /**
-     * Forward every tick's samples into @p reg: each probe gets (or
-     * creates) the registry's DecayingGauge of the same name.  Pass
-     * nullptr to detach.
-     */
-    void attachTelemetry(TelemetryRegistry *reg);
+    /** Does nothing; perfbench/vcpbench.cc still calls it. */
+    void attachTelemetry(TelemetryRegistry *) {}
 
     /** Begin sampling (re-arms until stop()). */
     void start();
@@ -76,18 +70,13 @@ class GaugeSampler
 
     struct Probe
     {
-        /** Registered name (telemetry key; re-interned on attach). */
-        std::string label;
         /** Interned trace name (0 without a tracer). */
         std::uint16_t name = 0;
         std::function<std::int64_t()> read;
-        /** Telemetry destination, when attached. */
-        DecayingGauge *sink = nullptr;
     };
 
     Simulator &sim;
     SpanTracer *tracer;
-    TelemetryRegistry *telem = nullptr;
     SimDuration period_;
     bool running = false;
     std::uint64_t sample_count = 0;

@@ -14,12 +14,6 @@ flushShardLanes(const ShardedSimulator &engine, SpanTracer &tracer)
     for (ShardId s = 0;
          s < static_cast<ShardId>(engine.numShards()); ++s) {
         std::string base = ShardMap::label(s);
-        std::int64_t scope = static_cast<std::int64_t>(s);
-        std::uint16_t lane = tracer.intern(base + ".window");
-        for (const ShardedSimulator::Window &w :
-             engine.shardWindows(s))
-            tracer.recordSpan(lane, scope, w.start,
-                              w.end - w.start);
         const ShardedSimulator::ShardStats &st =
             engine.shardStats(s);
         SimTime t = engine.shard(s).now();

@@ -1,13 +1,10 @@
 /**
  * @file
- * Per-shard tracer lanes for sharded runs.
- *
- * A threaded ShardedSimulator run records one Window per executed
- * horizon window per shard; flushing them into the tracer after the
- * run yields a "shardK.window" span track per shard in the Perfetto
- * export, so horizon stalls show up as gaps between the windows and
- * the stall counters attribute them.  Lives in the trace layer (not
- * the kernel) to keep vcp_sim free of trace dependencies.
+ * Per-shard tracer lanes for sharded runs: each shard's final event
+ * and stalled-round counts as counter records, so the Perfetto export
+ * shows how the run's events spread over the shards.  Lives in the
+ * trace layer (not the kernel) to keep vcp_sim free of trace
+ * dependencies.
  */
 
 #ifndef VCP_TRACE_SHARD_LANES_HH
@@ -19,10 +16,9 @@ class ShardedSimulator;
 class SpanTracer;
 
 /**
- * Emit per-shard lanes into @p tracer: one "shardK.window" span per
- * executed horizon window plus final "shardK.events" /
+ * Emit per-shard lanes into @p tracer: final "shardK.events" /
  * "shardK.stalled_rounds" counters.  Call after the run completes
- * (the window buffers are quiescent then); a no-op when the tracer
+ * (the shard statistics are quiescent then); a no-op when the tracer
  * is disabled.
  */
 void flushShardLanes(const ShardedSimulator &engine,

@@ -202,40 +202,38 @@ CloudSimulation::enableTracing(SpanTracer *tracer)
 
 namespace {
 
-/** A control-plane load level, read off the management server. */
+/** A control-plane load level, kept by a component of the server. */
 struct StandardGauge
 {
     const char *name;
-    std::int64_t (*read)(ManagementServer &);
+    const LevelIntegral &(*level)(ManagementServer &);
 };
 
-/** The levels both addStandardGauges() and enableTelemetry() poll. */
+/** The levels both addStandardGauges() and enableTelemetry() read. */
 constexpr StandardGauge kStandardGauges[] = {
     {"api.queue",
-     [](ManagementServer &s) {
-         return static_cast<std::int64_t>(s.apiCenter().queueLength());
+     [](ManagementServer &s) -> const LevelIntegral & {
+         return s.apiCenter().queueLevel();
      }},
     {"api.busy",
-     [](ManagementServer &s) {
-         return static_cast<std::int64_t>(s.apiCenter().busyServers());
+     [](ManagementServer &s) -> const LevelIntegral & {
+         return s.apiCenter().busyLevel();
      }},
     {"sched.queue",
-     [](ManagementServer &s) {
-         return static_cast<std::int64_t>(s.scheduler().queueLength());
+     [](ManagementServer &s) -> const LevelIntegral & {
+         return s.scheduler().queueLevel();
      }},
     {"sched.running",
-     [](ManagementServer &s) {
-         return static_cast<std::int64_t>(s.scheduler().inFlight());
+     [](ManagementServer &s) -> const LevelIntegral & {
+         return s.scheduler().runningLevel();
      }},
     {"db.queue",
-     [](ManagementServer &s) {
-         return static_cast<std::int64_t>(
-             s.database().center().queueLength());
+     [](ManagementServer &s) -> const LevelIntegral & {
+         return s.database().center().queueLevel();
      }},
     {"db.busy",
-     [](ManagementServer &s) {
-         return static_cast<std::int64_t>(
-             s.database().center().busyServers());
+     [](ManagementServer &s) -> const LevelIntegral & {
+         return s.database().center().busyLevel();
      }},
 };
 
@@ -245,8 +243,9 @@ void
 CloudSimulation::addStandardGauges(GaugeSampler &sampler)
 {
     for (const StandardGauge &g : kStandardGauges)
-        sampler.addGauge(g.name,
-                         [this, read = g.read] { return read(srv_); });
+        sampler.addGauge(g.name, [this, level = g.level] {
+            return level(srv_).level();
+        });
 }
 
 void
@@ -256,23 +255,24 @@ CloudSimulation::enableTelemetry(TelemetryRegistry *reg)
     if (!reg)
         return;
 
-    // Queue-depth / occupancy gauges.  Sampled on the cold snapshot
-    // (and sampler) path, so probes may walk aggregates.
+    // Queue-depth / occupancy gauges: each level with the integral
+    // its component keeps, read at the snapshot's time.  Read on the
+    // cold snapshot path, so a probe may walk aggregates.
     for (const StandardGauge &g : kStandardGauges)
-        reg->addGaugeProbe(g.name,
-                           [this, read = g.read] { return read(srv_); });
-    reg->addGaugeProbe("agents.busy", [this] {
-        return static_cast<std::int64_t>(srv_.agentSlotsBusy());
+        reg->addGaugeProbe(g.name, [this, level = g.level](SimTime t) {
+            return level(srv_).at(t);
+        });
+    reg->addGaugeProbe("agents.busy", [this](SimTime t) {
+        return srv_.agentLevels(&ServiceCenter::busyLevel, t);
     });
-    reg->addGaugeProbe("agents.queued", [this] {
-        return static_cast<std::int64_t>(srv_.agentQueueLength());
+    reg->addGaugeProbe("agents.queued", [this](SimTime t) {
+        return srv_.agentLevels(&ServiceCenter::queueLevel, t);
     });
-    reg->addGaugeProbe("locks.keys", [this] {
-        return static_cast<std::int64_t>(srv_.lockManager().lockedKeys());
+    reg->addGaugeProbe("locks.keys", [this](SimTime t) {
+        return srv_.lockManager().lockedKeysLevel().at(t);
     });
-    reg->addGaugeProbe("fabric.active_transfers", [this] {
-        return static_cast<std::int64_t>(
-            net_.topology().activeTransfers());
+    reg->addGaugeProbe("fabric.active_transfers", [this](SimTime t) {
+        return net_.topology().activeTransfersLevel().at(t);
     });
 
     // The resource list behind every bottleneck verdict.
@@ -315,11 +315,13 @@ CloudSimulation::enableTelemetry(TelemetryRegistry *reg)
                 return engine_.shardStats(sid).barrier_wait_ns;
             },
             true);
+        // A level with no integral: shard-scoped gauges export their
+        // level only.
         reg->addGaugeProbe(
             prefix + ".mailbox",
-            [this, sid] {
-                return static_cast<std::int64_t>(
-                    engine_.mailboxBacklog(sid));
+            [this, sid](SimTime) {
+                return LevelReading{static_cast<std::int64_t>(
+                    engine_.mailboxBacklog(sid))};
             },
             true);
     }

@@ -169,10 +169,10 @@ class CloudSimulation
     /**
      * Register the standard control-plane load gauges (API queue and
      * busy threads, dispatch queue and running tasks, DB queue and
-     * busy connections) on a caller-owned sampler, under the names
-     * enableTelemetry() gives the same quantities ("api.queue",
-     * "sched.queue", ...), so an attached registry keeps one gauge
-     * per quantity.
+     * busy connections) on a caller-owned sampler, the trace's gauge
+     * tracks, under the names enableTelemetry() gives the same levels
+     * ("api.queue", "sched.queue", ...).  Both read the one
+     * LevelIntegral each component keeps.
      */
     void addStandardGauges(GaugeSampler &sampler);
 
@@ -180,10 +180,11 @@ class CloudSimulation
      * Attach a caller-owned telemetry registry across the stack: the
      * management server's counters and histograms (scheduler, locks,
      * database, ops, agents) plus polled probes for every saturation
-     * point — queue-depth gauges, the collectUtilizations() resource
-     * list, the fabric's counters, and per-shard engine series
-     * (events, mailbox backlog, horizon stalls, neighbour wait).  Pass
-     * nullptr to detach the histograms.
+     * point — queue-depth gauges read from the components' level
+     * integrals, the collectUtilizations() resource list, the
+     * fabric's counters, and per-shard engine series (events, mailbox
+     * backlog, horizon stalls, neighbour wait).  Pass nullptr to
+     * detach the histograms.
      */
     void enableTelemetry(TelemetryRegistry *reg);
 

@@ -39,6 +39,29 @@ TEST(LockManagerTest, UncontendedExclusiveGrantsImmediately)
     EXPECT_EQ(lm.holders(lockKey(VmId(1))), 0);
 }
 
+TEST(LockManagerTest, LockedKeysIntegralCountsEachKeyOnce)
+{
+    Simulator sim;
+    LockManager lm(sim);
+    // VM 1 held exclusively over [0, 3), then by a shared waiter
+    // queued at 1 s until 4 s; VM 2 held over [1, 2).
+    lm.acquireAll({xlock(VmId(1))}, [] {});
+    sim.schedule(seconds(1), [&] {
+        lm.acquireAll({xlock(VmId(2))}, [] {});
+        lm.acquireAll({slock(VmId(1))}, [] {});
+    });
+    sim.schedule(seconds(2), [&] { lm.releaseAll({xlock(VmId(2))}); });
+    sim.schedule(seconds(3), [&] { lm.releaseAll({xlock(VmId(1))}); });
+    sim.schedule(seconds(4), [&] { lm.releaseAll({slock(VmId(1))}); });
+    sim.runUntil(seconds(1));
+    EXPECT_EQ(lm.lockedKeysLevel().level(), 2);
+    EXPECT_EQ(lm.lockedKeys(), 2u);
+    sim.run();
+    EXPECT_EQ(lm.lockedKeysLevel().level(), 0);
+    EXPECT_EQ(lm.lockedKeys(), 0u);
+    EXPECT_EQ(lm.lockedKeysLevel().integralAt(seconds(9)), seconds(5));
+}
+
 TEST(LockManagerTest, SharedLocksCoexist)
 {
     Simulator sim;

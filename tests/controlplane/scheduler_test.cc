@@ -49,6 +49,26 @@ TEST(SchedulerTest, DispatchesUpToWidth)
     EXPECT_EQ(sched.queueLength(), 3u);
 }
 
+TEST(SchedulerTest, QueueAndRunningIntegralsFollowDispatch)
+{
+    Simulator sim;
+    TaskFactory tf;
+    TaskScheduler sched(sim, SchedPolicy::Fifo, 1);
+    // Three tasks at 0 on one slot, each done 2 s after dispatch.
+    for (int i = 0; i < 3; ++i)
+        sched.enqueue(tf.make(i), [&] {
+            sim.schedule(seconds(2), [&] { sched.onTaskDone(); });
+        });
+    sim.run();
+    // Running 1 over [0, 6); queued 2 over [0, 2) and 1 over [2, 4).
+    EXPECT_EQ(sim.now(), seconds(6));
+    EXPECT_EQ(sched.runningLevel().level(), 0);
+    EXPECT_EQ(sched.queueLevel().level(), 0);
+    EXPECT_EQ(sched.runningLevel().integralAt(seconds(6)), seconds(6));
+    EXPECT_EQ(sched.queueLevel().integralAt(seconds(6)), seconds(6));
+    EXPECT_DOUBLE_EQ(sched.utilization(), 1.0);
+}
+
 TEST(SchedulerTest, CompletionDispatchesNext)
 {
     Simulator sim;

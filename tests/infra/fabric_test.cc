@@ -242,6 +242,40 @@ TEST(FabricTest, CancelReleasesAllLegs)
     EXPECT_EQ(fab.activeTransfers(), 0u);
 }
 
+TEST(FabricTest, ActiveTransfersIntegralCoversEveryExit)
+{
+    Simulator sim;
+    Fabric fab(sim, 1.0);
+    fab.clearTopology();
+    FabricNodeId a = fab.addNode(kSwitch, "a");
+    FabricNodeId b = fab.addNode(kSwitch, "b");
+    FabricNodeId c = fab.addNode(kSwitch, "c");
+    FabricNodeId d = fab.addNode(kSwitch, "d");
+    FabricNodeId e = fab.addNode(kSwitch, "e");
+    FabricNodeId f = fab.addNode(kSwitch, "f");
+    fab.addLink(a, b, 100.0, 0, "ab");
+    fab.addLink(c, d, 100.0, 0, "cd");
+    FabricLinkId ef = fab.addLink(e, f, 100.0, 0, "ef");
+    // One transfer per link: completed at 2 s, cancelled at 1 s, and
+    // failed by its link going down at 3 s.
+    bool done = false, failed = false;
+    fab.startTransfer(a, b, 200, [&] { done = true; });
+    FabricTransferId cancelled = fab.startTransfer(c, d, 1000, [] {});
+    fab.startTransfer(e, f, 1000, [] {}, [&] { failed = true; });
+    EXPECT_EQ(fab.activeTransfersLevel().level(), 3);
+    sim.schedule(seconds(1), [&] { fab.cancelTransfer(cancelled); });
+    sim.schedule(seconds(3), [&] { fab.setLinkUp(ef, false); });
+    sim.run();
+    EXPECT_TRUE(done);
+    EXPECT_TRUE(failed);
+    EXPECT_EQ(fab.activeTransfers(), 0u);
+    EXPECT_EQ(fab.activeTransfersLevel().level(), 0);
+    // 3 over [0, 1), 2 over [1, 2), 1 over [2, 3).
+    EXPECT_NEAR(
+        toSeconds(fab.activeTransfersLevel().integralAt(seconds(9))),
+        6.0, 1e-3);
+}
+
 TEST(FabricTest, LeafSpineRackLocalAndCrossRackPaths)
 {
     Simulator sim;

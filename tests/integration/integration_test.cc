@@ -49,7 +49,7 @@ TEST_P(MmcValidationTest, SimMatchesErlangC)
     sim.run();
 
     MmcResult analytic = mmcAnalysis(lambda, mu, servers);
-    double sim_wq = sc.waitTimes().mean() / 1e6; // usec -> s
+    double sim_wq = sc.meanWait() / 1e6; // usec -> s
     // 5% of the mean sojourn or absolute 0.01 s, whichever is larger.
     double tol = std::max(0.08 * analytic.w, 0.01);
     EXPECT_NEAR(sim_wq, analytic.wq, tol)

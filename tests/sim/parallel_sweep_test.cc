@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
 #include <set>
 #include <stdexcept>
 #include <vector>
@@ -73,43 +72,6 @@ TEST(ParallelSweepTest, AutoThreadsPicksAtLeastOne)
 {
     ParallelSweepRunner runner(0);
     EXPECT_GE(runner.threads(), 1);
-}
-
-TEST(ParallelSweepTest, EnvOverrideSetsAutoThreadCount)
-{
-    setenv("VCP_SWEEP_THREADS", "3", 1);
-    ParallelSweepRunner from_env(0);
-    EXPECT_EQ(from_env.threads(), 3);
-    // An explicit count beats the environment.
-    ParallelSweepRunner explicit_count(2);
-    EXPECT_EQ(explicit_count.threads(), 2);
-    unsetenv("VCP_SWEEP_THREADS");
-}
-
-// Regression: std::atoi used to truncate "8x" to 8 and turn garbage
-// into 0 silently; strict parsing must ignore both (with a warning)
-// and fall back to hardware concurrency.
-TEST(ParallelSweepTest, EnvOverrideRejectsGarbage)
-{
-    // 77777 would be taken literally by atoi("77777x"); no machine's
-    // hardware concurrency is 77777, so equality means truncation.
-    setenv("VCP_SWEEP_THREADS", "77777x", 1);
-    ParallelSweepRunner trailing(0);
-    EXPECT_NE(trailing.threads(), 77777);
-    EXPECT_GE(trailing.threads(), 1);
-
-    setenv("VCP_SWEEP_THREADS", "four", 1);
-    ParallelSweepRunner words(0);
-    EXPECT_GE(words.threads(), 1);
-
-    setenv("VCP_SWEEP_THREADS", "-3", 1);
-    ParallelSweepRunner negative(0);
-    EXPECT_GE(negative.threads(), 1);
-
-    setenv("VCP_SWEEP_THREADS", "", 1);
-    ParallelSweepRunner empty(0);
-    EXPECT_GE(empty.threads(), 1);
-    unsetenv("VCP_SWEEP_THREADS");
 }
 
 TEST(ParallelSweepTest, ForkSeedIsAPureFunctionOfBaseAndIndex)

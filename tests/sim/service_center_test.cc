@@ -113,10 +113,36 @@ TEST(ServiceCenterTest, WaitTimesMeasured)
     sc.submit(seconds(2), [] {}); // waits 0
     sc.submit(seconds(1), [] {}); // waits 2 s
     sim.run();
-    EXPECT_EQ(sc.waitTimes().count(), 2u);
-    EXPECT_DOUBLE_EQ(sc.waitTimes().min(), 0.0);
-    EXPECT_DOUBLE_EQ(sc.waitTimes().max(),
-                     static_cast<double>(seconds(2)));
+    EXPECT_EQ(sc.granted(), 2u);
+    EXPECT_EQ(sc.totalWait(), seconds(2));
+    EXPECT_DOUBLE_EQ(sc.meanWait(), static_cast<double>(seconds(1)));
+}
+
+TEST(ServiceCenterTest, QueueAndBusyIntegralsFollowTheSchedule)
+{
+    Simulator sim;
+    ServiceCenter sc(sim, "t", 1);
+    // A 4 s job at 0; a 2 s job at 1 s waits to 4 s and runs to 6 s;
+    // a 1 s job at 2 s waits to 6 s and runs to 7 s.
+    sc.submit(seconds(4), [] {});
+    sim.schedule(seconds(1), [&] { sc.submit(seconds(2), [] {}); });
+    sim.schedule(seconds(2), [&] { sc.submit(seconds(1), [] {}); });
+    sim.runUntil(seconds(3));
+    // Queued 1 over [1, 2) and 2 over [2, 3); busy 1 over [0, 3).
+    EXPECT_EQ(sc.queueLevel().level(), 2);
+    EXPECT_EQ(sc.queueLevel().integralAt(seconds(3)), seconds(3));
+    EXPECT_EQ(sc.busyLevel().integralAt(seconds(3)), seconds(3));
+
+    sim.run();
+    // Queued 1 + 2 x 2 + 1 x 2 level-seconds; busy 1 over [0, 7).
+    EXPECT_EQ(sim.now(), seconds(7));
+    EXPECT_EQ(sc.queueLevel().level(), 0);
+    EXPECT_EQ(sc.busyLevel().level(), 0);
+    EXPECT_EQ(sc.queueLevel().integralAt(seconds(10)), seconds(7));
+    EXPECT_EQ(sc.busyLevel().integralAt(seconds(10)), seconds(7));
+    EXPECT_EQ(sc.totalBusyTime(), seconds(7));
+    // Waits of 0, 3 and 4 s: the queue integral, as Little's law says.
+    EXPECT_EQ(sc.totalWait(), seconds(7));
 }
 
 TEST(ServiceCenterTest, UtilizationOfAlwaysBusyServerIsOne)

@@ -1,52 +1,20 @@
 /**
  * @file
- * Instrument-primitive tests: the decaying gauge, and the histogram's
- * merge identity — N histograms fed disjoint streams and then merged
- * must equal one histogram fed the interleaved stream (perfbench sums
- * its management domains' histograms this way).
+ * Instrument-primitive tests: the histogram's merge identity — N
+ * histograms fed disjoint streams and then merged must equal one
+ * histogram fed the interleaved stream (perfbench sums its management
+ * domains' histograms this way).
  */
 
 #include <gtest/gtest.h>
 
 #include <random>
 
-#include "telemetry/instruments.hh"
+#include "sim/types.hh"
 #include "trace/latency_hist.hh"
 
 namespace vcp {
 namespace {
-
-TEST(DecayingGauge, FirstSampleSeedsEwma)
-{
-    DecayingGauge g(seconds(10));
-    g.sample(seconds(1), 40.0);
-    EXPECT_DOUBLE_EQ(g.ewma(), 40.0);
-    EXPECT_DOUBLE_EQ(g.last(), 40.0);
-    EXPECT_DOUBLE_EQ(g.min(), 40.0);
-    EXPECT_DOUBLE_EQ(g.max(), 40.0);
-}
-
-TEST(DecayingGauge, EwmaDecaysTowardNewLevel)
-{
-    DecayingGauge g(seconds(10));
-    g.sample(seconds(0), 100.0);
-    g.sample(seconds(10), 0.0); // one tau later
-    // After one time constant the EWMA has closed 1-1/e of the gap.
-    EXPECT_NEAR(g.ewma(), 100.0 * std::exp(-1.0), 1e-9);
-    EXPECT_DOUBLE_EQ(g.last(), 0.0);
-    EXPECT_DOUBLE_EQ(g.min(), 0.0);
-    EXPECT_DOUBLE_EQ(g.max(), 100.0);
-    EXPECT_EQ(g.samples(), 2u);
-}
-
-TEST(DecayingGauge, EmptyGaugeReadsZero)
-{
-    DecayingGauge g;
-    EXPECT_DOUBLE_EQ(g.ewma(), 0.0);
-    EXPECT_DOUBLE_EQ(g.min(), 0.0);
-    EXPECT_DOUBLE_EQ(g.max(), 0.0);
-    EXPECT_EQ(g.samples(), 0u);
-}
 
 TEST(LatencyHistogram, MergeEqualsSingleHistogramOracle)
 {

@@ -1,10 +1,11 @@
 /**
  * @file
- * Registry + snapshot-emitter tests: gauge probes, counter probes whose
- * window is exactly the change since the previous snapshot, the
- * snapshot edge cases (a window with zero events; a run shorter than
- * one window), the health report, and the O(instruments) footprint
- * contract.
+ * Registry + snapshot-emitter tests: gauge probes whose window mean is
+ * exactly the change in their integral over the window, counter
+ * probes whose window is exactly the change since the previous
+ * snapshot, the snapshot edge cases (a window with zero events; a run
+ * shorter than one window), the health report, and the
+ * O(instruments) footprint contract.
  */
 
 #include <gtest/gtest.h>
@@ -13,10 +14,12 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <unistd.h>
 
 #include "sim/logging.hh"
+#include "sim/service_center.hh"
 #include "sim/simulator.hh"
 #include "telemetry/health.hh"
 #include "telemetry/snapshot.hh"
@@ -32,20 +35,114 @@ setUtils(TelemetryRegistry &reg, std::vector<ResourceUtilization> u)
     reg.setUtilizations([u] { return u; });
 }
 
-TEST(TelemetryRegistry, GaugeProbesSampleIntoDecayingGauges)
+/** The number after `"field":` in @p line's member @p key, or -1. */
+double
+field(const std::string &line, const std::string &key,
+      const std::string &name)
 {
-    TelemetryRegistry reg(seconds(8));
-    std::int64_t depth = 5;
-    reg.addGaugeProbe("q", [&] { return depth; });
-    reg.sampleGauges(seconds(1));
-    depth = 9;
-    reg.sampleGauges(seconds(2));
+    std::size_t at = line.find("\"" + key + "\":");
+    if (at == std::string::npos)
+        return -1.0;
+    at = line.find("\"" + name + "\":", at);
+    if (at == std::string::npos)
+        return -1.0;
+    return std::stod(line.substr(at + name.size() + 3));
+}
 
-    const DecayingGauge *g = reg.findGauge("q");
-    ASSERT_NE(g, nullptr);
-    EXPECT_EQ(g->samples(), 2u);
-    EXPECT_DOUBLE_EQ(g->last(), 9.0);
-    EXPECT_DOUBLE_EQ(g->max(), 9.0);
+TEST(TelemetryRegistry, GaugeProbesReportLevelAndWindowMean)
+{
+    Simulator sim(1);
+    TelemetryRegistry reg;
+    LevelIntegral depth;
+    reg.addGaugeProbe("q", [&](SimTime t) { return depth.at(t); });
+    reg.addGaugeProbe(
+        "shard0.mailbox", [](SimTime) { return LevelReading{3}; }, true);
+    // Depth 5 from 1 s, 9 from 2 s.
+    sim.schedule(seconds(1), [&] { depth.add(sim.now(), 5); });
+    sim.schedule(seconds(2), [&] { depth.add(sim.now(), 4); });
+
+    const std::string path =
+        ::testing::TempDir() + "vcp_snapshot_gauges.ndjson";
+    {
+        SnapshotEmitter em(sim, reg, seconds(4));
+        ASSERT_TRUE(em.openNdjson(path));
+        em.start();
+        sim.runUntil(seconds(8));
+        em.stop();
+    }
+    std::ifstream in(path);
+    std::string w1, w2;
+    ASSERT_TRUE(std::getline(in, w1));
+    ASSERT_TRUE(std::getline(in, w2));
+    // (5 x 1 s + 9 x 2 s) / 4 s, then 9 throughout.
+    EXPECT_NE(w1.find("\"q\":{\"last\":9,\"mean\":5.75}"),
+              std::string::npos) << w1;
+    EXPECT_NE(w2.find("\"q\":{\"last\":9,\"mean\":9}"),
+              std::string::npos) << w2;
+    // A shard-scoped gauge exports its level only.
+    EXPECT_NE(w2.find("\"shards\":{\"shard0.mailbox\":{\"last\":3}}"),
+              std::string::npos) << w2;
+
+    std::ifstream prom_in(path + ".prom");
+    std::stringstream prom;
+    prom << prom_in.rdbuf();
+    EXPECT_NE(prom.str().find("\nvcp_q 9\n"), std::string::npos);
+    EXPECT_NE(prom.str().find("\nvcp_q_mean 9\n"), std::string::npos);
+    EXPECT_NE(prom.str().find("\nvcp_shard0_mailbox 3\n"),
+              std::string::npos);
+    EXPECT_EQ(prom.str().find("vcp_shard0_mailbox_mean"),
+              std::string::npos);
+    std::filesystem::remove(path + ".prom");
+    std::filesystem::remove(path);
+}
+
+TEST(SnapshotEmitter, BusyMeansAddUpToBusyTime)
+{
+    Simulator sim(1);
+    ServiceCenter sc(sim, "c", 2);
+    TelemetryRegistry reg;
+    reg.addGaugeProbe("c.busy",
+                      [&](SimTime t) { return sc.busyLevel().at(t); });
+    reg.addGaugeProbe("c.queue",
+                      [&](SimTime t) { return sc.queueLevel().at(t); });
+    // Two servers: jobs of 3.3 s and 5.1 s at 0; a 4.2 s job at 1.7 s
+    // waits for the first to finish and runs over [3.3, 7.5).
+    sc.submit(msec(3300), [] {});
+    sc.submit(msec(5100), [] {});
+    sim.schedule(msec(1700), [&] { sc.submit(msec(4200), [] {}); });
+
+    SnapshotEmitter em(sim, reg, seconds(3));
+    std::ostringstream out;
+    em.writeTo(&out);
+    em.start();
+    sim.runUntil(seconds(9));
+    em.stop();
+
+    std::vector<std::string> lines;
+    std::istringstream in(out.str());
+    for (std::string line; std::getline(in, line);)
+        lines.push_back(line);
+    ASSERT_EQ(lines.size(), 3u);
+    // Busy: 2 over [0, 5.1), 1 over [5.1, 7.5).  Queued: 1 over
+    // [1.7, 3.3).  Each window's mean, by hand:
+    const double busy[] = {2.0, (2 * 2.1 + 0.9) / 3, 1.5 / 3};
+    const double queue[] = {1.3 / 3, 0.3 / 3, 0.0};
+    double busy_us = 0.0;
+    for (std::size_t w = 0; w < lines.size(); ++w) {
+        double window_us =
+            std::stod(lines[w].substr(lines[w].find("\"window_us\":") +
+                                      12));
+        double b = field(lines[w], "c.busy", "mean");
+        EXPECT_NEAR(b, busy[w], 5e-6 * busy[w]) << lines[w];
+        EXPECT_NEAR(field(lines[w], "c.queue", "mean"), queue[w], 5e-6)
+            << lines[w];
+        busy_us += b * window_us;
+    }
+    // The windows add up to the center's busy time, to the export's
+    // six significant digits.
+    EXPECT_EQ(sc.totalBusyTime(), msec(12600));
+    EXPECT_NEAR(busy_us, static_cast<double>(sc.totalBusyTime()),
+                5e-6 * static_cast<double>(sc.totalBusyTime()));
 }
 
 TEST(TelemetryRegistry, FootprintIsIndependentOfRunLength)
@@ -53,15 +150,16 @@ TEST(TelemetryRegistry, FootprintIsIndependentOfRunLength)
     // The O(1)-memory contract: a 10x-longer event stream leaves the
     // instrument footprint bit-for-bit identical.
     auto run = [](SimTime end) {
-        TelemetryRegistry reg(seconds(60));
+        TelemetryRegistry reg;
         std::uint64_t ops = 0;
         reg.addCounterProbe("ops", [&] { return ops; });
         LatencyHistogram *h = reg.histogram("lat");
-        DecayingGauge *g = reg.gauge("q");
+        LevelIntegral q;
+        reg.addGaugeProbe("q", [&](SimTime t) { return q.at(t); });
         for (SimTime t = 0; t < end; t += msec(100)) {
             ++ops;
             h->add(t % 10'000);
-            g->sample(t, static_cast<double>(t % 50));
+            q.add(t, (t / msec(100)) % 2 ? -1 : 1);
         }
         // Get-or-create: the series keeps its one histogram.
         EXPECT_EQ(reg.histogram("lat"), h);

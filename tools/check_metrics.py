@@ -12,7 +12,10 @@ Per snapshot it checks the section envelope
 counts and rates, window totals never exceeding all-time totals,
 utilizations in [0, 1.5] (transient over-unity is tolerated while a
 window drains), and quantile sanity on every histogram with samples:
-min <= p50 <= p95 <= p99 <= max.  Every counter's window must be
+min <= p50 <= p95 <= p99 <= max.  The gauge contract: a model gauge
+has exactly "last" and "mean" (the level's time-weighted mean over
+the window), a shard gauge exactly "last", and every value is finite
+and >= 0.  Every counter's window must be
 exactly the change in its total since the previous snapshot (from 0
 in the first one that carries it), and a counter's rate_per_s must be
 window / (window_us / 1e6) to the 6 significant digits the emitter
@@ -21,8 +24,9 @@ it requires a series of that name in any section of some snapshot --
 CI uses this to assert the scheduler, lock-manager, database,
 host-agent, fabric, and shard instruments all made it into the file.
 With --prom FILE it also checks the exposition file parses: TYPE
-lines, one float sample per series line, and at least one vcp_
-counter and one summary quantile.
+lines, one float sample per series line, at least one vcp_ counter
+and one summary quantile, vcp_<name> and vcp_<name>_mean for every
+model gauge, vcp_<name> for every shard gauge, and no _ewma series.
 
 Exit status: 0 valid, 1 invalid, 2 usage/IO error.  Stdlib only.
 """
@@ -85,6 +89,25 @@ def check_counter_window(problems, where, entry, prev_total, window_us,
                       f"seconds = {want:.6g}")
 
 
+def check_gauge_entry(problems, where, entry, keys):
+    """A gauge has exactly @p keys, each a finite number >= 0."""
+    if not isinstance(entry, dict):
+        err(problems, f"{where}: not an object")
+        return
+    if sorted(entry) != sorted(keys):
+        err(problems, f"{where}: keys {sorted(entry)}, want "
+                      f"{sorted(keys)}")
+    for k, v in entry.items():
+        check_number(problems, f"{where}.{k}", v, 0)
+
+
+def prom_name(name):
+    """@p name as the emitter writes it into a Prometheus series."""
+    return "vcp_" + "".join(
+        c if c.isascii() and (c.isalnum() or c in "_:") else "_"
+        for c in name)
+
+
 def check_hist_entry(problems, where, entry):
     if not isinstance(entry, dict):
         err(problems, f"{where}: not an object")
@@ -102,9 +125,10 @@ def check_hist_entry(problems, where, entry):
             err(problems, f"{where}: quantiles not monotone {q}")
 
 
-def check_snapshot(problems, i, obj, seen_series, prev_totals):
+def check_snapshot(problems, i, obj, seen_series, prev_totals, gauges):
     """Check one snapshot line; @p prev_totals maps (section, name) to
-    the counter totals of the previous snapshot and is updated."""
+    the counter totals of the previous snapshot and is updated, and
+    @p gauges maps each gauge name seen to its section."""
     where = f"line {i}"
     for key in ("seq", "ts_us", "window_us"):
         check_number(problems, f"{where}.{key}", obj.get(key), 0)
@@ -125,16 +149,16 @@ def check_snapshot(problems, i, obj, seen_series, prev_totals):
             elif section == "hists":
                 check_hist_entry(problems, w, entry)
             elif section == "gauges":
-                if isinstance(entry, dict):
-                    for k, v in entry.items():
-                        check_number(problems, f"{w}.{k}", v)
-                else:
-                    err(problems, f"{w}: not an object")
+                check_gauge_entry(problems, w, entry, ("last", "mean"))
+                gauges[name] = section
             else:  # shards: counter-probe or gauge shape
                 if not isinstance(entry, dict):
                     err(problems, f"{w}: not an object")
                 elif "total" in entry:
                     check_counter_entry(problems, w, entry)
+                else:
+                    check_gauge_entry(problems, w, entry, ("last",))
+                    gauges[name] = section
             if section in ("counters", "shards") and \
                     isinstance(entry, dict) and "total" in entry:
                 key = (section, name)
@@ -181,6 +205,7 @@ def check_health(problems, i, obj):
 
 
 def check_ndjson(path, expect_series, problems):
+    """Check the stream; return {gauge name: section} of its gauges."""
     try:
         with open(path, encoding="utf-8") as f:
             lines = f.read().splitlines()
@@ -188,9 +213,10 @@ def check_ndjson(path, expect_series, problems):
         print(f"error: cannot read {path}: {e}", file=sys.stderr)
         sys.exit(2)
 
+    gauges = {}
     if not lines:
         err(problems, "empty metrics file")
-        return
+        return gauges
 
     seen_series = set()
     prev_totals = {}
@@ -204,7 +230,8 @@ def check_ndjson(path, expect_series, problems):
             continue
         kind = obj.get("type")
         if kind == "snapshot":
-            check_snapshot(problems, i, obj, seen_series, prev_totals)
+            check_snapshot(problems, i, obj, seen_series, prev_totals,
+                           gauges)
             seq, ts = obj.get("seq"), obj.get("ts_us")
             if isinstance(seq, int):
                 if seq <= prev_seq:
@@ -234,9 +261,10 @@ def check_ndjson(path, expect_series, problems):
     for name in expect_series:
         if name not in seen_series:
             err(problems, f"expected series {name!r} never appeared")
+    return gauges
 
 
-def check_prom(path, problems):
+def check_prom(path, problems, gauges):
     try:
         with open(path, encoding="utf-8") as f:
             lines = f.read().splitlines()
@@ -245,6 +273,7 @@ def check_prom(path, problems):
         sys.exit(2)
 
     saw_counter = saw_quantile = False
+    series_seen = set()
     for i, line in enumerate(lines):
         if not line or line.startswith("#"):
             if line.startswith("# TYPE ") and \
@@ -256,8 +285,12 @@ def check_prom(path, problems):
             err(problems, f"prom line {i}: not 'series value'")
             continue
         series, value = fields
+        series_seen.add(series)
         if not series.startswith("vcp_"):
             err(problems, f"prom line {i}: series lacks vcp_ prefix")
+        if series.endswith("_ewma"):
+            err(problems, f"prom line {i}: {series} is an EWMA; gauges "
+                          f"export _mean")
         if 'quantile="' in series:
             saw_quantile = True
         try:
@@ -268,6 +301,13 @@ def check_prom(path, problems):
         err(problems, "prom: no counter series")
     if not saw_quantile:
         err(problems, "prom: no summary quantile series")
+    for name, section in gauges.items():
+        want = [prom_name(name)]
+        if section == "gauges":
+            want.append(prom_name(name) + "_mean")
+        for series in want:
+            if series not in series_seen:
+                err(problems, f"prom: gauge {name!r} lacks {series}")
 
 
 def main():
@@ -284,9 +324,9 @@ def main():
     args = ap.parse_args()
 
     problems = []
-    check_ndjson(args.metrics, args.expect_series, problems)
+    gauges = check_ndjson(args.metrics, args.expect_series, problems)
     if args.prom:
-        check_prom(args.prom, problems)
+        check_prom(args.prom, problems, gauges)
 
     if problems:
         for p in problems[:50]:

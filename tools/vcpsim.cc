@@ -92,8 +92,9 @@ usage()
         "                     (--metrics-out=FILE also accepted)\n"
         "  --metrics-interval S  snapshot window in sim-seconds "
         "(default 60)\n"
-        "  --sample-interval MS  gauge sampling period in sim-ms "
-        "(default 100)\n"
+        "  --sample-interval MS  period of the trace's gauge tracks\n"
+        "                     in sim-ms (default 100; telemetry\n"
+        "                     gauges need no sampling)\n"
         "  --log-level L      silent|warn|info or 0..2 "
         "(default info)\n"
         "  --parallel-shards N  partition the event set across N\n"
@@ -574,8 +575,7 @@ main(int argc, char **argv)
         cs.enableTracing(tracer.get());
     }
     if (!metrics_out.empty()) {
-        telem = std::make_unique<TelemetryRegistry>(
-            seconds(metrics_interval_s));
+        telem = std::make_unique<TelemetryRegistry>();
         cs.enableTelemetry(telem.get());
         emitter = std::make_unique<SnapshotEmitter>(
             cs.sim(), *telem, seconds(metrics_interval_s));
@@ -583,12 +583,10 @@ main(int argc, char **argv)
             return 1;
         emitter->start();
     }
-    if (tracer || telem) {
+    if (tracer) {
         sampler = std::make_unique<GaugeSampler>(
             cs.sim(), tracer.get(), msec(sample_interval_ms));
         cs.addStandardGauges(*sampler);
-        if (telem)
-            sampler->attachTelemetry(telem.get());
         sampler->start();
     }
 
