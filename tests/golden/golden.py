@@ -73,6 +73,11 @@ CASES = {
                              "--parallel-shards", "4"),
     "cloud-a-chaos": plain("cloud-a", "--hours", "2", "--fabric",
                            "leaf-spine", "--chaos", CHAOS),
+    # The chaos family CHAOS leaves out: an up spine switch goes down
+    # (9 faults, 9 recoveries in this run).
+    "cloud-a-switchdown": plain("cloud-a", "--hours", "2", "--fabric",
+                                "leaf-spine", "--full-clones", "--chaos",
+                                "switch-down:mtbf=10m,duration=3m"),
     "cloud-a-rate2000": plain("cloud-a", "--hours", "2", "--rate",
                               "2000"),
     "cloud-a-mtbf1": plain("cloud-a", "--hours", "2", "--mtbf", "1"),
