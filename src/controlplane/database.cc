@@ -23,11 +23,11 @@ InventoryDatabase::inventorySize() const
 void
 InventoryDatabase::setTracer(SpanTracer *t)
 {
-    tracer = t;
-    if (tracer) {
-        chains_name = tracer->intern("db.active-chains");
-        pool.setTrace(&tracer->ring(), tracer->intern("db.txn"));
+    if (t) {
+        active_chains.bindTrace(&t->ring(), t->intern("db.active-chains"));
+        pool.setTrace(&t->ring(), t->intern("db.txn"));
     } else {
+        active_chains.bindTrace(nullptr, 0);
         pool.setTrace(nullptr, 0);
     }
 }
@@ -65,9 +65,7 @@ InventoryDatabase::runTxns(int n, InlineAction done)
     }
     chains[idx].remaining = n;
     chains[idx].done = std::move(done);
-    ++active_chains;
-    if (VCP_TRACER_ON(tracer))
-        tracer->recordCounter(chains_name, sim.now(), active_chains);
+    active_chains.add(sim.now(), 1);
     step(idx);
 }
 
@@ -107,9 +105,7 @@ InventoryDatabase::step(std::uint32_t idx)
         }
         InlineAction done = std::move(chains[idx].done);
         free_chains.push_back(idx);
-        --active_chains;
-        if (VCP_TRACER_ON(tracer))
-            tracer->recordCounter(chains_name, sim.now(), active_chains);
+        active_chains.add(sim.now(), -1);
         done();
     });
 }

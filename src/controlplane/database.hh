@@ -19,6 +19,7 @@
 
 #include "controlplane/cost_model.hh"
 #include "infra/inventory.hh"
+#include "sim/level_integral.hh"
 #include "sim/service_center.hh"
 #include "sim/simulator.hh"
 
@@ -84,8 +85,9 @@ class InventoryDatabase
     std::size_t inventorySize() const;
 
     /** Attach a span tracer: each committed transaction then records
-     *  a "db.txn" execution span and the in-flight chain count is
-     *  sampled on every change.  Pass nullptr to detach. */
+     *  a "db.txn" execution span and each change of the in-flight
+     *  chain count a "db.active-chains" counter.  Pass nullptr to
+     *  detach. */
     void setTracer(SpanTracer *t);
 
     /** Attach streaming telemetry: registers the "db.txn" counter
@@ -117,12 +119,10 @@ class InventoryDatabase
     std::vector<TxnChain> chains;
     std::vector<std::uint32_t> free_chains;
 
-    int active_chains = 0;
+    LevelIntegral active_chains;
     bool stalled_ = false;
     /** Chains whose next txn is parked behind a failover window. */
     std::vector<std::uint32_t> stalled_chains;
-    SpanTracer *tracer = nullptr;
-    std::uint16_t chains_name = 0;
     LatencyHistogram *t_txn_lat = nullptr;
 };
 

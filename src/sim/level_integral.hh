@@ -10,6 +10,10 @@
  * with no sampling events.  ServiceCenter reads its busy area as
  * busy server-time; the telemetry snapshot emitter differences the
  * areas per window (see TelemetryRegistry::addGaugeProbe).
+ *
+ * A level bound to a trace ring also pushes one Counter record
+ * (time, new level) at each change, so its trace track is the same
+ * exact step function (see GaugeSampler).
  */
 
 #ifndef VCP_SIM_LEVEL_INTEGRAL_HH
@@ -18,6 +22,7 @@
 #include <cstdint>
 
 #include "sim/types.hh"
+#include "trace/ring.hh"
 
 namespace vcp {
 
@@ -46,13 +51,29 @@ class LevelIntegral
     explicit LevelIntegral(SimTime start = 0) : last_change(start) {}
 
     /** The level moves by @p delta at @p now (not before the last
-     *  change). */
+     *  change); a bound level records (now, new level). */
     void
     add(SimTime now, std::int64_t delta)
     {
         area = integralAt(now);
         last_change = now;
         level_ += delta;
+        if (VCP_TRACE_ON(ring))
+            ring->push({now, level_, 0, trace_name, SpanKind::Counter,
+                        0xff, {}});
+    }
+
+    /**
+     * Record each later change into @p r as a Counter named
+     * @p name_id (an interned name), or stop recording (nullptr).
+     * Binding records nothing by itself.  The binding is an observer,
+     * not model state, so a const level takes it.
+     */
+    void
+    bindTrace(TraceRing *r, std::uint16_t name_id) const
+    {
+        ring = r;
+        trace_name = name_id;
     }
 
     std::int64_t level() const { return level_; }
@@ -71,6 +92,8 @@ class LevelIntegral
     std::int64_t level_ = 0;
     std::int64_t area = 0;
     SimTime last_change = 0;
+    mutable TraceRing *ring = nullptr;
+    mutable std::uint16_t trace_name = 0;
 };
 
 } // namespace vcp

@@ -11,7 +11,9 @@
  * check, a struct store, and an index increment.  When the buffer is
  * full the ring wraps, overwriting the oldest records (the export
  * keeps the most recent window; the management server's latency
- * cells are fed separately and never drop).
+ * cells are fed separately and never drop).  A gauge track records
+ * only its level's changes, so after a wrap it starts at its first
+ * change that survived, not at the window's start.
  *
  * Compile-time switch: building with -DVCP_TRACE_DISABLED=1 compiles
  * every recording helper in the tree down to nothing (the hot-path
@@ -55,7 +57,8 @@ enum class SpanKind : std::uint8_t
     Sub,     ///< sub-phase detail inside an op; scope=task id, name=interned
     Span,    ///< named span (deploy, lock wait, ...); name=interned id
     Instant, ///< zero-duration marker (placement decision, ...)
-    Counter, ///< counter sample; value lives in the duration field
+    Counter, ///< a value from this time on (a gauge's new level); the
+             ///< value lives in the duration field
 };
 
 /**
@@ -66,7 +69,7 @@ struct alignas(16) SpanRecord
 {
     SimTime start = 0;
 
-    /** Span length, or the sampled value for Counter records. */
+    /** Span length, or the value of a Counter record. */
     std::int64_t duration = 0;
 
     /** Owning scope: task id, vApp id, or 0 when unscoped. */

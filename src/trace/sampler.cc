@@ -1,46 +1,41 @@
 #include "trace/sampler.hh"
 
-#include "sim/logging.hh"
-
 namespace vcp {
 
 GaugeSampler::GaugeSampler(Simulator &sim_, SpanTracer *tracer_,
-                           SimDuration period_p)
-    : sim(sim_), tracer(tracer_), period_(period_p)
-{
-    if (period_ <= 0)
-        fatal("GaugeSampler: period must be > 0");
-}
+                           SimDuration)
+    : sim(sim_), tracer(tracer_)
+{}
 
 void
 GaugeSampler::addGauge(const std::string &name,
-                       std::function<std::int64_t()> probe)
+                       const LevelIntegral &level)
 {
-    probes.push_back({tracer ? tracer->intern(name) : std::uint16_t{0},
-                      std::move(probe)});
+    gauges.push_back(
+        {tracer ? tracer->intern(name) : std::uint16_t{0}, &level});
 }
 
 void
 GaugeSampler::start()
 {
-    if (running)
+    if (running || !tracer)
         return;
     running = true;
-    sim.schedule(period_, [this] { tick(); });
+    for (const Gauge &g : gauges) {
+        if (VCP_TRACER_ON(tracer))
+            tracer->recordCounter(g.name, sim.now(), g.level->level());
+        g.level->bindTrace(&tracer->ring(), g.name);
+    }
 }
 
 void
-GaugeSampler::tick()
+GaugeSampler::stop()
 {
     if (!running)
         return;
-    if (tracer && tracer->enabled()) {
-        for (const Probe &p : probes) {
-            tracer->recordCounter(p.name, sim.now(), p.read());
-            ++sample_count;
-        }
-    }
-    sim.schedule(period_, [this] { tick(); });
+    running = false;
+    for (const Gauge &g : gauges)
+        g.level->bindTrace(nullptr, 0);
 }
 
 } // namespace vcp

@@ -1,29 +1,24 @@
 /**
  * @file
- * Periodic gauge sampling into the trace ring.
+ * The trace's gauge tracks, drawn from the levels components keep.
  *
- * Queue depths and in-flight counts change on almost every event;
- * recording each change would flood the ring for no analytical gain.
- * Instead a GaugeSampler polls registered probes on a fixed sim-time
- * period and records one Counter sample per probe per tick — bounded,
- * cheap, and exactly what a trace viewer needs for a load timeline.
- * Telemetry needs no sampler: its gauges read the time integrals the
- * components keep (sim/level_integral.hh).
- *
- * The sampler only schedules events once start() is called, so a
- * simulation without tracing keeps a byte-identical event stream.
- * NOTE: like other recurring components, a started sampler re-arms
- * indefinitely — drive such simulations with runUntil(), not run().
+ * Queue depths and in-flight counts are LevelIntegrals
+ * (sim/level_integral.hh).  A started GaugeSampler records each
+ * registered level once, then binds it to the tracer's ring, so each
+ * later change pushes one Counter record (time, new level).  A track
+ * is thus the exact step function whose window integrals telemetry's
+ * gauge means read.  The sampler schedules no event, started or not,
+ * so a traced run keeps the untraced run's event stream.
  */
 
 #ifndef VCP_TRACE_SAMPLER_HH
 #define VCP_TRACE_SAMPLER_HH
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
+#include "sim/level_integral.hh"
 #include "sim/simulator.hh"
 #include "trace/tracer.hh"
 
@@ -31,56 +26,49 @@ namespace vcp {
 
 class TelemetryRegistry;
 
-/** Polls registered gauges into Counter records. */
+/** Binds registered levels to the trace as Counter tracks. */
 class GaugeSampler
 {
   public:
     /**
-     * @param sim event kernel.
+     * @param sim event kernel (the time of start()'s records).
      * @param tracer destination ring (also supplies name interning);
-     *        with nullptr the sampler ticks but records nothing.
-     * @param period sampling period (> 0), default 100 sim-ms.
+     *        with nullptr the sampler records nothing.
+     * The period is ignored; perfbench/vcpbench.cc still passes one.
      */
-    GaugeSampler(Simulator &sim, SpanTracer *tracer,
-                 SimDuration period = msec(100));
+    GaugeSampler(Simulator &sim, SpanTracer *tracer, SimDuration = 0);
 
     GaugeSampler(const GaugeSampler &) = delete;
     GaugeSampler &operator=(const GaugeSampler &) = delete;
 
-    /** Register a probe; sampled every period once started. */
-    void addGauge(const std::string &name,
-                  std::function<std::int64_t()> probe);
+    ~GaugeSampler() { stop(); }
+
+    /** Register a level (before start()); it must outlive the
+     *  sampler or its stop(). */
+    void addGauge(const std::string &name, const LevelIntegral &level);
 
     /** Does nothing; perfbench/vcpbench.cc still calls it. */
     void attachTelemetry(TelemetryRegistry *) {}
 
-    /** Begin sampling (re-arms until stop()). */
+    /** Record each level once at the current time and bind it, so
+     *  each later change records too. */
     void start();
 
-    /** Stop sampling after the current tick. */
-    void stop() { running = false; }
-
-    /** Samples recorded so far (all probes combined). */
-    std::uint64_t samples() const { return sample_count; }
-
-    SimDuration period() const { return period_; }
+    /** Unbind every level: nothing more is recorded. */
+    void stop();
 
   private:
-    void tick();
-
-    struct Probe
+    struct Gauge
     {
         /** Interned trace name (0 without a tracer). */
         std::uint16_t name = 0;
-        std::function<std::int64_t()> read;
+        const LevelIntegral *level = nullptr;
     };
 
     Simulator &sim;
     SpanTracer *tracer;
-    SimDuration period_;
     bool running = false;
-    std::uint64_t sample_count = 0;
-    std::vector<Probe> probes;
+    std::vector<Gauge> gauges;
 };
 
 } // namespace vcp

@@ -243,9 +243,7 @@ void
 CloudSimulation::addStandardGauges(GaugeSampler &sampler)
 {
     for (const StandardGauge &g : kStandardGauges)
-        sampler.addGauge(g.name, [this, level = g.level] {
-            return level(srv_).level();
-        });
+        sampler.addGauge(g.name, g.level(srv_));
 }
 
 void

@@ -92,9 +92,6 @@ usage()
         "                     (--metrics-out=FILE also accepted)\n"
         "  --metrics-interval S  snapshot window in sim-seconds "
         "(default 60)\n"
-        "  --sample-interval MS  period of the trace's gauge tracks\n"
-        "                     in sim-ms (default 100; telemetry\n"
-        "                     gauges need no sampling)\n"
         "  --log-level L      silent|warn|info or 0..2 "
         "(default info)\n"
         "  --parallel-shards N  partition the event set across N\n"
@@ -444,7 +441,6 @@ main(int argc, char **argv)
     std::string dump_ops, dump_actions, dump_stats, trace_out;
     std::string metrics_out;
     int metrics_interval_s = 60;
-    int sample_interval_ms = 100;
     std::size_t trace_capacity = 1u << 20;
 
     for (int i = 2; i < argc; ++i) {
@@ -527,9 +523,6 @@ main(int argc, char **argv)
         } else if (arg == "--metrics-interval") {
             metrics_interval_s =
                 parsePositiveInt("--metrics-interval", next());
-        } else if (arg == "--sample-interval") {
-            sample_interval_ms =
-                parsePositiveInt("--sample-interval", next());
         } else if (arg == "--log-level") {
             const char *l = next();
             LogLevel lvl;
@@ -584,8 +577,7 @@ main(int argc, char **argv)
         emitter->start();
     }
     if (tracer) {
-        sampler = std::make_unique<GaugeSampler>(
-            cs.sim(), tracer.get(), msec(sample_interval_ms));
+        sampler = std::make_unique<GaugeSampler>(cs.sim(), tracer.get());
         cs.addStandardGauges(*sampler);
         sampler->start();
     }
