@@ -26,6 +26,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <new>
 #include <vector>
@@ -96,13 +97,12 @@ class TraceRing
      * @param capacity record slots; allocated once, up front, and not
      *        filled: a slot is read only after push() wrote it, so
      *        an unused part of a large ring costs no page faults.
+     * @throws std::bad_array_new_length when @p capacity records
+     *         exceed the address space, std::bad_alloc when the
+     *         allocation fails.
      */
     explicit TraceRing(std::size_t capacity = 1u << 20)
-        : slots(capacity ? static_cast<SpanRecord *>(::operator new(
-                               capacity * sizeof(SpanRecord),
-                               std::align_val_t{alignof(SpanRecord)}))
-                         : nullptr),
-          cap(capacity)
+        : slots(capacity ? allocate(capacity) : nullptr), cap(capacity)
     {}
 
     /** Runtime switch; off costs one predictable branch per site. */
@@ -190,6 +190,17 @@ class TraceRing
     }
 
   private:
+    static SpanRecord *
+    allocate(std::size_t capacity)
+    {
+        if (capacity > std::numeric_limits<std::size_t>::max() /
+                           sizeof(SpanRecord))
+            throw std::bad_array_new_length();
+        return static_cast<SpanRecord *>(
+            ::operator new(capacity * sizeof(SpanRecord),
+                           std::align_val_t{alignof(SpanRecord)}));
+    }
+
     struct Free
     {
         void

@@ -5,6 +5,8 @@
  */
 
 #include <cstdint>
+#include <limits>
+#include <new>
 
 #include <gtest/gtest.h>
 
@@ -93,6 +95,17 @@ TEST(TraceRing, ZeroCapacityIsInert)
     EXPECT_EQ(ring.size(), 0u);
     EXPECT_EQ(ring.totalRecorded(), 0u);
     EXPECT_TRUE(ring.snapshot().empty());
+}
+
+TEST(TraceRing, CapacityPastTheAddressSpaceThrows)
+{
+    // 2^59 + 1 records of 32 bytes wrap a 64-bit byte count to 32:
+    // the ring refuses instead of allocating one record's worth.
+    const std::size_t too_many =
+        std::numeric_limits<std::size_t>::max() / sizeof(SpanRecord) + 1;
+    EXPECT_THROW(TraceRing{too_many}, std::bad_array_new_length);
+    EXPECT_THROW(TraceRing{std::numeric_limits<std::size_t>::max()},
+                 std::bad_array_new_length);
 }
 
 TEST(TraceRing, ClearForgetsRecordsKeepsCapacity)

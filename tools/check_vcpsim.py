@@ -33,7 +33,8 @@ comparison does not state on its own.
         mtbf values past the simulator's event horizon, more shards
         than ShardedSimulator allows, and the examples' garbage or
         negative positional arguments each exit 2 and name their flag
-        on stderr.  The other programs are bench_t2_opmix and the
+        on stderr; so does a --trace-capacity whose byte size
+        overflows.  The other programs are bench_t2_opmix and the
         selfservice_cloud, reconfiguration_study and
         provisioning_storm examples.
 
@@ -244,6 +245,9 @@ def bad_args(vcpsim, tmp, t2_opmix, selfservice, reconfig, storm):
                   "crash:mtbf=1e12h,duration=5m"], "--chaos"),
         (vcpsim, ["cloud-a", "--hours", "1", "--parallel-shards", "200"],
          "--parallel-shards"),
+        # 2^59 + 1 records of 32 bytes wrap the byte count to 32.
+        (vcpsim, ["cloud-a", "--hours", "1", "--trace-out", "t.json",
+                  "--trace-capacity", str(2**59 + 1)], "--trace-capacity"),
         (vcpsim, ["sweep", "cloud-a", "--hours", "1e12"], "--hours"),
         (vcpsim, ["sweep", "cloud-a", "--parallel-shards", "200"],
          "--parallel-shards"),

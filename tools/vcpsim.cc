@@ -26,6 +26,7 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -564,7 +565,15 @@ main(int argc, char **argv)
     if (!trace_out.empty()) {
         TracerConfig tc;
         tc.capacity = trace_capacity;
-        tracer = std::make_unique<SpanTracer>(tc);
+        try {
+            tracer = std::make_unique<SpanTracer>(tc);
+        } catch (const std::bad_alloc &) {
+            std::fprintf(stderr,
+                         "vcpsim: --trace-capacity %zu records do not "
+                         "fit in memory\n",
+                         trace_capacity);
+            return 2;
+        }
         cs.enableTracing(tracer.get());
     }
     if (!metrics_out.empty()) {
