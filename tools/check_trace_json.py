@@ -13,7 +13,12 @@ pipeline phases made it into the file.  With --expect-hop (repeatable)
 it requires a per-link data-copy hop span (an X event with cat
 "detail" named "hop:<link>") for that link, and that every hop span
 fits inside some data-copy phase span on the same lane -- CI uses
-this to assert routed copies attribute time to fabric links.
+this to assert routed copies attribute time to fabric links.  Every
+counter track (C events of one pid and name) must have integer values
+at non-decreasing ts, since a gauge track is a step function with one
+event per level change.  With --expect-counter (repeatable) it
+requires a counter track of that name -- CI uses this to assert the
+standard gauge tracks are drawn.
 
 Exit status: 0 valid, 1 invalid, 2 usage/IO error.  Stdlib only.
 """
@@ -68,7 +73,7 @@ def check_event(ev, i, problems):
     return ph
 
 
-def check_trace(doc, expect_phases, expect_hops=()):
+def check_trace(doc, expect_phases, expect_hops=(), expect_counters=()):
     problems = []
     if not isinstance(doc, dict):
         return ["top level: not a JSON object"]
@@ -84,6 +89,7 @@ def check_trace(doc, expect_phases, expect_hops=()):
     seen_phases = set()  # names of cat="phase" pipeline spans
     hop_spans = []       # (index, lane, name, ts, ts+dur)
     copy_phases = []     # (lane, ts, ts+dur) of data-copy spans
+    counter_ts = {}      # (pid, name) -> ts of the track's last event
     for i, ev in enumerate(events):
         ph = check_event(ev, i, problems)
         if ph is None:
@@ -103,6 +109,18 @@ def check_trace(doc, expect_phases, expect_hops=()):
                   and str(ev.get("name", "")).startswith("hop:")):
                 hop_spans.append((i, lane, ev["name"], ev["ts"],
                                   ev["ts"] + ev["dur"]))
+        elif ph == "C":
+            value = (ev.get("args") or {}).get("value")
+            if not isinstance(value, int) or isinstance(value, bool):
+                err(problems, f"event {i}: counter {ev.get('name')!r} "
+                    "without an integer args.value")
+            track = (ev.get("pid"), ev.get("name"))
+            if ev.get("ts", 0) < counter_ts.get(track, 0):
+                err(problems, f"event {i}: counter {ev.get('name')!r} "
+                    f"goes back in time ({counter_ts[track]} -> "
+                    f"{ev['ts']})")
+            counter_ts[track] = max(counter_ts.get(track, 0),
+                                    ev.get("ts", 0))
 
     if counts["X"] == 0:
         err(problems, "no complete (ph=X) span events at all")
@@ -128,6 +146,10 @@ def check_trace(doc, expect_phases, expect_hops=()):
     for hop in expect_hops:
         if hop not in seen_hops:
             err(problems, f"no data-copy hop span for link {hop!r}")
+    seen_counters = {name for _, name in counter_ts}
+    for counter in expect_counters:
+        if counter not in seen_counters:
+            err(problems, f"no counter track named {counter!r}")
     return problems
 
 
@@ -143,6 +165,10 @@ def main():
                     metavar="LINK",
                     help="require a per-hop data-copy span for fabric "
                     "link LINK, e.g. net:core (repeatable)")
+    ap.add_argument("--expect-counter", action="append", default=[],
+                    metavar="NAME",
+                    help="require a counter track named NAME, e.g. "
+                    "sched.queue (repeatable)")
     opts = ap.parse_args()
 
     try:
@@ -155,7 +181,8 @@ def main():
         print(f"invalid: {opts.trace} is not JSON: {e}")
         return 1
 
-    problems = check_trace(doc, opts.expect_phase, opts.expect_hop)
+    problems = check_trace(doc, opts.expect_phase, opts.expect_hop,
+                           opts.expect_counter)
     if problems:
         for p in problems:
             print(f"invalid: {p}")

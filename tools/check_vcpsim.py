@@ -25,7 +25,10 @@ comparison does not state on its own.
         (0.01 ms in the table, %.6g in the CSV), and the CSV has no
         phase row the table lacks; the op counts add up to
         stdout's "completed + failed" and to the last snapshot's
-        cp.op_us count.
+        cp.op_us count.  The trace drops no record, and each of the
+        six standard gauge tracks, integrated as a step function over
+        every snapshot window and divided by window_us, renders at
+        six significant digits as the snapshot's mean.
 
     check_vcpsim.py bad-args VCPSIM T2_OPMIX SELFSERVICE RECONFIG STORM
         Out-of-range and malformed command-line values are usage
@@ -167,6 +170,60 @@ def rounding_ms(mean_us):
     return 0.005 + step_us / 2000.0 + 1e-9
 
 
+# The six control-plane levels both the trace and the metrics draw
+# (CloudSimulation::addStandardGauges).
+STANDARD_GAUGES = ("api.queue", "api.busy", "sched.queue",
+                   "sched.running", "db.queue", "db.busy")
+
+
+def step_integrals(points, times):
+    """Integral from 0 to each of @p times (ascending) of the step
+    function that is 0 until its first (ts, level) point in
+    @p points and each point's level until the next."""
+    out, area, last_t, level, i = [], 0, 0, 0, 0
+    for t in times:
+        while i < len(points) and points[i][0] <= t:
+            ts, value = points[i]
+            area += level * (ts - last_t)
+            last_t, level = ts, value
+            i += 1
+        out.append(area + level * (t - last_t))
+    return out
+
+
+def gauge_tracks(out, trace, snaps):
+    """Problems where a standard gauge's trace track and a snapshot's
+    window mean disagree (the trace must hold the whole run)."""
+    m = re.search(r"^trace: \d+ records \((\d+) dropped\)", out, re.M)
+    if not m or int(m.group(1)) != 0:
+        return ["trace dropped records (or no trace line); the gauge "
+                "track check needs the whole run"]
+    tracks = collections.defaultdict(list)
+    for ev in trace["traceEvents"]:
+        if ev.get("ph") == "C":
+            tracks[ev["name"]].append((ev["ts"], ev["args"]["value"]))
+    problems = []
+    for name in STANDARD_GAUGES:
+        if name not in tracks:
+            problems.append(f"{name}: no trace track")
+            continue
+        bounds = sorted({t for s in snaps for t in
+                         (s["ts_us"] - s["window_us"], s["ts_us"])})
+        area = dict(zip(bounds, step_integrals(tracks[name], bounds)))
+        wrong = []
+        for s in snaps:
+            w = s["window_us"]
+            got = (area[s["ts_us"]] - area[s["ts_us"] - w]) / w
+            want = s["gauges"][name]["mean"]
+            if f"{got:.6g}" != f"{want:.6g}":
+                wrong.append(f"window ending {s['ts_us']} us: track "
+                             f"{got:.6g}, snapshot {want:.6g}")
+        if wrong:
+            problems.append(f"{name}: {len(wrong)} of {len(snaps)} "
+                            f"windows disagree, first {wrong[0]}")
+    return problems
+
+
 def latency(vcpsim, tmp):
     out = run(vcpsim, ["cloud-b", "--hours", "2", "--fabric", "leaf-spine",
                        "--trace-out", "trace.json", "--metrics-out",
@@ -227,12 +284,16 @@ def latency(vcpsim, tmp):
         problems.append(f"op counts add up to {total}; stdout "
                         f"completed + failed {finished}; last snapshot "
                         f"cp.op_us {op_us}")
+    problems += gauge_tracks(out, json.loads(read(tmp, "trace.json")),
+                             snaps)
 
     for p in problems:
         print(f"FAIL: {p}")
     if not problems:
         print(f"OK: {total} ops, {len(table)} span rows agree with the "
-              f"stats CSV, ops.csv and cp.op_us")
+              f"stats CSV, ops.csv and cp.op_us; "
+              f"{len(STANDARD_GAUGES)} gauge tracks match "
+              f"{len(snaps)} snapshot means")
     return 1 if problems else 0
 
 
