@@ -92,14 +92,14 @@ CASES = {
                 "600"],
                [("stdout", "stdout"), ("trace.json", None),
                 ("metrics.ndjson", None), ("metrics.ndjson.prom", None)]),
-    # A ring too small for the run: the trace keeps the newest 16384
-    # of 56131 records, so the export starts mid-operation; the metrics
-    # stream has 150 snapshot lines.
+    # A ring too small for the run: the trace keeps the newest 1024
+    # of 3973 records, so the export starts mid-operation and each
+    # gauge track at its first surviving change; the metrics stream
+    # has 150 snapshot lines.
     "traced-wrap": ("vcpsim",
                     ["cloud-b", "--hours", "2", "--fabric", "leaf-spine",
                      "--trace-out", "trace.json", "--trace-capacity",
-                     "16384", "--sample-interval", "1000",
-                     "--metrics-out", "metrics.ndjson"],
+                     "1024", "--metrics-out", "metrics.ndjson"],
                     [("stdout", "stdout"), ("trace.json", None),
                      ("metrics.ndjson", None),
                      ("metrics.ndjson.prom", None)]),
