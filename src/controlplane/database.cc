@@ -23,13 +23,9 @@ InventoryDatabase::inventorySize() const
 void
 InventoryDatabase::setTracer(SpanTracer *t)
 {
-    if (t) {
-        active_chains.bindTrace(&t->ring(), t->intern("db.active-chains"));
-        pool.setTrace(&t->ring(), t->intern("db.txn"));
-    } else {
-        active_chains.bindTrace(nullptr, 0);
-        pool.setTrace(nullptr, 0);
-    }
+    TraceRing *ring = t ? &t->ring() : nullptr;
+    active_chains.bindTrace(ring, t ? t->intern("db.active-chains") : 0);
+    pool.setTrace(ring, t ? t->intern("db.txn") : 0);
 }
 
 void

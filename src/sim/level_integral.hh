@@ -10,10 +10,8 @@
  * with no sampling events.  ServiceCenter reads its busy area as
  * busy server-time; the telemetry snapshot emitter differences the
  * areas per window (see TelemetryRegistry::addGaugeProbe).
- *
- * A level bound to a trace ring also pushes one Counter record
- * (time, new level) at each change, so its trace track is the same
- * exact step function (see GaugeSampler).
+ * A level bound to a trace ring also records each change there, so
+ * its trace track is the same step function (see GaugeSampler).
  */
 
 #ifndef VCP_SIM_LEVEL_INTEGRAL_HH
@@ -63,12 +61,9 @@ class LevelIntegral
                         0xff, {}});
     }
 
-    /**
-     * Record each later change into @p r as a Counter named
-     * @p name_id (an interned name), or stop recording (nullptr).
-     * Binding records nothing by itself.  The binding is an observer,
-     * not model state, so a const level takes it.
-     */
+    /** Record each later change into @p r as a Counter named
+     *  @p name_id, or stop (nullptr); binding records nothing.  An
+     *  observer, not model state, so a const level takes it. */
     void
     bindTrace(TraceRing *r, std::uint16_t name_id) const
     {

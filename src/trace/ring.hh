@@ -58,8 +58,7 @@ enum class SpanKind : std::uint8_t
     Sub,     ///< sub-phase detail inside an op; scope=task id, name=interned
     Span,    ///< named span (deploy, lock wait, ...); name=interned id
     Instant, ///< zero-duration marker (placement decision, ...)
-    Counter, ///< a value from this time on (a gauge's new level); the
-             ///< value lives in the duration field
+    Counter, ///< a value from its time on; lives in the duration field
 };
 
 /**
@@ -97,9 +96,7 @@ class TraceRing
      * @param capacity record slots; allocated once, up front, and not
      *        filled: a slot is read only after push() wrote it, so
      *        an unused part of a large ring costs no page faults.
-     * @throws std::bad_array_new_length when @p capacity records
-     *         exceed the address space, std::bad_alloc when the
-     *         allocation fails.
+     * @throws std::bad_alloc as new[] does, past the address space too.
      */
     explicit TraceRing(std::size_t capacity = 1u << 20)
         : slots(capacity ? allocate(capacity) : nullptr), cap(capacity)
@@ -191,14 +188,12 @@ class TraceRing
 
   private:
     static SpanRecord *
-    allocate(std::size_t capacity)
+    allocate(std::size_t n)
     {
-        if (capacity > std::numeric_limits<std::size_t>::max() /
-                           sizeof(SpanRecord))
+        if (n > std::numeric_limits<std::size_t>::max() / sizeof(SpanRecord))
             throw std::bad_array_new_length();
-        return static_cast<SpanRecord *>(
-            ::operator new(capacity * sizeof(SpanRecord),
-                           std::align_val_t{alignof(SpanRecord)}));
+        return static_cast<SpanRecord *>(::operator new(
+            n * sizeof(SpanRecord), std::align_val_t{alignof(SpanRecord)}));
     }
 
     struct Free

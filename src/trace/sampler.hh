@@ -2,13 +2,11 @@
  * @file
  * The trace's gauge tracks, drawn from the levels components keep.
  *
- * Queue depths and in-flight counts are LevelIntegrals
- * (sim/level_integral.hh).  A started GaugeSampler records each
- * registered level once, then binds it to the tracer's ring, so each
- * later change pushes one Counter record (time, new level).  A track
- * is thus the exact step function whose window integrals telemetry's
- * gauge means read.  The sampler schedules no event, started or not,
- * so a traced run keeps the untraced run's event stream.
+ * A started GaugeSampler records each registered LevelIntegral once,
+ * then binds it to the tracer's ring, so each later change pushes one
+ * Counter record (time, new level): the exact step function whose
+ * window integrals telemetry's gauge means read.  It schedules no
+ * event, so a traced run keeps the untraced run's event stream.
  */
 
 #ifndef VCP_TRACE_SAMPLER_HH
@@ -60,9 +58,8 @@ class GaugeSampler
   private:
     struct Gauge
     {
-        /** Interned trace name (0 without a tracer). */
-        std::uint16_t name = 0;
-        const LevelIntegral *level = nullptr;
+        std::uint16_t name; ///< interned (0 without a tracer)
+        const LevelIntegral *level;
     };
 
     Simulator &sim;

@@ -172,8 +172,7 @@ class CloudSimulation
      * busy connections) on a caller-owned sampler, the trace's gauge
      * tracks, under the names enableTelemetry() gives the same levels
      * ("api.queue", "sched.queue", ...).  Both read the one
-     * LevelIntegral each component keeps; the sampler must stop (or
-     * go) before this simulation does.
+     * LevelIntegral each component keeps.
      */
     void addStandardGauges(GaugeSampler &sampler);
 

@@ -559,7 +559,6 @@ main(int argc, char **argv)
     CloudSimulation cs(spec, seed);
 
     std::unique_ptr<SpanTracer> tracer;
-    std::unique_ptr<GaugeSampler> sampler;
     std::unique_ptr<TelemetryRegistry> telem;
     std::unique_ptr<SnapshotEmitter> emitter;
     if (!trace_out.empty()) {
@@ -568,9 +567,8 @@ main(int argc, char **argv)
         try {
             tracer = std::make_unique<SpanTracer>(tc);
         } catch (const std::bad_alloc &) {
-            std::fprintf(stderr,
-                         "vcpsim: --trace-capacity %zu records do not "
-                         "fit in memory\n",
+            std::fprintf(stderr, "vcpsim: --trace-capacity %zu records "
+                                 "do not fit in memory\n",
                          trace_capacity);
             return 2;
         }
@@ -585,11 +583,10 @@ main(int argc, char **argv)
             return 1;
         emitter->start();
     }
-    if (tracer) {
-        sampler = std::make_unique<GaugeSampler>(cs.sim(), tracer.get());
-        cs.addStandardGauges(*sampler);
-        sampler->start();
-    }
+    // The trace's gauge tracks; without a tracer this records nothing.
+    GaugeSampler sampler(cs.sim(), tracer.get());
+    cs.addStandardGauges(sampler);
+    sampler.start();
 
     HaManager ha(cs.server());
     // The chaos fork only happens when a scenario is configured, so
