@@ -202,13 +202,13 @@ def gauge_tracks(out, trace, snaps):
     for ev in trace["traceEvents"]:
         if ev.get("ph") == "C":
             tracks[ev["name"]].append((ev["ts"], ev["args"]["value"]))
+    bounds = sorted({t for s in snaps for t in
+                     (s["ts_us"] - s["window_us"], s["ts_us"])})
     problems = []
     for name in STANDARD_GAUGES:
         if name not in tracks:
             problems.append(f"{name}: no trace track")
             continue
-        bounds = sorted({t for s in snaps for t in
-                         (s["ts_us"] - s["window_us"], s["ts_us"])})
         area = dict(zip(bounds, step_integrals(tracks[name], bounds)))
         wrong = []
         for s in snaps:
