@@ -8,8 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
-
 #include "sim/level_integral.hh"
 #include "sim/simulator.hh"
 #include "trace/sampler.hh"
