@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Behaviour oracle: vcpsim output compared byte for byte.
 
-Each case runs vcpsim (or golden_opstorm, or one of the paper-table
+Each case runs vcpsim (or golden_opstorm, or one of the paper
 benches) in its own work directory and compares what the run writes
 with the files recorded next to this script:
 
@@ -26,8 +26,9 @@ that moved (all cases unless --case is given):
 
     tests/golden/golden.py rebaseline --vcpsim build/tools/vcpsim \
         --opstorm build/tests/golden/golden_opstorm \
-        --t2-opmix build/bench/bench_t2_opmix \
-        --f4-breakdown build/bench/bench_f4_breakdown
+        --bench-dir build/bench
+
+A bench case named t2-opmix runs <bench-dir>/bench_t2_opmix.
 
 Exit status: 0 identical (or re-recorded), 1 moved, 2 usage/run error.
 Stdlib only.
@@ -59,6 +60,11 @@ def plain(*args):
     """A vcpsim case recording stdout, the stats CSV and the op trace."""
     return ("vcpsim", list(args) + ["--stats", "stats.csv",
                                     "--dump-ops", "ops.csv"], PLAIN)
+
+
+def bench(name):
+    """A paper bench's stdout with its default arguments."""
+    return ("bench_" + name.replace("-", "_"), [], [("stdout", "stdout")])
 
 
 # name -> (program, arguments, outputs)
@@ -104,22 +110,34 @@ CASES = {
                      ("metrics.ndjson", None),
                      ("metrics.ndjson.prom", None)]),
     "opstorm": ("opstorm", ["17"], [("stdout", None)]),
-    # The paper's op-mix table (T2, 24 h per cloud) and phase-breakdown
-    # figure (F4), as the benches print them.
-    "t2-opmix": ("t2_opmix", [], [("stdout", "stdout")]),
-    "f4-breakdown": ("f4_breakdown", [], [("stdout", "stdout")]),
 }
 
+# The paper's tables and figures, as the benches print them.
+BENCHES = ("t1-setups", "t2-opmix", "t3-validation", "f1-churn",
+           "f2-clone", "f3-saturation", "f4-breakdown", "f5-limits",
+           "f6-reconfig", "f7-scale", "f8-sched", "a1-dbload",
+           "a2-ha-storm", "a3-federation", "chaos", "fabric")
+CASES.update((name, bench(name)) for name in BENCHES)
 
-def run_case(name, programs, workdir):
+
+def program_path(program, opts):
+    """Path of a case's program, or None if its option was not given."""
+    if program.startswith("bench_"):
+        return opts.bench_dir and os.path.join(opts.bench_dir, program)
+    return getattr(opts, program)
+
+
+def run_case(name, opts, workdir):
     """Run one case in @p workdir; return {recorded key: bytes/digest}."""
     program, args, outputs = CASES[name]
-    if not programs.get(program):
-        raise RuntimeError(f"{name}: needs --{program.replace('_', '-')}")
+    path = program_path(program, opts)
+    if not path:
+        flag = "bench-dir" if program.startswith("bench_") else program
+        raise RuntimeError(f"{name}: needs --{flag}")
     os.makedirs(workdir, exist_ok=True)
     for f in os.listdir(workdir):
         os.remove(os.path.join(workdir, f))
-    proc = subprocess.run([os.path.abspath(programs[program])] + args,
+    proc = subprocess.run([os.path.abspath(path)] + args,
                           cwd=workdir, stdout=subprocess.PIPE)
     if proc.returncode != 0:
         raise RuntimeError(f"{name}: {program} exited {proc.returncode}")
@@ -200,7 +218,7 @@ def check(args):
     digests = read_digests()
     workdir = args.workdir or tempfile.mkdtemp(prefix="golden-")
     try:
-        got = run_case(args.case, programs(args), workdir)
+        got = run_case(args.case, args, workdir)
     except (OSError, RuntimeError) as e:
         print(f"golden: {e}", file=sys.stderr)
         return 2
@@ -233,8 +251,7 @@ def rebaseline(args):
     with tempfile.TemporaryDirectory(prefix="golden-") as tmp:
         for name in names:
             try:
-                got = run_case(name, programs(args),
-                               os.path.join(tmp, name))
+                got = run_case(name, args, os.path.join(tmp, name))
             except (OSError, RuntimeError) as e:
                 print(f"golden: {e}", file=sys.stderr)
                 write_digests(digests)  # keep the cases already done
@@ -262,16 +279,11 @@ def rebaseline(args):
     return 0
 
 
-PROGRAMS = ("vcpsim", "opstorm", "t2_opmix", "f4_breakdown")
-
-
-def programs(args):
-    return {name: getattr(args, name) for name in PROGRAMS}
-
-
 def add_program_args(parser):
-    for name in PROGRAMS:
-        parser.add_argument("--" + name.replace("_", "-"), dest=name)
+    parser.add_argument("--vcpsim")
+    parser.add_argument("--opstorm")
+    parser.add_argument("--bench-dir",
+                        help="directory holding the bench_* programs")
 
 
 def main():
