@@ -45,6 +45,15 @@ splitCsvLine(const std::string &line)
     return fields;
 }
 
+/** Die naming the bad field and its line. */
+[[noreturn]] void
+badField(const char *what, const std::string &field,
+         const std::string &line)
+{
+    fatal("trace CSV: bad %s field '%s' in line '%s'", what,
+          field.c_str(), line.c_str());
+}
+
 /** Parse one CSV integer field or die naming the line. */
 long long
 csvInt(const std::string &field, const char *what,
@@ -52,8 +61,7 @@ csvInt(const std::string &field, const char *what,
 {
     long long v = 0;
     if (!parseStrictInt(field.c_str(), v))
-        fatal("trace CSV: bad %s field '%s' in line '%s'", what,
-              field.c_str(), line.c_str());
+        badField(what, field, line);
     return v;
 }
 
@@ -168,14 +176,16 @@ OpTrace::fromCsv(const std::string &csv)
         if (r.type == OpType::NumOpTypes)
             fatal("OpTrace::fromCsv: unknown op '%s'", f[1].c_str());
         r.latency = csvInt(f[2], "latency", line);
+        if (f[3] != "0" && f[3] != "1")
+            badField("success", f[3], line);
         r.success = f[3] == "1";
-        r.error = TaskError::None;
-        for (std::size_t e = 0; e < kNumTaskErrors; ++e) {
-            if (f[4] == taskErrorName(static_cast<TaskError>(e))) {
-                r.error = static_cast<TaskError>(e);
-                break;
-            }
-        }
+        std::size_t e = 0;
+        while (e < kNumTaskErrors &&
+               f[4] != taskErrorName(static_cast<TaskError>(e)))
+            ++e;
+        if (e == kNumTaskErrors)
+            badField("error", f[4], line);
+        r.error = static_cast<TaskError>(e);
         for (std::size_t p = 0; p < kNumTaskPhases; ++p)
             r.phases[p] = csvInt(f[5 + p], "phase", line);
         trace.records.push_back(r);

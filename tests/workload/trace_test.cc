@@ -157,6 +157,15 @@ TEST(OpTraceTest, GarbageNumericFieldsFatal)
     neg.insert(neg.find('\n') + 1, "-");
     EXPECT_THROW(OpTrace::fromCsv(neg), FatalError);
 
+    // A success flag other than 0 or 1, and an error name no TaskError
+    // has (old: read as a failure and as "none").
+    std::string flag = csv;
+    flag.replace(flag.find(",1,none,"), 8, ",2,none,");
+    EXPECT_THROW(OpTrace::fromCsv(flag), FatalError);
+    std::string error = csv;
+    error.replace(error.find(",1,none,"), 8, ",1,bogus,");
+    EXPECT_THROW(OpTrace::fromCsv(error), FatalError);
+
     // The untouched round trip still works.
     EXPECT_EQ(OpTrace::fromCsv(csv).size(), 1u);
 }
