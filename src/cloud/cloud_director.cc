@@ -25,7 +25,7 @@ CloudDirector::CloudDirector(ManagementServer &server,
     : srv(server), inv(server.inventory()), sim(server.simulator()),
       stats(server.statRegistry()), cfg(cfg_),
       pool_mgr(server, cfg_.pool, placer),
-      placer(server.inventory(), &pool_mgr, cfg_.ds_policy),
+      placer(server.inventory(), &pool_mgr),
       lease_mgr(server.simulator(),
                 [this](VAppId id) { onLeaseExpired(id); })
 {

@@ -36,9 +36,6 @@ struct CloudDirectorConfig
     /** Deploys use linked clones (the bandwidth-conserving path). */
     bool use_linked_clones = true;
 
-    /** Datastore-selection policy. */
-    DsPolicy ds_policy = DsPolicy::MostFree;
-
     /** Base-disk pool policy. */
     PoolConfig pool;
 

@@ -6,18 +6,6 @@
 
 namespace vcp {
 
-const char *
-shardRoutingName(ShardRouting r)
-{
-    switch (r) {
-      case ShardRouting::RoundRobin:
-        return "round-robin";
-      case ShardRouting::LeastLoaded:
-        return "least-loaded";
-    }
-    return "unknown";
-}
-
 CloudFederation::CloudFederation(Simulator &sim_, StatRegistry &stats_,
                                  const FederationConfig &cfg_)
     : sim(sim_), stats(stats_), cfg(cfg_)
@@ -114,28 +102,19 @@ CloudFederation::shardStats(std::size_t i)
 std::size_t
 CloudFederation::pickShard()
 {
-    switch (cfg.routing) {
-      case ShardRouting::RoundRobin:
-        return rr_cursor++ % shards.size();
-      case ShardRouting::LeastLoaded: {
-        std::size_t best = 0;
-        std::size_t best_load =
-            std::numeric_limits<std::size_t>::max();
-        for (std::size_t s = 0; s < shards.size(); ++s) {
-            // Live tenant VMs plus in-flight routed deploys.
-            std::size_t load =
-                shards[s]->inventory->numVms() -
-                shards[s]->templates.size() +
-                static_cast<std::size_t>(shards[s]->pending_vms);
-            if (load < best_load) {
-                best_load = load;
-                best = s;
-            }
+    std::size_t best = 0;
+    std::size_t best_load = std::numeric_limits<std::size_t>::max();
+    for (std::size_t s = 0; s < shards.size(); ++s) {
+        // Live tenant VMs plus in-flight routed deploys.
+        std::size_t load = shards[s]->inventory->numVms() -
+                           shards[s]->templates.size() +
+                           static_cast<std::size_t>(shards[s]->pending_vms);
+        if (load < best_load) {
+            best_load = load;
+            best = s;
         }
-        return best;
-      }
     }
-    return 0;
+    return best;
 }
 
 int

@@ -26,15 +26,6 @@
 
 namespace vcp {
 
-/** How deploys are routed to shards. */
-enum class ShardRouting
-{
-    RoundRobin,
-    LeastLoaded, ///< fewest live tenant VMs
-};
-
-const char *shardRoutingName(ShardRouting r);
-
 /** Sizing of one federation shard. */
 struct FederationConfig
 {
@@ -46,7 +37,6 @@ struct FederationConfig
     NetworkConfig network;
     ManagementServerConfig server;
     CloudDirectorConfig director;
-    ShardRouting routing = ShardRouting::LeastLoaded;
 
     /**
      * Optional sharded engine (sim/sharded_simulator.hh).  When set,
@@ -88,7 +78,8 @@ class CloudFederation
                                SimDuration lease);
 
     /**
-     * Route a deploy to a shard per the routing policy.
+     * Route a deploy to the least-loaded shard: the fewest live
+     * tenant VMs plus VMs of deploys routed there and in flight.
      * @param tenant_index / @param template_index are federation-
      *        level indices from addTenant()/createTemplate().
      * @return the shard index it was routed to, or -1 if rejected.
@@ -132,14 +123,14 @@ class CloudFederation
         int pending_vms = 0;
     };
 
-    /** Pick the target shard for the next deploy. */
+    /** Pick the target shard for the next deploy (lowest index on
+     *  a tie). */
     std::size_t pickShard();
 
     Simulator &sim;
     StatRegistry &stats;
     FederationConfig cfg;
     std::vector<std::unique_ptr<Shard>> shards;
-    std::size_t rr_cursor = 0;
     std::uint64_t routed = 0;
     Counter *routed_stat = nullptr; ///< resolve-once stat handle
     std::size_t tenant_count = 0;

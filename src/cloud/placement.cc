@@ -1,76 +1,27 @@
 #include "cloud/placement.hh"
 
-#include <limits>
-
 #include "sim/logging.hh"
 
 namespace vcp {
 
-const char *
-dsPolicyName(DsPolicy p)
-{
-    switch (p) {
-      case DsPolicy::MostFree:
-        return "most-free";
-      case DsPolicy::Pack:
-        return "pack";
-      case DsPolicy::RoundRobin:
-        return "round-robin";
-    }
-    return "unknown";
-}
-
 PlacementEngine::PlacementEngine(Inventory &inventory,
-                                 BaseDiskPoolManager *pool_,
-                                 DsPolicy policy)
-    : inv(inventory), pool(pool_), ds_policy(policy)
+                                 BaseDiskPoolManager *pool_)
+    : inv(inventory), pool(pool_)
 {}
 
 DatastoreId
 PlacementEngine::pickDatastore(const Host &host, Bytes need)
 {
-    const auto &candidates = host.datastores();
-    if (candidates.empty())
-        return DatastoreId();
-
-    switch (ds_policy) {
-      case DsPolicy::MostFree: {
-        DatastoreId best;
-        Bytes best_free = -1;
-        for (DatastoreId ds : candidates) {
-            Bytes f = inv.datastore(ds).free();
-            if (f >= need && f > best_free) {
-                best_free = f;
-                best = ds;
-            }
+    DatastoreId best;
+    Bytes best_free = -1;
+    for (DatastoreId ds : host.datastores()) {
+        Bytes f = inv.datastore(ds).free();
+        if (f >= need && f > best_free) {
+            best_free = f;
+            best = ds;
         }
-        return best;
-      }
-      case DsPolicy::Pack: {
-        DatastoreId best;
-        Bytes best_free = std::numeric_limits<Bytes>::max();
-        for (DatastoreId ds : candidates) {
-            Bytes f = inv.datastore(ds).free();
-            if (f >= need && f < best_free) {
-                best_free = f;
-                best = ds;
-            }
-        }
-        return best;
-      }
-      case DsPolicy::RoundRobin: {
-        for (std::size_t i = 0; i < candidates.size(); ++i) {
-            DatastoreId ds =
-                candidates[(rr_cursor + i) % candidates.size()];
-            if (inv.datastore(ds).free() >= need) {
-                rr_cursor = (rr_cursor + i + 1) % candidates.size();
-                return ds;
-            }
-        }
-        return DatastoreId();
-      }
     }
-    return DatastoreId();
+    return best;
 }
 
 bool

@@ -2,7 +2,7 @@
  * @file
  * Placement engine: chooses the host and datastore a new VM lands
  * on.  Host choice is load-aware (least committed CPU); datastore
- * choice is a policy (spread by free space, pack, round-robin).  For
+ * choice spreads by free space (the most free that fits).  For
  * linked clones the engine prefers a datastore that already holds a
  * usable base-disk replica — placement quality and pool state are
  * coupled, which is exactly why provisioning pressure forces pool
@@ -20,16 +20,6 @@
 #include "infra/inventory.hh"
 
 namespace vcp {
-
-/** Datastore-selection policies. */
-enum class DsPolicy
-{
-    MostFree,   ///< spread: largest free space first
-    Pack,       ///< fill the fullest datastore that still fits
-    RoundRobin, ///< rotate across eligible datastores
-};
-
-const char *dsPolicyName(DsPolicy p);
 
 /** What the caller wants to place. */
 struct PlacementQuery
@@ -84,10 +74,8 @@ class PlacementEngine
      * @param inventory the infrastructure.
      * @param pool base-disk pool (may be nullptr when the cloud only
      *        does full clones).
-     * @param policy datastore-selection policy.
      */
-    PlacementEngine(Inventory &inventory, BaseDiskPoolManager *pool,
-                    DsPolicy policy);
+    PlacementEngine(Inventory &inventory, BaseDiskPoolManager *pool);
 
     /**
      * Decide where a VM should go: the first host, in ascending
@@ -143,9 +131,6 @@ class PlacementEngine
     /** Pending memory on a host. */
     Bytes pendingMemory(HostId host) const;
 
-    DsPolicy policy() const { return ds_policy; }
-    void setPolicy(DsPolicy p) { ds_policy = p; }
-
   private:
     struct PendingLoad
     {
@@ -153,7 +138,8 @@ class PlacementEngine
         Bytes memory = 0;
     };
 
-    /** Pick a datastore on @p host per policy; invalid if none fit. */
+    /** The datastore on @p host with the most free space that fits
+     *  @p need (the first such on a tie); invalid if none fit. */
     DatastoreId pickDatastore(const Host &host, Bytes need);
 
     /** Admission including the pending ledger. */
@@ -182,8 +168,6 @@ class PlacementEngine
 
     Inventory &inv;
     BaseDiskPoolManager *pool;
-    DsPolicy ds_policy;
-    std::size_t rr_cursor = 0;
     std::unordered_map<HostId, PendingLoad> pending;
 
     /** place()'s visit order: (effectiveLoad(), id). */

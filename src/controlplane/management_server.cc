@@ -208,8 +208,7 @@ ManagementServer::ManagementServer(Simulator &sim_, Inventory &inventory,
       api(sim_, "api", cfg_.api_threads),
       sched(sim_, cfg_.policy, cfg_.dispatch_width),
       db(sim_, inventory, costs, cfg_.db),
-      locks(sim_),
-      limiter(sim_, cfg_.rate_limit)
+      locks(sim_)
 {
     if (cfg.datastore_slots < 1)
         fatal("ManagementServer: datastore_slots must be >= 1");
@@ -232,15 +231,6 @@ ManagementServer::backgroundDbTick()
     });
     sim.schedule(cfg.background_db_period,
                  [this] { backgroundDbTick(); });
-}
-
-bool
-ManagementServer::cancel(TaskId id)
-{
-    if (!tasks.has(id) || tasks.get(id).finished())
-        return false;
-    tasks.get(id).requestCancel();
-    return true;
 }
 
 HostAgent &
@@ -644,30 +634,10 @@ ManagementServer::submit(const OpRequest &req, TaskCallback on_done)
     OpCtx *ctx = allocCtx();
     ctx->task = &t;
     ctx->cb = std::move(on_done);
-
-    // Per-tenant admission control happens before any server
-    // resource is consumed.
-    if (!limiter.tryAdmit(req.tenant)) {
-        // Finish synchronously-on-next-event so callers observe a
-        // consistent asynchronous contract.
-        sim.schedule(0, [this, ctx]() {
-            ctx->task->markStarted(sim.now());
-            finish(ctx, TaskError::RateLimited);
-        });
-        return id;
-    }
-
     ctx->phase_start = sim.now();
     api.submit(costs.sampleApi(req.type), [this, ctx]() {
         endPhase(ctx, TaskPhase::Api);
-        sched.enqueue(ctx->task, [this, ctx]() {
-            ctx->task->markStarted(sim.now());
-            if (ctx->task->cancelRequested()) {
-                finish(ctx, TaskError::Cancelled);
-                return;
-            }
-            runTask(ctx);
-        });
+        sched.enqueue(ctx->task, [this, ctx]() { runTask(ctx); });
     });
     return id;
 }
@@ -741,12 +711,11 @@ ManagementServer::finish(CtxPtr ctx, TaskError err)
     if (VCP_TELEM_ON(t_op_lat))
         t_op_lat->add(t.latency());
 
-    // Dispatch charged the Queue phase; a rate-limited reject never
-    // reached the scheduler and holds no slot.  The hand-off may
-    // dispatch a cancelled task, which finishes synchronously, so it
-    // stays ahead of this task's trace record and callback.
-    if (t.enteredPhase(TaskPhase::Queue))
-        sched.onTaskDone();
+    // Every op finishes after dispatch, so it holds a dispatch slot.
+    // The hand-off may dispatch a task whose check step fails, which
+    // finishes synchronously, so it stays ahead of this task's trace
+    // record and callback.
+    sched.onTaskDone();
     traceOp(t);
     if (task_observer)
         task_observer(t);

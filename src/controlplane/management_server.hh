@@ -28,7 +28,6 @@
 #include "controlplane/host_agent.hh"
 #include "controlplane/lock_manager.hh"
 #include "controlplane/op_types.hh"
-#include "controlplane/rate_limiter.hh"
 #include "controlplane/scheduler.hh"
 #include "controlplane/task.hh"
 #include "infra/arena.hh"
@@ -71,9 +70,6 @@ struct ManagementServerConfig
     /** Operation cost parameters. */
     CostModelConfig costs;
 
-    /** Per-tenant API admission control. */
-    RateLimitConfig rate_limit;
-
     /**
      * Background database load (statistics rollups, event purges):
      * every @c background_db_period the server runs
@@ -99,7 +95,7 @@ struct ManagementServerConfig
      * Intra-run execution binding (sim/shard.hh).  With an engine
      * attached, per-host agents and per-datastore slot centers bind
      * to the shard kernels the map assigns them, while the server
-     * core (API, scheduler, locks, DB, limiter) stays on the kernel
+     * core (API, scheduler, locks, DB) stays on the kernel
      * the server was constructed with — the serialized control
      * shard.  The default (null engine) reproduces the classic
      * single-kernel layout exactly.
@@ -121,20 +117,10 @@ class ManagementServer
 
     /**
      * Submit an operation.  @p on_done fires when the task finishes
-     * (successfully or not), receiving the final Task record.  A
-     * rate-limited request still produces a (failed) task so the
-     * rejection is observable.
+     * (successfully or not), receiving the final Task record.
      * @return the new task's id.
      */
     TaskId submit(const OpRequest &req, TaskCallback on_done = {});
-
-    /**
-     * Request cancellation of a task.  Best effort: honored if the
-     * task has not yet dispatched (it then fails with
-     * TaskError::Cancelled); a running task completes normally.
-     * @return true if the request was registered.
-     */
-    bool cancel(TaskId id);
 
     /** True from submit() until the task finishes: a finished task's
      *  record is recycled once its callback returns. */
@@ -144,7 +130,6 @@ class ManagementServer
     TaskScheduler &scheduler() { return sched; }
     InventoryDatabase &database() { return db; }
     LockManager &lockManager() { return locks; }
-    TenantRateLimiter &rateLimiter() { return limiter; }
     OpCostModel &costModel() { return costs; }
     ServiceCenter &apiCenter() { return api; }
     HostAgent &hostAgent(HostId h);
@@ -201,7 +186,7 @@ class ManagementServer
     /**
      * @{ The per-op latency cells (usec), stored in the stat registry
      * as "cp.latency_us.<op>" and "cp.phase_us.<op>.<phase>".  Every
-     * finished op — rate-limited rejects included — adds its
+     * finished op, failed ones included, adds its
      * end-to-end latency to its op type's cell, and the time of each
      * phase it entered to that phase's cell.  The cells are fed
      * whether or not a tracer or telemetry is attached; the stats
@@ -225,9 +210,8 @@ class ManagementServer
      * Attach the op-lifecycle span tracer.  Registers the op/phase/
      * error axes on @p t, interns the agent sub-span names, and
      * propagates the tracer to the scheduler, lock manager, database,
-     * and API center.  Pass nullptr to detach.  Recording is further
-     * gated on the tracer's runtime switch; with the switch off every
-     * site costs one predictable branch.
+     * and API center.  Pass nullptr to detach; every record site then
+     * costs one predictable branch.
      */
     void attachTracer(SpanTracer *t);
 
@@ -313,9 +297,9 @@ class ManagementServer
 
     /**
      * Finish the task, releasing everything the ctx still holds.  The
-     * one completion path of every op, a rate-limited reject
-     * included: counters, latency cells and telemetry, then the
-     * dispatch slot, then the op span, the observer and the callback.
+     * one completion path of every op, reached only after dispatch:
+     * counters, latency cells and telemetry, then the dispatch slot,
+     * then the op span, the observer and the callback.
      */
     void finish(CtxPtr ctx, TaskError err);
 
@@ -325,8 +309,8 @@ class ManagementServer
     void endPhase(CtxPtr ctx, TaskPhase phase);
 
     /**
-     * @{ Span recording.  No-ops (one branch) without an attached and
-     * enabled tracer; see DESIGN.md "Observability".
+     * @{ Span recording.  No-ops (one branch) without an attached
+     * tracer; see DESIGN.md "Observability".
      */
 
     /**
@@ -368,7 +352,6 @@ class ManagementServer
     TaskScheduler sched;
     InventoryDatabase db;
     LockManager locks;
-    TenantRateLimiter limiter;
 
     /** Recurring statistics-rollup load on the database. */
     void backgroundDbTick();

@@ -44,10 +44,6 @@ taskErrorName(TaskError e)
         return "host-unavailable";
       case TaskError::BadRequest:
         return "bad-request";
-      case TaskError::Cancelled:
-        return "cancelled";
-      case TaskError::RateLimited:
-        return "rate-limited";
       case TaskError::NetworkUnreachable:
         return "network-unreachable";
     }

@@ -44,7 +44,6 @@ const char *taskPhaseName(TaskPhase p);
 enum class TaskState
 {
     Pending,
-    Running,
     Succeeded,
     Failed,
 };
@@ -59,13 +58,11 @@ enum class TaskError
     OutOfSpace,       ///< datastore reservation failed
     HostUnavailable,  ///< host disconnected or in maintenance
     BadRequest,       ///< malformed request (missing base disk, ...)
-    Cancelled,          ///< cancelled before execution began
-    RateLimited,        ///< rejected by the tenant's API rate limit
     NetworkUnreachable, ///< data-copy path lost to link/node failure
 };
 
 /** Number of TaskError codes (for error-counter caches). */
-constexpr std::size_t kNumTaskErrors = 10;
+constexpr std::size_t kNumTaskErrors = 8;
 
 /** Stable short name for an error code. */
 const char *taskErrorName(TaskError e);
@@ -82,7 +79,6 @@ class Task
     const OpRequest &request() const { return op; }
     OpType type() const { return op.type; }
 
-    TaskState state() const { return task_state; }
     TaskError error() const { return task_error; }
     bool succeeded() const { return task_state == TaskState::Succeeded; }
     bool finished() const
@@ -91,11 +87,8 @@ class Task
                task_state == TaskState::Failed;
     }
 
-    /** @{ Lifecycle timestamps (set by the management server). */
+    /** Submission time (set by the management server). */
     SimTime submittedAt() const { return submitted; }
-    SimTime startedAt() const { return started; }
-    SimTime finishedAt() const { return completed; }
-    /** @} */
 
     /** End-to-end latency; 0 until finished. */
     SimDuration
@@ -132,13 +125,6 @@ class Task
     void markSubmitted(SimTime t) { submitted = t; }
 
     void
-    markStarted(SimTime t)
-    {
-        started = t;
-        task_state = TaskState::Running;
-    }
-
-    void
     markFinished(SimTime t, TaskError e)
     {
         completed = t;
@@ -159,25 +145,18 @@ class Task
     void setResultDisk(DiskId d) { result_disk = d; }
     /** @} */
 
-    /** @{ Best-effort cancellation (honored before execution). */
-    void requestCancel() { cancel_requested = true; }
-    bool cancelRequested() const { return cancel_requested; }
-    /** @} */
-
   private:
     TaskId task_id;
     OpRequest op;
     TaskState task_state = TaskState::Pending;
     TaskError task_error = TaskError::None;
     SimTime submitted = 0;
-    SimTime started = 0;
     SimTime completed = 0;
     std::array<SimDuration, kNumTaskPhases> phase_times{};
     std::uint8_t entered = 0; ///< bit p: phase p entered
     static_assert(kNumTaskPhases <= 8, "one bit per phase");
     VmId result_vm;
     DiskId result_disk;
-    bool cancel_requested = false;
 };
 
 /** Completion callback delivered when a task finishes. */

@@ -126,7 +126,7 @@ Fabric::buildLeafSpine(const FabricConfig &cfg)
         tors_.push_back(tor);
         for (int s = 0; s < cfg.spines; ++s) {
             addLink(tor, spines_[static_cast<std::size_t>(s)],
-                    cfg.uplink_bandwidth, cfg.uplink_latency,
+                    cfg.uplink_bandwidth, 0,
                     "up:tor" + std::to_string(r) + "-spine" +
                         std::to_string(s));
         }
@@ -141,8 +141,7 @@ Fabric::attachHost(HostId h, int rack)
     FabricNodeId n =
         addNode(FabricNodeKind::Host,
                 "host" + std::to_string(h.value));
-    addLink(n, torNode(rack), leaf_cfg_.edge_bandwidth,
-            leaf_cfg_.edge_latency,
+    addLink(n, torNode(rack), leaf_cfg_.edge_bandwidth, 0,
             "edge:host" + std::to_string(h.value));
     bindHost(h, n);
     return n;
@@ -156,8 +155,7 @@ Fabric::attachDatastore(DatastoreId d, int rack)
     FabricNodeId n =
         addNode(FabricNodeKind::Datastore,
                 "ds" + std::to_string(d.value));
-    addLink(n, torNode(rack), leaf_cfg_.edge_bandwidth,
-            leaf_cfg_.edge_latency,
+    addLink(n, torNode(rack), leaf_cfg_.edge_bandwidth, 0,
             "edge:ds" + std::to_string(d.value));
     bindDatastore(d, n);
     return n;

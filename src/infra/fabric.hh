@@ -103,9 +103,6 @@ struct FabricConfig
     /** ToR <-> spine uplink capacity.  Sizing this below
      *  racks * edge_bandwidth oversubscribes the spine. */
     double uplink_bandwidth = 1.25e9;
-
-    SimDuration edge_latency = 0;
-    SimDuration uplink_latency = 0;
     /** @} */
 };
 
@@ -222,7 +219,6 @@ class Fabric
 
     /** @{ Introspection. */
     bool degenerate() const { return degenerate_; }
-    std::size_t numNodes() const { return nodes_.size(); }
     std::size_t numLinks() const { return links_.size(); }
     std::size_t activeTransfers() const { return transfers_.size(); }
     /** activeTransfers() with its time integral (a telemetry gauge). */

@@ -4,22 +4,13 @@
 
 namespace vcp {
 
-Network::Network(Simulator &sim_, const NetworkConfig &cfg_)
-    : sim(sim_), cfg(cfg_)
+Network::Network(Simulator &sim, const NetworkConfig &cfg_) : cfg(cfg_)
 {
     if (cfg.core_bandwidth <= 0.0)
         fatal("Network: core bandwidth must be positive");
-    if (cfg.message_latency < 0)
-        fatal("Network: message latency must be non-negative");
     fab = std::make_unique<Fabric>(sim, cfg.core_bandwidth);
     if (cfg.fabric.preset == FabricPreset::LeafSpine)
         fab->buildLeafSpine(cfg.fabric);
-}
-
-void
-Network::sendMessage(InlineAction on_delivered)
-{
-    sim.schedule(cfg.message_latency, std::move(on_delivered));
 }
 
 } // namespace vcp

@@ -7,9 +7,9 @@
  * the degenerate single-link topology — one shared core pipe
  * (processor-sharing), the original flat model — and optionally a
  * leaf-spine topology whose per-link contention localizes congestion
- * to the bottleneck link.  Control traffic keeps a fixed per-message
- * propagation latency either way (per-host NICs are still not
- * modeled separately; see DESIGN.md).
+ * to the bottleneck link.  Only bulk data moves over it: control
+ * messages carry no latency of their own, and per-host NICs are not
+ * modeled separately (see DESIGN.md).
  */
 
 #ifndef VCP_INFRA_NETWORK_HH
@@ -31,9 +31,6 @@ struct NetworkConfig
     /** Core fabric bandwidth available to bulk management traffic
      *  (the degenerate single link's capacity). */
     double core_bandwidth = 1.25e9; // 10 Gb/s in bytes/s
-
-    /** One-way propagation latency for control messages. */
-    SimDuration message_latency = usec(500);
 
     /** Data-path topology (default: degenerate single link). */
     FabricConfig fabric;
@@ -62,17 +59,7 @@ class Network
     Fabric &topology() { return *fab; }
     const Fabric &topology() const { return *fab; }
 
-    /** One-way control-message latency. */
-    SimDuration messageLatency() const { return cfg.message_latency; }
-
-    /**
-     * Deliver a control message after the propagation latency.
-     * Convenience over sim.schedule for readability at call sites.
-     */
-    void sendMessage(InlineAction on_delivered);
-
   private:
-    Simulator &sim;
     NetworkConfig cfg;
     std::unique_ptr<Fabric> fab;
 };

@@ -116,8 +116,8 @@ class ServiceCenter
 
     /**
      * Attach a span ring: each submit() job then records one
-     * execution span [dispatch, dispatch + service] under @p name_id
-     * while tracing is enabled.  Both endpoints are known at dispatch
+     * execution span [dispatch, dispatch + service] under @p name_id.
+     * Both endpoints are known at dispatch
      * time, so nothing extra is stored per job.  Pass nullptr to
      * detach.
      */

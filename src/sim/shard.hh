@@ -5,8 +5,8 @@
  * The model's event streams partition naturally: each host agent and
  * each datastore slot center touches only its own queueing state,
  * while the management server core (API center, scheduler, lock
- * manager, database, rate limiter) and the cloud layer (director,
- * rebalancer, lease manager) mutate shared inventory and task state
+ * manager, database) and the cloud layer (director, rebalancer,
+ * lease manager) mutate shared inventory and task state
  * and therefore form the *serialized* control domain.  A ShardMap
  * records that partition: shard 0 is always the control shard; hosts
  * and datastores are spread round-robin over the remaining shards
@@ -62,13 +62,6 @@ class ShardMap
     }
 
     ShardId numShards() const { return shards; }
-
-    /** The serialized control shard (locks, DB, director). */
-    ShardId
-    controlShard() const
-    {
-        return pinned_ ? pin : 0;
-    }
 
     /** Shard of the agent for host slot @p host_index. */
     ShardId

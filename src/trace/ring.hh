@@ -44,8 +44,8 @@
 #if VCP_TRACE_DISABLED
 #define VCP_TRACE_ON(ring) (false)
 #else
-/** Hot-path guard: true when @p ring is attached and enabled. */
-#define VCP_TRACE_ON(ring) ((ring) != nullptr && (ring)->enabled())
+/** Hot-path guard: true when @p ring is attached. */
+#define VCP_TRACE_ON(ring) ((ring) != nullptr)
 #endif
 
 namespace vcp {
@@ -101,10 +101,6 @@ class TraceRing
     explicit TraceRing(std::size_t capacity = 1u << 20)
         : slots(capacity ? allocate(capacity) : nullptr), cap(capacity)
     {}
-
-    /** Runtime switch; off costs one predictable branch per site. */
-    bool enabled() const { return on; }
-    void setEnabled(bool e) { on = e; }
 
     /** Append one record (overwrites the oldest once full). */
     void
@@ -209,7 +205,6 @@ class TraceRing
     std::size_t cap;
     std::size_t head = 0;
     bool wrapped = false;
-    bool on = false;
     std::uint64_t total = 0;
 };
 

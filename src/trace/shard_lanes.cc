@@ -9,8 +9,6 @@ namespace vcp {
 void
 flushShardLanes(const ShardedSimulator &engine, SpanTracer &tracer)
 {
-    if (!tracer.enabled())
-        return;
     for (ShardId s = 0;
          s < static_cast<ShardId>(engine.numShards()); ++s) {
         std::string base = ShardMap::label(s);

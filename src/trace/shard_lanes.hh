@@ -18,8 +18,7 @@ class SpanTracer;
 /**
  * Emit per-shard lanes into @p tracer: final "shardK.events" /
  * "shardK.stalled_rounds" counters.  Call after the run completes
- * (the shard statistics are quiescent then); a no-op when the tracer
- * is disabled.
+ * (the shard statistics are quiescent then).
  */
 void flushShardLanes(const ShardedSimulator &engine,
                      SpanTracer &tracer);

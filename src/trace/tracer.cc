@@ -6,9 +6,7 @@ namespace vcp {
 
 SpanTracer::SpanTracer(const TracerConfig &cfg)
     : ring_(cfg.capacity)
-{
-    ring_.setEnabled(cfg.enabled);
-}
+{}
 
 void
 SpanTracer::setAxes(std::vector<std::string> op_names,

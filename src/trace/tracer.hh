@@ -11,9 +11,10 @@
  * whether or not a tracer is attached.
  *
  * Hot-path contract: recording does not allocate, does not touch the
- * RNG, and does not schedule events, so an attached-but-disabled (or
- * absent) tracer leaves the event stream byte-identical.  All string
- * work happens at attach/intern/export time.
+ * RNG, and does not schedule events, so an attached tracer leaves the
+ * event stream byte-identical to a run without one.  Tracing is off
+ * when no tracer is attached.  All string work happens at
+ * attach/intern/export time.
  */
 
 #ifndef VCP_TRACE_TRACER_HH
@@ -30,19 +31,16 @@
 #define VCP_TRACER_ON(t) (false)
 #else
 /** Hot-path guard for SpanTracer pointers (see VCP_TRACE_ON). */
-#define VCP_TRACER_ON(t) ((t) != nullptr && (t)->enabled())
+#define VCP_TRACER_ON(t) ((t) != nullptr)
 #endif
 
 namespace vcp {
 
-/** Sizing and switches for one tracer. */
+/** Sizing of one tracer. */
 struct TracerConfig
 {
     /** Ring capacity in records (32 B each). */
     std::size_t capacity = 1u << 20;
-
-    /** Start enabled (runtime-togglable either way). */
-    bool enabled = true;
 };
 
 /** Ring + interned names + op/phase/error axes. */
@@ -57,9 +55,6 @@ class SpanTracer
     /** The raw ring (components hold this pointer for recording). */
     TraceRing &ring() { return ring_; }
     const TraceRing &ring() const { return ring_; }
-
-    bool enabled() const { return ring_.enabled(); }
-    void setEnabled(bool e) { ring_.setEnabled(e); }
 
     /**
      * Register the (op type, phase, error) axes.  Called once by the
@@ -88,7 +83,7 @@ class SpanTracer
         return interned;
     }
 
-    /** @{ Recording (allocation-free; call only when enabled()). */
+    /** @{ Recording (allocation-free). */
     void
     recordPhase(std::uint8_t op, std::uint8_t phase,
                 std::int64_t task_id, SimTime start, SimDuration dur)

@@ -65,7 +65,6 @@ finishedTask(OpType type, SimDuration db, SimDuration host,
     req.type = type;
     Task t(TaskId(1), req);
     t.markSubmitted(0);
-    t.markStarted(0);
     t.addPhaseTime(TaskPhase::Db, db);
     t.addPhaseTime(TaskPhase::HostAgent, host);
     if (copy > 0)

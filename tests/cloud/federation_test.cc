@@ -89,11 +89,12 @@ TEST_F(FederationTest, LeastLoadedSpreadsAcrossShards)
 
 TEST_F(FederationTest, RoundRobinRotates)
 {
+    // A burst of equal deploys rotates over the shards: each one
+    // routed counts as pending load on its shard, and a tie goes to
+    // the lowest index.
     Simulator sim2(5);
     StatRegistry stats2;
-    FederationConfig cfg = smallFederation(3);
-    cfg.routing = ShardRouting::RoundRobin;
-    CloudFederation rr(sim2, stats2, cfg);
+    CloudFederation rr(sim2, stats2, smallFederation(3));
     std::size_t t = rr.addTenant({"org", 0});
     std::size_t m =
         rr.createTemplate("x", gib(4), 0.5, 1, gib(1), 1, hours(1));
@@ -190,7 +191,6 @@ TEST_F(FederationTest, EngineThreadedRunsAreDeterministic)
         StatRegistry st;
         FederationConfig cfg = smallFederation(2);
         cfg.engine = &eng;
-        cfg.routing = ShardRouting::RoundRobin;
         CloudFederation f(eng.shard(0), st, cfg);
         std::size_t t = f.addTenant({"org", 0});
         std::size_t m = f.createTemplate("x", gib(4), 0.5, 1,
@@ -216,14 +216,6 @@ TEST_F(FederationTest, EngineShardsGetPrivateRegistries)
     EXPECT_NE(&f.shardStats(0), &f.shardStats(1));
     // Without an engine the shared registry is used as before.
     EXPECT_EQ(&fed.shardStats(0), &stats);
-}
-
-TEST_F(FederationTest, RoutingNames)
-{
-    EXPECT_STREQ(shardRoutingName(ShardRouting::RoundRobin),
-                 "round-robin");
-    EXPECT_STREQ(shardRoutingName(ShardRouting::LeastLoaded),
-                 "least-loaded");
 }
 
 } // namespace

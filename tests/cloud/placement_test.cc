@@ -59,45 +59,12 @@ TEST_F(PlacementTest, FailsWhenNoDatastoreFits)
 
 TEST_F(PlacementTest, MostFreePolicyPicksEmptierDatastore)
 {
-    cloud().placement().setPolicy(DsPolicy::MostFree);
     DatastoreId ds0 = cs->datastoreIds()[0];
     DatastoreId ds1 = cs->datastoreIds()[1];
     inv().datastore(ds0).reserve(gib(100));
     Placement p = cloud().placement().place(query());
     ASSERT_TRUE(p.ok);
     EXPECT_EQ(p.datastore, ds1);
-}
-
-TEST_F(PlacementTest, PackPolicyPicksFullerDatastore)
-{
-    cloud().placement().setPolicy(DsPolicy::Pack);
-    DatastoreId ds0 = cs->datastoreIds()[0];
-    inv().datastore(ds0).reserve(gib(100));
-    Placement p = cloud().placement().place(query());
-    ASSERT_TRUE(p.ok);
-    EXPECT_EQ(p.datastore, ds0);
-}
-
-TEST_F(PlacementTest, PackPolicySkipsDatastoreThatCannotFit)
-{
-    cloud().placement().setPolicy(DsPolicy::Pack);
-    DatastoreId ds0 = cs->datastoreIds()[0];
-    DatastoreId ds1 = cs->datastoreIds()[1];
-    inv().datastore(ds0).reserve(inv().datastore(ds0).free() -
-                                 gib(1));
-    Placement p = cloud().placement().place(query(gib(2)));
-    ASSERT_TRUE(p.ok);
-    EXPECT_EQ(p.datastore, ds1);
-}
-
-TEST_F(PlacementTest, RoundRobinRotates)
-{
-    cloud().placement().setPolicy(DsPolicy::RoundRobin);
-    Placement p1 = cloud().placement().place(query());
-    Placement p2 = cloud().placement().place(query());
-    ASSERT_TRUE(p1.ok);
-    ASSERT_TRUE(p2.ok);
-    EXPECT_NE(p1.datastore, p2.datastore);
 }
 
 TEST_F(PlacementTest, LinkedPrefersDatastoreWithBase)
@@ -378,13 +345,6 @@ TEST_F(PlacementOrderTest, MatchesBruteForceSortOrder)
     EXPECT_GT(commits, 50);
     EXPECT_GT(releases, 50);
     EXPECT_GT(on_added, 0);
-}
-
-TEST_F(PlacementTest, DsPolicyNames)
-{
-    EXPECT_STREQ(dsPolicyName(DsPolicy::MostFree), "most-free");
-    EXPECT_STREQ(dsPolicyName(DsPolicy::Pack), "pack");
-    EXPECT_STREQ(dsPolicyName(DsPolicy::RoundRobin), "round-robin");
 }
 
 } // namespace

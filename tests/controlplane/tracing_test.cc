@@ -135,20 +135,6 @@ TEST_F(TracingTest, FailedOpRecordsErrorAxis)
     EXPECT_TRUE(found);
 }
 
-TEST_F(TracingTest, DisabledTracerRecordsNothing)
-{
-    TracerConfig cfg;
-    cfg.enabled = false;
-    SpanTracer tracer(cfg);
-    srv->attachTracer(&tracer);
-    Task t = runOp(cloneFullReq());
-    ASSERT_TRUE(t.succeeded());
-
-    EXPECT_EQ(tracer.ring().totalRecorded(), 0u);
-    // The latency cells are model statistics, fed regardless.
-    EXPECT_EQ(srv->latencyHistogram(OpType::CloneFull).count(), 1u);
-}
-
 TEST_F(TracingTest, DetachStopsRecording)
 {
     SpanTracer tracer;

@@ -12,19 +12,6 @@
 namespace vcp {
 namespace {
 
-TEST(NetworkTest, MessageDeliveredAfterLatency)
-{
-    Simulator sim;
-    NetworkConfig cfg;
-    cfg.message_latency = msec(2);
-    Network net(sim, cfg);
-    SimTime delivered = -1;
-    net.sendMessage([&] { delivered = sim.now(); });
-    sim.run();
-    EXPECT_EQ(delivered, msec(2));
-    EXPECT_EQ(net.messageLatency(), msec(2));
-}
-
 TEST(NetworkTest, FabricSharesBandwidth)
 {
     Simulator sim;
@@ -45,9 +32,6 @@ TEST(NetworkTest, InvalidConfigFatal)
     Simulator sim;
     NetworkConfig cfg;
     cfg.core_bandwidth = 0.0;
-    EXPECT_THROW(Network(sim, cfg), FatalError);
-    cfg = NetworkConfig();
-    cfg.message_latency = -1;
     EXPECT_THROW(Network(sim, cfg), FatalError);
 }
 

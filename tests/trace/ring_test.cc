@@ -26,10 +26,9 @@ rec(SimTime start, std::int64_t scope)
     return r;
 }
 
-TEST(TraceRing, StartsEmptyAndDisabled)
+TEST(TraceRing, StartsEmpty)
 {
     TraceRing ring(8);
-    EXPECT_FALSE(ring.enabled());
     EXPECT_EQ(ring.size(), 0u);
     EXPECT_EQ(ring.capacity(), 8u);
     EXPECT_EQ(ring.totalRecorded(), 0u);
@@ -126,18 +125,14 @@ TEST(TraceRing, ClearForgetsRecordsKeepsCapacity)
     EXPECT_EQ(snap[0].scope, 99);
 }
 
-TEST(TraceRing, GuardMacroTracksPointerAndEnable)
+TEST(TraceRing, GuardMacroTracksPointer)
 {
     TraceRing *none = nullptr;
     EXPECT_FALSE(VCP_TRACE_ON(none));
 
     TraceRing ring(4);
     TraceRing *p = &ring;
-    EXPECT_FALSE(VCP_TRACE_ON(p)); // attached but disabled
-    ring.setEnabled(true);
     EXPECT_TRUE(VCP_TRACE_ON(p));
-    ring.setEnabled(false);
-    EXPECT_FALSE(VCP_TRACE_ON(p));
 }
 
 TEST(TraceRing, RecordLayoutStaysCompact)

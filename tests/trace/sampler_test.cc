@@ -2,8 +2,8 @@
  * @file
  * GaugeSampler tests: a started sampler records each level once and
  * then one (time, level) Counter record per change, schedules no
- * event, and records nothing unstarted, stopped, destroyed or with a
- * disabled tracer.
+ * event, and records nothing unstarted, stopped, destroyed or
+ * without a tracer.
  */
 
 #include <gtest/gtest.h>
@@ -105,28 +105,6 @@ TEST(GaugeSampler, StopAndDestructionUnbind)
     stopped.add(msec(1), 1);
     destroyed.add(msec(1), 1);
     EXPECT_EQ(tracer.ring().totalRecorded(), at_stop);
-}
-
-TEST(GaugeSampler, DisabledTracerRecordsNothing)
-{
-    Simulator sim(1);
-    SpanTracer tracer;
-    tracer.setEnabled(false);
-    LevelIntegral level;
-    GaugeSampler sampler(sim, &tracer);
-    sampler.addGauge("g", level);
-
-    sampler.start();
-    level.add(msec(1), 1);
-    EXPECT_EQ(tracer.ring().totalRecorded(), 0u);
-
-    // Re-enabling mid-run resumes recording at the next change.
-    tracer.setEnabled(true);
-    level.add(msec(2), 1);
-    auto snap = tracer.ring().snapshot();
-    ASSERT_EQ(snap.size(), 1u);
-    EXPECT_EQ(snap[0].start, msec(2));
-    EXPECT_EQ(snap[0].duration, 2);
 }
 
 TEST(GaugeSampler, NoTracerRecordsNothing)

@@ -85,7 +85,6 @@ TEST(OpTraceTest, RecordsTaskFields)
     req.type = OpType::CloneLinked;
     Task task(TaskId(1), req);
     task.markSubmitted(seconds(10));
-    task.markStarted(seconds(11));
     task.addPhaseTime(TaskPhase::Db, msec(100));
     task.addPhaseTime(TaskPhase::HostAgent, seconds(2));
     task.markFinished(seconds(14), TaskError::None);
@@ -109,7 +108,6 @@ TEST(OpTraceTest, CsvRoundTrip)
     req.type = OpType::CloneFull;
     Task task(TaskId(1), req);
     task.markSubmitted(seconds(5));
-    task.markStarted(seconds(5));
     task.addPhaseTime(TaskPhase::DataCopy, seconds(30));
     task.markFinished(seconds(40), TaskError::OutOfSpace);
     trace.add(task);
@@ -141,7 +139,6 @@ TEST(OpTraceTest, GarbageNumericFieldsFatal)
     req.type = OpType::PowerOn;
     Task task(TaskId(1), req);
     task.markSubmitted(seconds(1));
-    task.markStarted(seconds(1));
     task.markFinished(seconds(2), TaskError::None);
     trace.add(task);
     std::string csv = trace.toCsv();
