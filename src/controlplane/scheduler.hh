@@ -78,7 +78,6 @@ class TaskScheduler
     const LevelIntegral &runningLevel() const { return running; }
     /** @} */
 
-    int dispatchWidth() const { return width; }
     SchedPolicy policy() const { return sched_policy; }
 
     /** Tasks dispatched so far. */

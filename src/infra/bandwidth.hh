@@ -78,7 +78,6 @@ class SharedBandwidthResource
     /** Cumulative busy time (at least one job active). */
     SimDuration busyTime() const;
 
-    double capacityBytesPerSec() const { return capacity; }
     const std::string &name() const { return label; }
 
   private:

@@ -81,38 +81,6 @@ Rng::lognormal(double mu, double sigma)
     return d(engine);
 }
 
-double
-Rng::pareto(double alpha, double xm)
-{
-    if (alpha <= 0.0 || xm <= 0.0)
-        panic("Rng::pareto: invalid alpha=%f xm=%f", alpha, xm);
-    double u = uniform(0.0, 1.0);
-    // Guard against u == 0 (pow would blow up).
-    u = std::max(u, 1e-12);
-    return xm / std::pow(u, 1.0 / alpha);
-}
-
-double
-Rng::weibull(double k, double lambda)
-{
-    std::weibull_distribution<double> d(k, lambda);
-    return d(engine);
-}
-
-std::int64_t
-Rng::zipf(std::int64_t n, double s)
-{
-    ZipfSampler z(n, s);
-    return z(*this);
-}
-
-std::size_t
-Rng::discrete(const std::vector<double> &weights)
-{
-    DiscreteSampler d(weights);
-    return d(*this);
-}
-
 ZipfSampler::ZipfSampler(std::int64_t n_, double s)
     : n(n_)
 {

@@ -4,11 +4,11 @@
  *
  * Every stochastic component takes an explicit Rng (or a seed used to
  * derive a private Rng) so experiments are reproducible and components
- * can be reseeded independently.  The generator is xoshiro-quality
- * std::mt19937_64; distributions cover what the workload models need:
- * exponential and hyper-exponential interarrivals, lognormal and
- * Pareto service times, Zipf popularity, and arbitrary empirical
- * discrete mixes.
+ * can be reseeded independently.  The generator is std::mt19937_64;
+ * the distributions are the ones the models draw from: exponential
+ * interarrivals (the workload builds hyper-exponential ones from
+ * them), lognormal service times, and, through the precomputed
+ * samplers below, Zipf popularity and empirical discrete mixes.
  */
 
 #ifndef VCP_SIM_RANDOM_HH
@@ -56,28 +56,6 @@ class Rng
 
     /** Classic lognormal with underlying normal mu/sigma. */
     double lognormal(double mu, double sigma);
-
-    /** Pareto with shape alpha and minimum xm. */
-    double pareto(double alpha, double xm);
-
-    /** Weibull with shape k and scale lambda. */
-    double weibull(double k, double lambda);
-
-    /**
-     * Zipf-distributed rank in [0, n) with skew s (s = 0 is uniform).
-     * Uses rejection-inversion; O(1) per draw after O(1) setup per
-     * call signature is not cached, so prefer ZipfSampler for hot use.
-     */
-    std::int64_t zipf(std::int64_t n, double s);
-
-    /**
-     * Sample an index from a discrete distribution given by
-     * (unnormalized) non-negative weights.
-     */
-    std::size_t discrete(const std::vector<double> &weights);
-
-    /** Access to the raw engine for std:: distribution interop. */
-    std::mt19937_64 &raw() { return engine; }
 
   private:
     std::mt19937_64 engine;

@@ -116,26 +116,6 @@ Table::toText() const
 }
 
 std::string
-Table::toMarkdown() const
-{
-    checkComplete();
-    auto render_row = [](const std::vector<std::string> &cells) {
-        std::string line = "|";
-        for (const auto &c : cells)
-            line += " " + c + " |";
-        return line + "\n";
-    };
-    std::string out = render_row(header);
-    out += "|";
-    for (std::size_t c = 0; c < header.size(); ++c)
-        out += "---|";
-    out += "\n";
-    for (const auto &r : rows)
-        out += render_row(r);
-    return out;
-}
-
-std::string
 Table::toCsv() const
 {
     checkComplete();

@@ -1,7 +1,7 @@
 /**
  * @file
  * Table builder used by the benchmark harness to print paper-style
- * tables and figure series in aligned-text, markdown, or CSV form.
+ * tables and figure series in aligned-text or CSV form.
  */
 
 #ifndef VCP_STATS_TABLE_HH
@@ -41,9 +41,6 @@ class Table
 
     /** Render with aligned columns for terminal output. */
     std::string toText() const;
-
-    /** Render as GitHub-flavored markdown. */
-    std::string toMarkdown() const;
 
     /** Render as CSV. */
     std::string toCsv() const;

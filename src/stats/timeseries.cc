@@ -31,17 +31,6 @@ TimeSeries::add(SimTime t, double value)
     total_count += 1;
 }
 
-std::vector<double>
-TimeSeries::ratesPerSecond() const
-{
-    std::vector<double> rates;
-    rates.reserve(buckets.size());
-    double wsec = toSeconds(width);
-    for (const auto &b : buckets)
-        rates.push_back(static_cast<double>(b.count) / wsec);
-    return rates;
-}
-
 std::string
 TimeSeries::toCsv() const
 {

@@ -57,12 +57,6 @@ class TimeSeries
     /** Total number of samples. */
     std::uint64_t totalCount() const { return total_count; }
 
-    /**
-     * Per-bucket event rate (count / bucket width) in events per
-     * second of simulated time.
-     */
-    std::vector<double> ratesPerSecond() const;
-
     /** CSV rendering: bucket_start_s,count,sum,mean per line. */
     std::string toCsv() const;
 

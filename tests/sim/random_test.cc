@@ -123,24 +123,6 @@ TEST_P(ExponentialMeanTest, MeanMatches)
 INSTANTIATE_TEST_SUITE_P(MeanSweep, ExponentialMeanTest,
                          ::testing::Values(0.1, 1.0, 50.0, 10000.0));
 
-TEST(RngTest, ParetoRespectsMinimum)
-{
-    Rng rng(3);
-    for (int i = 0; i < 1000; ++i)
-        EXPECT_GE(rng.pareto(2.0, 5.0), 5.0);
-}
-
-TEST(RngTest, ParetoMeanMatchesAnalytic)
-{
-    // E[X] = alpha*xm/(alpha-1) for alpha > 1.
-    Rng rng(3);
-    double alpha = 3.0, xm = 2.0;
-    SummaryStats s;
-    for (int i = 0; i < 200000; ++i)
-        s.add(rng.pareto(alpha, xm));
-    EXPECT_NEAR(s.mean(), alpha * xm / (alpha - 1.0), 0.05);
-}
-
 TEST(ZipfSamplerTest, UniformWhenSkewZero)
 {
     Rng rng(11);

@@ -74,16 +74,6 @@ TEST(TableTest, TextAlignsColumns)
     EXPECT_NE(text.find("---"), std::string::npos);
 }
 
-TEST(TableTest, MarkdownHasSeparatorRow)
-{
-    Table t({"a", "b"});
-    t.row().cell("1").cell("2");
-    std::string md = t.toMarkdown();
-    EXPECT_NE(md.find("| a | b |"), std::string::npos);
-    EXPECT_NE(md.find("|---|---|"), std::string::npos);
-    EXPECT_NE(md.find("| 1 | 2 |"), std::string::npos);
-}
-
 TEST(TableTest, CsvEscapesSpecials)
 {
     Table t({"text"});

@@ -45,16 +45,6 @@ TEST(TimeSeriesTest, TotalsAccumulate)
     EXPECT_DOUBLE_EQ(ts.totalSum(), 15.0);
 }
 
-TEST(TimeSeriesTest, RatesPerSecond)
-{
-    TimeSeries ts(seconds(10));
-    for (int i = 0; i < 20; ++i)
-        ts.add(seconds(0.1 * i)); // 20 events in bucket 0 (0-2 s)
-    auto rates = ts.ratesPerSecond();
-    ASSERT_EQ(rates.size(), 1u);
-    EXPECT_DOUBLE_EQ(rates[0], 2.0);
-}
-
 TEST(TimeSeriesTest, NegativeTimePanics)
 {
     TimeSeries ts(seconds(1));
