@@ -4,7 +4,8 @@
 
 namespace vcp {
 
-Network::Network(Simulator &sim, const NetworkConfig &cfg_) : cfg(cfg_)
+Network::Network(Simulator &sim, const NetworkConfig &cfg_)
+    : cfg(cfg_)
 {
     if (cfg.core_bandwidth <= 0.0)
         fatal("Network: core bandwidth must be positive");

@@ -155,7 +155,7 @@ TEST(OpTraceTest, GarbageNumericFieldsFatal)
     EXPECT_THROW(OpTrace::fromCsv(neg), FatalError);
 
     // A success flag other than 0 or 1, and an error name no TaskError
-    // has (old: read as a failure and as "none").
+    // has.
     std::string flag = csv;
     flag.replace(flag.find(",1,none,"), 8, ",2,none,");
     EXPECT_THROW(OpTrace::fromCsv(flag), FatalError);
