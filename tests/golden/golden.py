@@ -120,19 +120,15 @@ BENCHES = ("t1-setups", "t2-opmix", "t3-validation", "f1-churn",
 CASES.update((name, bench(name)) for name in BENCHES)
 
 
-def program_path(program, opts):
-    """Path of a case's program, or None if its option was not given."""
-    if program.startswith("bench_"):
-        return opts.bench_dir and os.path.join(opts.bench_dir, program)
-    return getattr(opts, program)
-
-
 def run_case(name, opts, workdir):
     """Run one case in @p workdir; return {recorded key: bytes/digest}."""
     program, args, outputs = CASES[name]
-    path = program_path(program, opts)
+    if program.startswith("bench_"):
+        flag = "bench-dir"
+        path = opts.bench_dir and os.path.join(opts.bench_dir, program)
+    else:
+        flag, path = program, getattr(opts, program)
     if not path:
-        flag = "bench-dir" if program.startswith("bench_") else program
         raise RuntimeError(f"{name}: needs --{flag}")
     os.makedirs(workdir, exist_ok=True)
     for f in os.listdir(workdir):
