@@ -12,7 +12,7 @@
  *  - The heap array holds 16-byte entries carrying the complete sort
  *    key — (time, priority) packed into one 64-bit word, (sequence,
  *    slot) into a second — so sift compares never leave the heap
- *    array and one node's four children share a single cache line.
+ *    array and one node's four children are 64 contiguous bytes.
  *  - Callbacks live in recycled slot storage; EventId encodes the
  *    issuing sequence number + slot index.  cancel() is O(1): it
  *    destroys the callback and recycles the slot, leaving only a
@@ -21,6 +21,11 @@
  *  - Tombstones are dropped when they surface at the root; if they
  *    ever exceed a third of the heap, one O(n) compaction sweep
  *    rebuilds the heap from the live entries.
+ *  - The heap array and the per-slot side arrays each start on a
+ *    cache line and fill whole lines.  A threaded run builds its
+ *    shards' queues one after another on one thread; without this
+ *    their small arrays could share a line that two workers then
+ *    write on every event.
  *
  * Nothing ever touches a hash table, and slot storage is bounded by
  * the peak number of simultaneously pending events.
@@ -38,8 +43,10 @@
 #ifndef VCP_SIM_EVENT_QUEUE_HH
 #define VCP_SIM_EVENT_QUEUE_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <new>
 #include <vector>
 
 #include "sim/inline_action.hh"
@@ -245,16 +252,54 @@ class EventQueue
     void siftUp(std::size_t pos, Entry entry);
     void siftDown(std::size_t pos, Entry entry);
 
-    std::vector<Entry> heap;
+    static constexpr std::size_t kCacheLine = 64;
+
+    /** Allocates whole cache lines, starting on a line boundary. */
+    template <typename T>
+    struct LineAllocator
+    {
+        using value_type = T;
+
+        LineAllocator() = default;
+        template <typename U>
+        LineAllocator(const LineAllocator<U> &)
+        {}
+
+        static std::size_t
+        bytes(std::size_t n)
+        {
+            return (n * sizeof(T) + kCacheLine - 1) & ~(kCacheLine - 1);
+        }
+
+        T *
+        allocate(std::size_t n)
+        {
+            return static_cast<T *>(
+                ::operator new(bytes(n), std::align_val_t{kCacheLine}));
+        }
+
+        void
+        deallocate(T *p, std::size_t n)
+        {
+            ::operator delete(p, bytes(n), std::align_val_t{kCacheLine});
+        }
+
+        bool operator==(const LineAllocator &) const { return true; }
+    };
+
+    template <typename T>
+    using LineVector = std::vector<T, LineAllocator<T>>;
+
+    LineVector<Entry> heap;
     /** Callback storage, indexed by slot via slotRef(). */
-    std::vector<std::unique_ptr<InlineAction[]>> slot_chunks;
+    LineVector<std::unique_ptr<InlineAction[]>> slot_chunks;
     /** Slots ever created (== peak pending population). */
     std::size_t slot_count = 0;
     /** Sequence number of each slot's current occupant (dense:
      *  staleness and cancel-validation checks only). */
-    std::vector<std::uint32_t> gens;
+    LineVector<std::uint32_t> gens;
     /** Free-list links per slot; kInUse marks a live slot. */
-    std::vector<std::uint32_t> free_next;
+    LineVector<std::uint32_t> free_next;
     std::uint32_t free_head = kNil;
     std::size_t tombstones = 0;
     std::uint64_t next_seq = 0;
