@@ -244,7 +244,7 @@ class OpFuzzer
         }
 
         OpRequest req;
-        int kind = static_cast<int>(rng.uniformInt(0, 22));
+        int kind = static_cast<int>(rng.uniformInt(0, 15));
         switch (kind) {
           case 0:
           case 1: { // linked clone off the template base
@@ -277,9 +277,13 @@ class OpFuzzer
           case 5:
             req.type = OpType::PowerOff;
             break;
-          case 6:
+          case 6: { // never the template: only clones add VMs
             req.type = OpType::Destroy;
-            break;
+            VmId v = randomVm();
+            req.vm = v == tmpl ? VmId() : v;
+            srv.submit(req);
+            return;
+          }
           case 7:
             req.type = OpType::Snapshot;
             break;
@@ -302,45 +306,18 @@ class OpFuzzer
             req.datastore = randomDatastore();
             break;
           }
-          case 12: { // from-scratch creation
-            req.type = OpType::CreateVm;
-            req.host = randomHost();
-            req.datastore = randomDatastore();
-            req.vcpus = static_cast<int>(rng.uniformInt(1, 4));
-            req.memory = gib(rng.uniformInt(1, 8));
-            req.disk_size = gib(rng.uniformInt(1, 16));
-            srv.submit(req, [this](const Task &t) {
-                if (t.succeeded())
-                    vms.push_back(t.resultVm());
-            });
-            return;
-          }
+          case 12:
           case 13:
-            req.type = OpType::Suspend;
-            break;
-          case 14:
-            req.type = OpType::Reset;
-            break;
-          case 15:
-            req.type = OpType::RegisterVm;
-            req.host = randomHost();
-            break;
-          case 16:
-            req.type = OpType::UnregisterVm;
-            break;
-          case 17:
-          case 18:
-          case 19:
-          case 20: { // host lifecycle
+          case 14: { // host lifecycle
             static constexpr OpType kHostOps[] = {
-                OpType::AddHost, OpType::RemoveHost,
-                OpType::EnterMaintenance, OpType::ExitMaintenance};
-            req.type = kHostOps[kind - 17];
+                OpType::AddHost, OpType::EnterMaintenance,
+                OpType::ExitMaintenance};
+            req.type = kHostOps[kind - 12];
             req.host = randomHost();
             srv.submit(req);
             return;
           }
-          case 21: { // replicate a disk, sometimes to no datastore
+          case 15: { // replicate a disk, sometimes to no datastore
             req.type = OpType::ReplicateBaseDisk;
             req.base_disk = randomDisk();
             req.host = randomHost();
@@ -349,12 +326,6 @@ class OpFuzzer
             srv.submit(req);
             return;
           }
-          case 22:
-            req.type = OpType::ConsolidateDisk;
-            req.base_disk = randomDisk();
-            req.host = randomHost();
-            srv.submit(req);
-            return;
         }
         req.vm = randomVm();
         srv.submit(req);
