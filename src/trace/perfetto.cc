@@ -119,6 +119,7 @@ struct Grouped
     std::vector<const SpanRecord *> slices;
     std::map<std::uint16_t, std::vector<const SpanRecord *>> named_spans;
     std::vector<const SpanRecord *> instants;
+    /** Counter records, only the last of a track at one instant. */
     std::vector<const SpanRecord *> counters;
 };
 
@@ -127,6 +128,8 @@ groupRecords(const TraceRing &ring)
 {
     Grouped g;
     std::unordered_map<std::int64_t, std::uint32_t> task_of;
+    // Each counter track's latest entry in g.counters.
+    std::unordered_map<std::uint16_t, std::size_t> last_counter;
     // (task, record) per slice in ring order, bucketed by task below.
     std::vector<std::pair<std::uint32_t, const SpanRecord *>> by_task;
     ring.forEach([&](const SpanRecord &r) {
@@ -155,9 +158,19 @@ groupRecords(const TraceRing &ring)
           case SpanKind::Instant:
             g.instants.push_back(&r);
             break;
-          case SpanKind::Counter:
-            g.counters.push_back(&r);
+          case SpanKind::Counter: {
+            // A level that changes twice at one instant keeps its last
+            // value; the earlier record would draw a zero-width step.
+            auto [it, fresh] =
+                last_counter.try_emplace(r.name, g.counters.size());
+            if (!fresh && g.counters[it->second]->start == r.start) {
+                g.counters[it->second] = &r;
+            } else {
+                it->second = g.counters.size();
+                g.counters.push_back(&r);
+            }
             break;
+          }
         }
     });
 

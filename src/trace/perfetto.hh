@@ -13,7 +13,8 @@
  * lane shows a stack of non-overlapping op spans with their phase and
  * sub-phase slices properly nested inside.  Cloud-level spans
  * (deploys, rebalance passes, lock waits) get per-name lane groups,
- * and counter samples become "C" counter tracks.
+ * and counter samples become "C" counter tracks, one event per track
+ * and instant (the last value recorded there).
  */
 
 #ifndef VCP_TRACE_PERFETTO_HH

@@ -103,6 +103,30 @@ TEST(PerfettoExport, NamedSpansInstantsAndCounters)
     EXPECT_NE(json.find("\"value\":17"), std::string::npos);
 }
 
+TEST(PerfettoExport, CounterKeepsLastValuePerInstant)
+{
+    SpanTracer t;
+    setTestAxes(t);
+    std::uint16_t queue = t.intern("sched.queue");
+    std::uint16_t busy = t.intern("db.busy");
+    t.recordCounter(queue, 100, 1);
+    t.recordCounter(busy, 100, 3);
+    t.recordCounter(queue, 100, 0); // enters and leaves at one instant
+    t.recordCounter(queue, 200, 2);
+    std::string json = exportPerfettoJson(t);
+
+    EXPECT_EQ(countOccurrences(json, "\"ph\":\"C\""), 3u);
+    EXPECT_EQ(json.find("\"value\":1}"), std::string::npos);
+    EXPECT_NE(json.find("\"name\":\"sched.queue\",\"cat\":\"counter\","
+                        "\"ph\":\"C\",\"pid\":1,\"ts\":100,"
+                        "\"args\":{\"value\":0}}"),
+              std::string::npos);
+    EXPECT_NE(json.find("\"ts\":200,\"args\":{\"value\":2}}"),
+              std::string::npos);
+    EXPECT_NE(json.find("\"ts\":100,\"args\":{\"value\":3}}"),
+              std::string::npos);
+}
+
 TEST(PerfettoExport, OverlappingOpsGetDistinctLanes)
 {
     SpanTracer t;
