@@ -47,25 +47,18 @@ CostModelConfig::CostModelConfig()
     // study and public vCenter sizing guidance); see DESIGN.md.
     set(OpType::PowerOn, makeCost(msec(15), 2, seconds(2.0), 1));
     set(OpType::PowerOff, makeCost(msec(12), 2, seconds(1.0), 1));
-    set(OpType::Suspend, makeCost(msec(12), 2, seconds(3.0), 1));
-    set(OpType::Reset, makeCost(msec(12), 2, seconds(2.0), 1));
-    set(OpType::CreateVm, makeCost(msec(25), 5, seconds(1.2), 2));
     set(OpType::CloneFull, makeCost(msec(30), 6, seconds(1.5), 2));
     set(OpType::CloneLinked, makeCost(msec(30), 8, seconds(4.0), 2));
     set(OpType::Destroy, makeCost(msec(15), 3, seconds(0.8), 2));
-    set(OpType::RegisterVm, makeCost(msec(15), 2, seconds(0.5), 1));
-    set(OpType::UnregisterVm, makeCost(msec(12), 2, seconds(0.4), 1));
     set(OpType::Reconfigure, makeCost(msec(20), 3, seconds(1.0), 1));
     set(OpType::Snapshot, makeCost(msec(20), 3, seconds(1.2), 1));
     set(OpType::RemoveSnapshot, makeCost(msec(20), 3, seconds(2.5), 1));
     set(OpType::Relocate, makeCost(msec(25), 5, seconds(1.2), 2));
     set(OpType::Migrate, makeCost(msec(25), 5, seconds(1.5), 2));
     set(OpType::AddHost, makeCost(msec(50), 20, seconds(15.0), 5));
-    set(OpType::RemoveHost, makeCost(msec(30), 10, seconds(5.0), 3));
     set(OpType::EnterMaintenance, makeCost(msec(25), 4, seconds(10.0), 2));
     set(OpType::ExitMaintenance, makeCost(msec(25), 4, seconds(5.0), 2));
     set(OpType::ReplicateBaseDisk, makeCost(msec(25), 4, seconds(1.0), 2));
-    set(OpType::ConsolidateDisk, makeCost(msec(25), 4, seconds(2.0), 2));
 }
 
 OpCostModel::OpCostModel(const CostModelConfig &cfg_, Rng rng_)

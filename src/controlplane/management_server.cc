@@ -21,7 +21,6 @@ struct OpState
     /** @{ Entities the recipe pinned; later steps re-fetch them. */
     VmId vm;
     DiskId disk;
-    DiskId parent;
     /** Host the host phase runs on; none skips the host phase. */
     HostId host;
     /** @} */
@@ -955,23 +954,14 @@ powerRelock(OpCtx &c)
     Vm &vm = c.inv.vm(c.vm);
     if (vm.host != c.host)
         return TaskError::InvalidState;
-    OpType t = c.type();
-    if (t == OpType::Reset) // stays on
-        return vm.powerState() == PowerState::PoweredOn
-                   ? kOk
-                   : TaskError::InvalidState;
-    PowerState target = (t == OpType::PowerOn) ? PowerState::PoweringOn
-        : (t == OpType::PowerOff)              ? PowerState::PoweringOff
-                                               : PowerState::Suspended;
+    bool on = c.type() == OpType::PowerOn;
+    PowerState target = on ? PowerState::PoweringOn
+                           : PowerState::PoweringOff;
     if (!vm.canTransitionTo(target))
         return TaskError::InvalidState;
-    if (t == OpType::PowerOn) {
-        if (!c.commitOn(c.host, vm))
-            return TaskError::PlacementFailed;
-        vm.transitionTo(PowerState::PoweringOn);
-    } else if (t == OpType::PowerOff) {
-        vm.transitionTo(PowerState::PoweringOff);
-    }
+    if (on && !c.commitOn(c.host, vm))
+        return TaskError::PlacementFailed;
+    vm.transitionTo(target);
     return kOk;
 }
 
@@ -979,8 +969,7 @@ TaskError
 powerApply(OpCtx &c)
 {
     Vm &vm = c.inv.vm(c.vm);
-    switch (c.type()) {
-      case OpType::PowerOn:
+    if (c.type() == OpType::PowerOn) {
         // A host crash may have forced the VM off mid-flight and
         // released the commitment already, so the clear must happen
         // on both branches; the failed transition then turns into a
@@ -989,20 +978,10 @@ powerApply(OpCtx &c)
         c.committed_host = HostId();
         if (!vm.transitionTo(PowerState::PoweredOn))
             return TaskError::InvalidState;
-        break;
-      case OpType::PowerOff:
-      case OpType::Suspend:
-        // A host crash may have forced the VM off (and released its
-        // commitment) already; the failed transition tells us not to
-        // double-release.
-        if (vm.transitionTo(c.type() == OpType::PowerOff
-                                ? PowerState::PoweredOff
-                                : PowerState::Suspended)) {
-            c.inv.host(c.host).release(vm.vcpus, vm.memory);
-        }
-        break;
-      default:
-        break; // Reset: no state change
+    } else if (vm.transitionTo(PowerState::PoweredOff)) {
+        // A failed transition means a host crash forced the VM off
+        // and released its commitment already: no double release.
+        c.inv.host(c.host).release(vm.vcpus, vm.memory);
     }
     return kOk;
 }
@@ -1036,39 +1015,6 @@ placeVm(OpCtx &c, VmId v, DiskConfig dc)
     c.inv.host(c.host).registerVm(v);
     c.task->setResultVm(v);
     return kOk;
-}
-
-/*
- * CreateVm: from-scratch creation with a flat disk; shared host and
- * datastore locks; the record is provisional until the task succeeds.
- */
-TaskError
-createCheck(OpCtx &c)
-{
-    const OpRequest &req = c.req();
-    if (!c.inv.hasHost(req.host))
-        return TaskError::NoSuchEntity;
-    const Host &host = c.inv.host(req.host);
-    if (!hostUsable(host))
-        return TaskError::HostUnavailable;
-    if (!host.hasDatastore(req.datastore))
-        return TaskError::BadRequest;
-    c.host = req.host;
-    c.locks = {{lockKey(req.host), LockMode::Shared},
-               {lockKey(req.datastore), LockMode::Shared}};
-    return kOk;
-}
-
-TaskError
-createPrepare(OpCtx &c)
-{
-    const OpRequest &req = c.req();
-    VmId v = provisionalVm(c, req.vcpus, req.memory);
-    DiskConfig dc;
-    dc.kind = DiskKind::Flat;
-    dc.datastore = req.datastore;
-    dc.capacity = req.disk_size;
-    return placeVm(c, v, dc);
 }
 
 /*
@@ -1167,9 +1113,9 @@ destroyCheck(OpCtx &c)
     c.vm = req.vm;
     c.host = vm.host;
     c.disks = vm.disks;
-    // Lock the VM's disks exclusively too: replication and
-    // consolidation hold shared disk locks, and deleting a disk out
-    // from under them would corrupt their copies.
+    // Lock the VM's disks exclusively too: replication holds a shared
+    // disk lock, and deleting a disk out from under it would corrupt
+    // its copy.
     c.locks = {{lockKey(c.vm), LockMode::Exclusive}};
     if (c.host.valid())
         c.locks.push_back({lockKey(c.host), LockMode::Shared});
@@ -1213,60 +1159,6 @@ destroyApply(OpCtx &c)
         c.inv.vm(c.vm).host = HostId();
     }
     return c.inv.destroyVm(c.vm) ? kOk : TaskError::InvalidState;
-}
-
-/*
- * RegisterVm / UnregisterVm: light record operations.
- */
-TaskError
-registerCheck(OpCtx &c)
-{
-    const OpRequest &req = c.req();
-    if (!c.inv.hasVm(req.vm))
-        return TaskError::NoSuchEntity;
-    if (req.type == OpType::RegisterVm) {
-        if (!c.inv.hasHost(req.host))
-            return TaskError::NoSuchEntity;
-        if (!hostUsable(c.inv.host(req.host)))
-            return TaskError::HostUnavailable;
-        c.host = req.host;
-    } else {
-        c.host = c.inv.vm(req.vm).host;
-        // Nothing to unregister (a template, or already unregistered).
-        if (!c.host.valid())
-            return TaskError::InvalidState;
-    }
-    c.vm = req.vm;
-    c.locks = {{lockKey(c.vm), LockMode::Exclusive},
-               {lockKey(c.host), LockMode::Shared}};
-    return kOk;
-}
-
-TaskError
-registerRelock(OpCtx &c)
-{
-    if (!c.inv.hasVm(c.vm))
-        return TaskError::NoSuchEntity;
-    const Vm &vm = c.inv.vm(c.vm);
-    bool ok = (c.type() == OpType::RegisterVm)
-                  ? !vm.host.valid()
-                  : vm.host == c.host &&
-                        vm.powerState() == PowerState::PoweredOff;
-    return ok ? kOk : TaskError::InvalidState;
-}
-
-TaskError
-registerApply(OpCtx &c)
-{
-    Vm &vm = c.inv.vm(c.vm);
-    if (c.type() == OpType::RegisterVm) {
-        vm.host = c.host;
-        c.inv.host(c.host).registerVm(c.vm);
-    } else {
-        c.inv.host(vm.host).unregisterVm(c.vm);
-        vm.host = HostId();
-    }
-    return kOk;
 }
 
 /** Pin a VM and its current host, locking both (Reconfigure,
@@ -1384,8 +1276,8 @@ removeSnapshotCheck(OpCtx &c)
     if (!vm.host.valid() || vm.disks.empty())
         return TaskError::InvalidState;
     pinVmOnHost(c);
-    // Lock the delta being consolidated too, so concurrent disk
-    // operations (consolidate) cannot race its destruction.
+    // Lock the delta being consolidated too, as every op that
+    // deletes a disk does.
     c.disk = vm.disks.back();
     c.locks.push_back({lockKey(c.disk), LockMode::Exclusive});
     return kOk;
@@ -1422,8 +1314,8 @@ removeSnapshotApply(OpCtx &c)
 
 /*
  * Relocate: cold-migrate a powered-off VM's storage to another
- * datastore.  Linked-clone VMs must be consolidated first (their
- * delta depends on a base disk that stays behind).
+ * datastore.  Linked-clone VMs cannot move (their delta depends on a
+ * base disk that stays behind).
  */
 TaskError
 relocateCheck(OpCtx &c)
@@ -1575,7 +1467,7 @@ hostCheck(OpCtx &c)
         return TaskError::NoSuchEntity;
     c.host = req.host;
     c.locks = {{lockKey(c.host), LockMode::Exclusive}};
-    if (req.type == OpType::AddHost || req.type == OpType::RemoveHost) {
+    if (req.type == OpType::AddHost) {
         c.locks.push_back(
             {{LockKind::Global, 0}, LockMode::Exclusive});
     }
@@ -1590,9 +1482,6 @@ hostRelock(OpCtx &c)
     switch (c.type()) {
       case OpType::AddHost:
         ok = !host.connected();
-        break;
-      case OpType::RemoveHost:
-        ok = host.connected() && host.numVms() == 0;
         break;
       case OpType::EnterMaintenance:
         ok = hostUsable(host) &&
@@ -1614,8 +1503,8 @@ hostApply(OpCtx &c)
 {
     Host &host = c.inv.host(c.host);
     OpType t = c.type();
-    if (t == OpType::AddHost || t == OpType::RemoveHost)
-        host.setConnected(t == OpType::AddHost);
+    if (t == OpType::AddHost)
+        host.setConnected(true);
     else
         host.setMaintenance(t == OpType::EnterMaintenance);
     return kOk;
@@ -1679,81 +1568,10 @@ replicatePrepare(OpCtx &c)
     return kOk;
 }
 
-/*
- * ConsolidateDisk: materialize a delta disk into a standalone flat
- * disk, detaching it from its base (bounds chain depth; frees the
- * base for retirement).
- */
-TaskError
-consolidateCheck(OpCtx &c)
-{
-    const OpRequest &req = c.req();
-    if (!req.base_disk.valid() || !c.inv.hasDisk(req.base_disk) ||
-        !c.inv.hasHost(req.host)) {
-        return TaskError::NoSuchEntity;
-    }
-    const VirtualDisk &d = c.inv.disk(req.base_disk);
-    if (!d.isDelta() || d.ref_count > 0)
-        return TaskError::BadRequest;
-    c.disk = req.base_disk;
-    c.parent = d.parent;
-    c.host = req.host;
-    c.locks = {{lockKey(c.disk), LockMode::Exclusive},
-               {lockKey(c.parent), LockMode::Shared}};
-    return kOk;
-}
-
-TaskError
-consolidateRelock(OpCtx &c)
-{
-    // Either end of the chain may have vanished while we waited (the
-    // disks are not ours until the locks are).
-    if (!c.inv.hasDisk(c.disk) || !c.inv.hasDisk(c.parent))
-        return TaskError::NoSuchEntity;
-    const VirtualDisk &d = c.inv.disk(c.disk);
-    if (!d.isDelta() || d.parent != c.parent || d.ref_count > 0)
-        return TaskError::InvalidState;
-    // Space for the base content being copied in.
-    Bytes extra = c.inv.disk(c.parent).allocated;
-    if (!c.reserveOn(d.datastore, extra))
-        return TaskError::OutOfSpace;
-    c.slot_ds = c.dst_ds = d.datastore;
-    c.bytes = extra;
-    return kOk;
-}
-
-TaskError
-consolidatePrepare(OpCtx &c)
-{
-    c.src_ds = c.inv.disk(c.parent).datastore;
-    return kOk;
-}
-
-TaskError
-consolidateApply(OpCtx &c)
-{
-    VirtualDisk &d = c.inv.disk(c.disk);
-    VirtualDisk &parent = c.inv.disk(c.parent);
-    d.allocated += c.reserved_bytes;
-    d.kind = DiskKind::Flat;
-    d.parent = DiskId();
-    d.chain_depth = 1;
-    parent.ref_count -= 1;
-    if (parent.ref_count < 0)
-        panic("Consolidate: ref underflow");
-    // Reservation now owned by the disk record.
-    c.reserved_bytes = 0;
-    c.reserved_ds = DatastoreId();
-    return kOk;
-}
-
 constexpr Recipe kPower{powerCheck, powerRelock, nullptr, powerApply};
-constexpr Recipe kCreateVm{createCheck, nullptr, createPrepare, nullptr};
 constexpr Recipe kClone{cloneCheck, cloneRelock, clonePrepare, nullptr};
 constexpr Recipe kDestroy{destroyCheck, destroyRelock, nullptr,
                           destroyApply};
-constexpr Recipe kRegister{registerCheck, registerRelock, nullptr,
-                           registerApply};
 constexpr Recipe kReconfigure{reconfigureCheck, reconfigureRelock,
                               nullptr, reconfigureApply};
 constexpr Recipe kSnapshot{snapshotCheck, snapshotRelock, nullptr,
@@ -1769,32 +1587,23 @@ constexpr Recipe kHostLifecycle{hostCheck, hostRelock, nullptr,
                                 hostApply};
 constexpr Recipe kReplicate{replicateCheck, replicateRelock,
                             replicatePrepare, nullptr};
-constexpr Recipe kConsolidate{consolidateCheck, consolidateRelock,
-                              consolidatePrepare, consolidateApply};
 
 /** The recipe of every op type, in OpType order. */
 constexpr std::pair<OpType, const Recipe *> kRecipes[] = {
     {OpType::PowerOn, &kPower},
     {OpType::PowerOff, &kPower},
-    {OpType::Suspend, &kPower},
-    {OpType::Reset, &kPower},
-    {OpType::CreateVm, &kCreateVm},
     {OpType::CloneFull, &kClone},
     {OpType::CloneLinked, &kClone},
     {OpType::Destroy, &kDestroy},
-    {OpType::RegisterVm, &kRegister},
-    {OpType::UnregisterVm, &kRegister},
     {OpType::Reconfigure, &kReconfigure},
     {OpType::Snapshot, &kSnapshot},
     {OpType::RemoveSnapshot, &kRemoveSnapshot},
     {OpType::Relocate, &kRelocate},
     {OpType::Migrate, &kMigrate},
     {OpType::AddHost, &kHostLifecycle},
-    {OpType::RemoveHost, &kHostLifecycle},
     {OpType::EnterMaintenance, &kHostLifecycle},
     {OpType::ExitMaintenance, &kHostLifecycle},
     {OpType::ReplicateBaseDisk, &kReplicate},
-    {OpType::ConsolidateDisk, &kConsolidate},
 };
 
 constexpr bool

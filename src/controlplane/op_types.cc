@@ -10,22 +10,12 @@ opTypeName(OpType t)
         return "power-on";
       case OpType::PowerOff:
         return "power-off";
-      case OpType::Suspend:
-        return "suspend";
-      case OpType::Reset:
-        return "reset";
-      case OpType::CreateVm:
-        return "create-vm";
       case OpType::CloneFull:
         return "clone-full";
       case OpType::CloneLinked:
         return "clone-linked";
       case OpType::Destroy:
         return "destroy";
-      case OpType::RegisterVm:
-        return "register-vm";
-      case OpType::UnregisterVm:
-        return "unregister-vm";
       case OpType::Reconfigure:
         return "reconfigure";
       case OpType::Snapshot:
@@ -38,16 +28,12 @@ opTypeName(OpType t)
         return "migrate";
       case OpType::AddHost:
         return "add-host";
-      case OpType::RemoveHost:
-        return "remove-host";
       case OpType::EnterMaintenance:
         return "enter-maintenance";
       case OpType::ExitMaintenance:
         return "exit-maintenance";
       case OpType::ReplicateBaseDisk:
         return "replicate-base-disk";
-      case OpType::ConsolidateDisk:
-        return "consolidate-disk";
       case OpType::NumOpTypes:
         break;
     }
@@ -71,15 +57,10 @@ opCategory(OpType t)
     switch (t) {
       case OpType::PowerOn:
       case OpType::PowerOff:
-      case OpType::Suspend:
-      case OpType::Reset:
         return OpCategory::Power;
-      case OpType::CreateVm:
       case OpType::CloneFull:
       case OpType::CloneLinked:
       case OpType::Destroy:
-      case OpType::RegisterVm:
-      case OpType::UnregisterVm:
         return OpCategory::Provisioning;
       case OpType::Reconfigure:
       case OpType::Snapshot:
@@ -89,11 +70,9 @@ opCategory(OpType t)
       case OpType::Migrate:
         return OpCategory::Mobility;
       case OpType::AddHost:
-      case OpType::RemoveHost:
       case OpType::EnterMaintenance:
       case OpType::ExitMaintenance:
       case OpType::ReplicateBaseDisk:
-      case OpType::ConsolidateDisk:
       case OpType::NumOpTypes:
         return OpCategory::Infrastructure;
     }

@@ -25,16 +25,11 @@ enum class OpType
     // Power verbs
     PowerOn,
     PowerOff,
-    Suspend,
-    Reset,
 
     // Provisioning verbs
-    CreateVm,      ///< create from scratch (flat disk)
     CloneFull,     ///< full copy of a source VM/template
     CloneLinked,   ///< delta disk off a prepared base disk
     Destroy,       ///< delete VM and its disks
-    RegisterVm,
-    UnregisterVm,
 
     // Configuration verbs
     Reconfigure,   ///< change vCPU/memory/devices
@@ -47,11 +42,9 @@ enum class OpType
 
     // Infrastructure verbs ("cloud reconfiguration" building blocks)
     AddHost,
-    RemoveHost,
     EnterMaintenance,
     ExitMaintenance,
     ReplicateBaseDisk,   ///< copy a linked-clone base to another DS
-    ConsolidateDisk,     ///< flatten a delta chain
 
     NumOpTypes
 };
@@ -109,12 +102,13 @@ struct OpRequest
     /** Name for a newly created VM. */
     std::string name;
 
-    /** New-VM shape (CreateVm/Clone*) or new shape (Reconfigure). */
+    /** New shape (Reconfigure); clones take their source's.  A full
+     *  clone of a diskless source gets a disk_size flat disk. */
     int vcpus = 1;
     Bytes memory = gib(1);
     Bytes disk_size = gib(8);
 
-    /** Base disk for CloneLinked / ReplicateBaseDisk / Consolidate. */
+    /** Base disk for CloneLinked / ReplicateBaseDisk. */
     DiskId base_disk;
 
     /** Scheduling priority; lower dispatches first (Priority policy). */

@@ -14,8 +14,6 @@ powerStateName(PowerState s)
         return "poweredOn";
       case PowerState::PoweringOff:
         return "poweringOff";
-      case PowerState::Suspended:
-        return "suspended";
     }
     return "unknown";
 }
@@ -32,13 +30,9 @@ Vm::canTransitionTo(PowerState target) const
         return target == PowerState::PoweredOn ||
                target == PowerState::PoweredOff;
       case PowerState::PoweredOn:
-        return target == PowerState::PoweringOff ||
-               target == PowerState::Suspended;
+        return target == PowerState::PoweringOff;
       case PowerState::PoweringOff:
         return target == PowerState::PoweredOff;
-      case PowerState::Suspended:
-        return target == PowerState::PoweringOn ||
-               target == PowerState::PoweredOff;
     }
     return false;
 }

@@ -23,7 +23,6 @@ enum class PowerState
     PoweringOn,
     PoweredOn,
     PoweringOff,
-    Suspended,
 };
 
 /** @return short name for a PowerState. */
@@ -68,9 +67,8 @@ class Vm
      *
      *   PoweredOff  -> PoweringOn
      *   PoweringOn  -> PoweredOn | PoweredOff (failure)
-     *   PoweredOn   -> PoweringOff | Suspended
+     *   PoweredOn   -> PoweringOff
      *   PoweringOff -> PoweredOff
-     *   Suspended   -> PoweringOn | PoweredOff
      */
     bool canTransitionTo(PowerState target) const;
 

@@ -42,23 +42,11 @@ TEST(VmTest, PoweringOnCanFailBackToOff)
     EXPECT_TRUE(vm.transitionTo(PowerState::PoweredOff));
 }
 
-TEST(VmTest, SuspendResumeCycle)
-{
-    Vm vm;
-    vm.transitionTo(PowerState::PoweringOn);
-    vm.transitionTo(PowerState::PoweredOn);
-    EXPECT_TRUE(vm.transitionTo(PowerState::Suspended));
-    EXPECT_TRUE(vm.canTransitionTo(PowerState::PoweringOn));
-    EXPECT_TRUE(vm.canTransitionTo(PowerState::PoweredOff));
-    EXPECT_FALSE(vm.canTransitionTo(PowerState::PoweredOn));
-}
-
 TEST(VmTest, CannotSkipTransitionalStates)
 {
     Vm vm;
     EXPECT_FALSE(vm.canTransitionTo(PowerState::PoweredOn));
     EXPECT_FALSE(vm.canTransitionTo(PowerState::PoweringOff));
-    EXPECT_FALSE(vm.canTransitionTo(PowerState::Suspended));
 }
 
 TEST(VmTest, TemplatesNeverTransition)
@@ -80,7 +68,6 @@ TEST(VmTest, PowerStateNames)
     EXPECT_STREQ(powerStateName(PowerState::PoweredOff), "poweredOff");
     EXPECT_STREQ(powerStateName(PowerState::PoweringOn), "poweringOn");
     EXPECT_STREQ(powerStateName(PowerState::PoweredOn), "poweredOn");
-    EXPECT_STREQ(powerStateName(PowerState::Suspended), "suspended");
 }
 
 } // namespace

@@ -3,7 +3,7 @@
  * A randomized operation storm against one management server.
  *
  * OpFuzzer plants three hosts, two datastores and a template, then
- * fires a deliberate mix of valid and invalid requests of all 21 op
+ * fires a deliberate mix of valid and invalid requests of the 14 op
  * types at random times, with host crashes and agent disconnects
  * mixed in.  fuzz_test.cc checks global invariants after each storm;
  * the golden suite digests the finished-task stream of one seed.
