@@ -40,17 +40,6 @@ opTypeName(OpType t)
     return "unknown";
 }
 
-OpType
-opTypeFromName(const std::string &name)
-{
-    for (std::size_t i = 0; i < kNumOpTypes; ++i) {
-        OpType t = static_cast<OpType>(i);
-        if (name == opTypeName(t))
-            return t;
-    }
-    return OpType::NumOpTypes;
-}
-
 OpCategory
 opCategory(OpType t)
 {

@@ -56,9 +56,6 @@ constexpr std::size_t kNumOpTypes =
 /** Stable short name ("clone-linked") for reports and traces. */
 const char *opTypeName(OpType t);
 
-/** Parse an opTypeName() back; returns NumOpTypes on no match. */
-OpType opTypeFromName(const std::string &name);
-
 /** Coarse categories used by the characterization tables. */
 enum class OpCategory
 {

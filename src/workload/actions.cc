@@ -26,15 +26,4 @@ cloudActionName(CloudAction a)
     return "unknown";
 }
 
-CloudAction
-cloudActionFromName(const std::string &name)
-{
-    for (std::size_t i = 0; i < kNumCloudActions; ++i) {
-        CloudAction a = static_cast<CloudAction>(i);
-        if (name == cloudActionName(a))
-            return a;
-    }
-    return CloudAction::NumActions;
-}
-
 } // namespace vcp

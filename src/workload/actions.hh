@@ -11,7 +11,6 @@
 #define VCP_WORKLOAD_ACTIONS_HH
 
 #include <cstddef>
-#include <string>
 
 namespace vcp {
 
@@ -33,9 +32,6 @@ constexpr std::size_t kNumCloudActions =
 
 /** Stable short name for an action. */
 const char *cloudActionName(CloudAction a);
-
-/** Parse a name back; returns NumActions when unknown. */
-CloudAction cloudActionFromName(const std::string &name);
 
 } // namespace vcp
 

@@ -14,7 +14,6 @@ WorkloadDriver::WorkloadDriver(CloudDirector &cloud_,
 {
     tenant_ids = cloud.tenantIds();
     template_ids = cloud.catalog().ids();
-    // Installed here, not in start(), so a replayed run logs its ops.
     if (cfg.record_ops) {
         srv.setTaskObserver(
             [this](const Task &t) { op_trace.add(t); });
@@ -56,18 +55,6 @@ WorkloadDriver::fire()
                            1));
     issue(a, tenant_idx, template_idx);
     scheduleNext();
-}
-
-void
-WorkloadDriver::scheduleReplay(const ActionTrace &trace)
-{
-    if (tenant_ids.empty() || template_ids.empty())
-        fatal("WorkloadDriver: need at least one tenant and template");
-    for (const ActionRecord &r : trace.all()) {
-        sim.scheduleAt(r.time, [this, r]() {
-            issue(r.action, r.tenant_index, r.template_index);
-        });
-    }
 }
 
 void

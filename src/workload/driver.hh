@@ -6,9 +6,7 @@
  * snapshots) pick their target by drawing a rank from the director's
  * Deployed list, which keeps the order in which vApps reached
  * Deployed.  The driver keeps no live set of its own, so vApps
- * deployed outside it are targets too.  Also replays a recorded
- * ActionTrace: the same actions at the same times (see
- * scheduleReplay()).
+ * deployed outside it are targets too.
  */
 
 #ifndef VCP_WORKLOAD_DRIVER_HH
@@ -84,18 +82,8 @@ class WorkloadDriver
      */
     void start();
 
-    /**
-     * Schedule a recorded trace for replay instead of generating.
-     * Records are issued at their recorded times (which must be in
-     * the future).  Replay re-issues the actions, not their targets:
-     * a churn action draws its target from this driver's random
-     * stream, at a different position than in the recorded run, so
-     * the replayed ops differ from the recorded ones.
-     */
-    void scheduleReplay(const ActionTrace &trace);
-
     /** @{ Results. */
-    /** Every action issued, generated or replayed. */
+    /** Every action issued. */
     const ActionTrace &actions() const { return action_trace; }
     OpTrace &ops() { return op_trace; }
 

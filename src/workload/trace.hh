@@ -1,18 +1,17 @@
 /**
  * @file
- * Trace recording and replay.
+ * Trace recording.
  *
  * Two trace levels:
  *
  *  - ActionTrace: what the workload generator decided (deploy for
- *    tenant 3, power-cycle, ...).  Replayable through a
- *    CloudDirector for deterministic A/B experiments.
+ *    tenant 3, power-cycle, ...); the --dump-actions log.
  *  - OpTrace: every primitive management operation the control plane
  *    finished, with its latency, disposition, and per-phase
  *    breakdown (the --dump-ops log).  Counts and means come from the
  *    server's latency cells, not from this log.
  *
- * CSV serialization keeps traces inspectable and diffable.
+ * Both are written as CSV, so runs stay inspectable and diffable.
  */
 
 #ifndef VCP_WORKLOAD_TRACE_HH
@@ -37,7 +36,7 @@ struct ActionRecord
     int template_index = 0;
 };
 
-/** Replayable log of generator decisions. */
+/** Log of generator decisions. */
 class ActionTrace
 {
   public:
@@ -47,12 +46,6 @@ class ActionTrace
 
     /** CSV with header: time_us,action,tenant,template. */
     std::string toCsv() const;
-
-    /**
-     * Parse a CSV produced by toCsv().
-     * Unknown actions or malformed lines are fatal().
-     */
-    static ActionTrace fromCsv(const std::string &csv);
 
   private:
     std::vector<ActionRecord> records;
@@ -81,9 +74,6 @@ class OpTrace
 
     /** CSV with header (see implementation). */
     std::string toCsv() const;
-
-    /** Parse a CSV produced by toCsv(). */
-    static OpTrace fromCsv(const std::string &csv);
 
   private:
     std::vector<OpRecord> records;

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
 #include "controlplane/cost_model.hh"
 #include "sim/logging.hh"
 #include "sim/summary.hh"
@@ -128,13 +131,14 @@ TEST(CostModelTest, DbScalingNames)
     EXPECT_STREQ(dbScalingName(DbScaling::Linear), "linear");
 }
 
-TEST(OpTypesTest, NamesRoundTrip)
+TEST(OpTypesTest, NamesAreDistinct)
 {
+    std::set<std::string> names;
     for (std::size_t i = 0; i < kNumOpTypes; ++i) {
-        OpType t = static_cast<OpType>(i);
-        EXPECT_EQ(opTypeFromName(opTypeName(t)), t);
+        std::string name = opTypeName(static_cast<OpType>(i));
+        EXPECT_NE(name, "unknown");
+        EXPECT_TRUE(names.insert(name).second) << name;
     }
-    EXPECT_EQ(opTypeFromName("bogus"), OpType::NumOpTypes);
 }
 
 TEST(OpTypesTest, EveryOpHasACategory)

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
 #include "sim/logging.hh"
 #include "sim/summary.hh"
 #include "workload/actions.hh"
@@ -111,13 +114,14 @@ TEST(ArrivalTest, InvalidConfigRejected)
     EXPECT_THROW(ArrivalModel(cfg, Rng(1)), FatalError);
 }
 
-TEST(ActionsTest, NamesRoundTrip)
+TEST(ActionsTest, NamesAreDistinct)
 {
+    std::set<std::string> names;
     for (std::size_t i = 0; i < kNumCloudActions; ++i) {
-        CloudAction a = static_cast<CloudAction>(i);
-        EXPECT_EQ(cloudActionFromName(cloudActionName(a)), a);
+        std::string name = cloudActionName(static_cast<CloudAction>(i));
+        EXPECT_NE(name, "unknown");
+        EXPECT_TRUE(names.insert(name).second) << name;
     }
-    EXPECT_EQ(cloudActionFromName("nope"), CloudAction::NumActions);
 }
 
 } // namespace
