@@ -2,15 +2,10 @@
 
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <vector>
 
 #include "sim/parse_util.hh"
-
-#if defined(__GLIBC__)
-#include <execinfo.h>
-#endif
 
 namespace vcp {
 
@@ -81,15 +76,6 @@ panic(const char *fmt, ...)
     std::string msg = vformatMessage(fmt, ap);
     va_end(ap);
     std::fprintf(stderr, "panic: %s\n", msg.c_str());
-#if defined(__GLIBC__)
-    // Debugging aid: VCP_PANIC_BACKTRACE=1 prints the throw site.
-    if (const char *bt_env = std::getenv("VCP_PANIC_BACKTRACE");
-        bt_env && bt_env[0] == '1') {
-        void *frames[48];
-        int n = backtrace(frames, 48);
-        backtrace_symbols_fd(frames, n, 2);
-    }
-#endif
     throw PanicError(msg);
 }
 

@@ -28,6 +28,9 @@ thread_local ShardId tls_shard = ~ShardId(0);
 constexpr int kSpinPolls = 200;
 constexpr int kYieldPolls = 400;
 
+/** Per-edge mailbox ring capacity (overflow spills safely). */
+constexpr std::size_t kMailboxCapacity = 1024;
+
 /** ShardedSimulator::sync_: census epoch above, waiting count below. */
 constexpr std::uint64_t kWaitingMask = 0xffffffffu;
 
@@ -79,6 +82,8 @@ ShardedSimulator::ShardedSimulator(int num_shards, std::uint64_t seed,
                                    const Options &opts)
     : opts_(opts)
 {
+    if (opts_.lookahead < 0)
+        panic("ShardedSimulator: negative lookahead");
     if (num_shards < 1)
         num_shards = 1;
     if (num_shards > kMaxShards)
@@ -102,7 +107,7 @@ ShardedSimulator::ShardedSimulator(int num_shards, std::uint64_t seed,
         for (int src = 0; src < num_shards; ++src)
             sh->inbox.push_back(
                 std::make_unique<SpscMailbox<CrossEvent>>(
-                    opts_.mailbox_capacity));
+                    kMailboxCapacity));
         sh->edge_seq.assign(static_cast<std::size_t>(num_shards), 0);
         shards_.push_back(std::move(sh));
     }
@@ -132,22 +137,6 @@ ShardedSimulator::shard(ShardId s) const
         panic("ShardedSimulator::shard: %u out of range (%d shards)",
               s, numShards());
     return shards_[s]->sim;
-}
-
-void
-ShardedSimulator::setLookahead(ShardId s, SimDuration la)
-{
-    if (running_.load())
-        panic("ShardedSimulator::setLookahead while running");
-    if (la < 0)
-        panic("ShardedSimulator::setLookahead: negative lookahead");
-    shards_.at(s)->lookahead = la;
-}
-
-SimDuration
-ShardedSimulator::lookahead(ShardId s) const
-{
-    return shards_.at(s)->lookahead;
 }
 
 ShardId

@@ -85,15 +85,12 @@ class ShardedSimulator
         ShardExecMode mode = ShardExecMode::Merge;
 
         /**
-         * Default outgoing-lookahead promise per shard: every post()
-         * from shard s must satisfy when >= s.now() + lookahead(s).
+         * Outgoing-lookahead promise of every shard: each post()
+         * from shard s must satisfy when >= s.now() + lookahead.
          * 0 is always safe (tied shards then advance by synchronous
          * steps); larger values widen every other shard's horizon.
          */
         SimDuration lookahead = 0;
-
-        /** Per-edge mailbox ring capacity (overflow spills safely). */
-        std::size_t mailbox_capacity = 1024;
     };
 
     /** Per-shard execution counters (horizon-stall attribution;
@@ -134,11 +131,6 @@ class ShardedSimulator
     /** Kernel facade of one shard (components bind to this). */
     Simulator &shard(ShardId s);
     const Simulator &shard(ShardId s) const;
-
-    /** Declare shard @p s's outgoing-lookahead promise (enforced on
-     *  every post() while running threaded). */
-    void setLookahead(ShardId s, SimDuration la);
-    SimDuration lookahead(ShardId s) const;
 
     /**
      * Cross-shard send: schedule @p action on shard @p dst at

@@ -60,25 +60,16 @@ struct TemplateSpec
 struct ExecSpec
 {
     /**
-     * Event-set shards.  Shard 0 is the serialized control shard
-     * (API, scheduler, locks, DB, director); shards 1..n-1 spread
-     * host agents and datastore slot centers.  1 reproduces the
-     * classic single-kernel run exactly.
+     * Event-set shards, run in Merge mode.  Shard 0 is the serialized
+     * control shard (API, scheduler, locks, DB, director); shards
+     * 1..n-1 spread host agents and datastore slot centers.  1
+     * reproduces the classic single-kernel run exactly.  The
+     * single-server model is not shard-closed (pipeline helpers call
+     * host-agent and datastore centers synchronously), so it never
+     * runs Threaded; share-nothing federation stacks
+     * (cloud/federation.hh) do.
      */
     int shards = 1;
-
-    /**
-     * Execution mode for shards > 1.  The single-server model is not
-     * shard-closed (pipeline helpers call host-agent and datastore
-     * centers synchronously), so only the deterministic Merge oracle
-     * is supported here — Threaded mode is rejected at construction.
-     * Share-nothing federation stacks (cloud/federation.hh) support
-     * Threaded.
-     */
-    ShardExecMode mode = ShardExecMode::Merge;
-
-    /** Cross-shard delivery lookahead (Threaded mode only). */
-    SimDuration lookahead = 0;
 };
 
 /** A complete simulated cloud: plant + tenancy + policy + demand. */

@@ -11,7 +11,6 @@
 
 #include <string>
 
-#include "sim/logging.hh"
 #include "workload/profiles.hh"
 
 namespace vcp {
@@ -89,15 +88,6 @@ TEST(ShardedProfile, AgentsAndDatastoresSpreadOffControlShard)
         spread_events +=
             cs.engine().shardStats(static_cast<ShardId>(s)).events;
     EXPECT_GT(spread_events, 0u);
-}
-
-TEST(ShardedProfile, ThreadedModeIsRejectedForSingleServerModel)
-{
-    // The single-server pipeline calls agent/datastore centers
-    // synchronously — not shard-closed, so Threaded must refuse.
-    CloudSetupSpec spec = smallCloudA(2);
-    spec.exec.mode = ShardExecMode::Threaded;
-    EXPECT_THROW(CloudSimulation cs(spec, 1), FatalError);
 }
 
 } // namespace
