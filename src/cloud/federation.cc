@@ -155,27 +155,8 @@ CloudFederation::deploy(std::size_t tenant_index,
         shard.pending_vms -= vm_count;
         return -1;
     }
-    ++routed;
     stats.counter(routed_stat, "federation.deploys_routed").inc();
     return static_cast<int>(s);
-}
-
-std::uint64_t
-CloudFederation::vmsProvisioned() const
-{
-    std::uint64_t n = 0;
-    for (const auto &shard : shards)
-        n += shard->director->vmsProvisioned();
-    return n;
-}
-
-std::uint64_t
-CloudFederation::opsCompleted() const
-{
-    std::uint64_t n = 0;
-    for (const auto &shard : shards)
-        n += shard->server->opsCompleted();
-    return n;
 }
 
 } // namespace vcp

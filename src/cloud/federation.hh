@@ -98,12 +98,6 @@ class CloudFederation
      *  engine is attached, else the shared constructor registry. */
     StatRegistry &shardStats(std::size_t i);
 
-    /** @{ Federation-wide aggregates. */
-    std::uint64_t deploysRouted() const { return routed; }
-    std::uint64_t vmsProvisioned() const;
-    std::uint64_t opsCompleted() const;
-    /** @} */
-
   private:
     struct Shard
     {
@@ -131,7 +125,6 @@ class CloudFederation
     StatRegistry &stats;
     FederationConfig cfg;
     std::vector<std::unique_ptr<Shard>> shards;
-    std::uint64_t routed = 0;
     Counter *routed_stat = nullptr; ///< resolve-once stat handle
     std::size_t tenant_count = 0;
     std::size_t template_count = 0;

@@ -6,20 +6,6 @@
 
 namespace vcp {
 
-const char *
-dbScalingName(DbScaling s)
-{
-    switch (s) {
-      case DbScaling::Constant:
-        return "constant";
-      case DbScaling::Logarithmic:
-        return "logarithmic";
-      case DbScaling::Linear:
-        return "linear";
-    }
-    return "unknown";
-}
-
 namespace {
 
 /** Shorthand for building the default cost table. */

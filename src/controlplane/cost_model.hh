@@ -39,8 +39,6 @@ enum class DbScaling
     Linear,       ///< cost x (1 + c * (n / base - 1)) — table scans
 };
 
-const char *dbScalingName(DbScaling s);
-
 /** Static per-operation cost parameters. */
 struct OpCost
 {

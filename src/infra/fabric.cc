@@ -421,7 +421,7 @@ Fabric::completeTransfer(FabricTransferId id)
         done();
 }
 
-FabricTransferId
+void
 Fabric::startTransfer(FabricNodeId src, FabricNodeId dst, Bytes bytes,
                       InlineAction on_done, InlineAction on_error,
                       std::int64_t trace_task, std::uint8_t trace_op)
@@ -440,12 +440,12 @@ Fabric::startTransfer(FabricNodeId src, FabricNodeId dst, Bytes bytes,
         ++failed_;
         if (on_error)
             sim.schedule(0, std::move(on_error));
-        return 0;
+        return;
     }
     if (path_scratch_.empty()) {
         // src == dst: nothing to move across the fabric.
         sim.schedule(0, std::move(on_done));
-        return 0;
+        return;
     }
     FabricTransferId id = next_transfer_++;
     Transfer t;
@@ -459,23 +459,6 @@ Fabric::startTransfer(FabricNodeId src, FabricNodeId dst, Bytes bytes,
     auto [it, inserted] = transfers_.emplace(id, std::move(t));
     active_.add(sim.now(), 1);
     chargeLegs(id, it->second, path_scratch_, bytes);
-    return id;
-}
-
-bool
-Fabric::cancelTransfer(FabricTransferId id)
-{
-    auto it = transfers_.find(id);
-    if (it == transfers_.end())
-        return false;
-    for (const Leg &leg : it->second.legs) {
-        if (!leg.done)
-            links_[static_cast<std::size_t>(leg.link)]
-                .pipe->cancelTransfer(leg.pipe_job);
-    }
-    transfers_.erase(it);
-    active_.add(sim.now(), -1);
-    return true;
 }
 
 Bytes

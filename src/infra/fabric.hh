@@ -205,17 +205,11 @@ class Fabric
      *
      * @param trace_task owning task id for per-hop spans (0 = no
      *        hop tracing); @p trace_op the op-type axis value.
-     * @return handle usable with cancelTransfer().
      */
-    FabricTransferId startTransfer(FabricNodeId src, FabricNodeId dst,
-                                   Bytes bytes, InlineAction on_done,
-                                   InlineAction on_error = {},
-                                   std::int64_t trace_task = 0,
-                                   std::uint8_t trace_op = 0);
-
-    /** Abort an in-flight transfer; neither callback fires.
-     *  @return true if the transfer existed. */
-    bool cancelTransfer(FabricTransferId id);
+    void startTransfer(FabricNodeId src, FabricNodeId dst, Bytes bytes,
+                       InlineAction on_done, InlineAction on_error = {},
+                       std::int64_t trace_task = 0,
+                       std::uint8_t trace_op = 0);
 
     /** @{ Introspection. */
     bool degenerate() const { return degenerate_; }

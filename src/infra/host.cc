@@ -93,11 +93,4 @@ Host::cpuLoad() const
     return static_cast<double>(committed_vcpus) / vcpuCapacity();
 }
 
-double
-Host::memLoad() const
-{
-    return static_cast<double>(committed_memory) /
-           static_cast<double>(memoryCapacity());
-}
-
 } // namespace vcp

@@ -100,9 +100,6 @@ class Host
     /** Fraction of vCPU admission capacity in use, in [0, 1+]. */
     double cpuLoad() const;
 
-    /** Fraction of memory admission capacity in use. */
-    double memLoad() const;
-
   private:
     friend class Inventory;
 

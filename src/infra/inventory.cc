@@ -158,18 +158,6 @@ Inventory::destroyVm(VmId id)
     return true;
 }
 
-bool
-Inventory::growDisk(DiskId id, Bytes by)
-{
-    if (by < 0)
-        panic("Inventory::growDisk: negative growth");
-    VirtualDisk &d = disk(id);
-    if (!datastore(d.datastore).reserve(by))
-        return false;
-    d.allocated += by;
-    return true;
-}
-
 Host &
 Inventory::host(HostId id)
 {

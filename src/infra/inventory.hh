@@ -121,12 +121,6 @@ class Inventory
     bool hasHost(HostId id) const { return hosts.has(id); }
     /** @} */
 
-    /**
-     * Grow a disk's physical allocation (delta disks filling in).
-     * @return false if the datastore is out of space.
-     */
-    bool growDisk(DiskId id, Bytes by);
-
     /** Host ids in creation order, which is id order.  Hosts are
      *  never destroyed, so the list only grows (at the end). */
     const std::vector<HostId> &hostIds() const { return host_ids; }

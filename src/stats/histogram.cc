@@ -62,13 +62,6 @@ Histogram::merge(const Histogram &other)
     summary.merge(other.summary);
 }
 
-void
-Histogram::reset()
-{
-    std::fill(counts.begin(), counts.end(), 0);
-    summary.reset();
-}
-
 double
 Histogram::bucketLowerEdge(std::size_t i) const
 {

@@ -41,9 +41,6 @@ class Histogram
     /** Merge a histogram with identical bucketing. */
     void merge(const Histogram &other);
 
-    /** Discard all samples. */
-    void reset();
-
     std::uint64_t count() const { return summary.count(); }
     double mean() const { return summary.mean(); }
     double stddev() const { return summary.stddev(); }

@@ -1,7 +1,5 @@
 #include "stats/timeseries.hh"
 
-#include <cstdio>
-
 #include "sim/logging.hh"
 
 namespace vcp {
@@ -29,21 +27,6 @@ TimeSeries::add(SimTime t, double value)
     buckets[idx].sum += value;
     total_sum += value;
     total_count += 1;
-}
-
-std::string
-TimeSeries::toCsv() const
-{
-    std::string out = "bucket_start_s,count,sum,mean\n";
-    char line[128];
-    for (const auto &b : buckets) {
-        std::snprintf(line, sizeof(line), "%.1f,%llu,%.6g,%.6g\n",
-                      toSeconds(b.start),
-                      static_cast<unsigned long long>(b.count), b.sum,
-                      b.mean());
-        out += line;
-    }
-    return out;
 }
 
 } // namespace vcp

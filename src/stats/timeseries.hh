@@ -12,7 +12,6 @@
 #define VCP_STATS_TIMESERIES_HH
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "sim/types.hh"
@@ -56,9 +55,6 @@ class TimeSeries
 
     /** Total number of samples. */
     std::uint64_t totalCount() const { return total_count; }
-
-    /** CSV rendering: bucket_start_s,count,sum,mean per line. */
-    std::string toCsv() const;
 
   private:
     SimDuration width;

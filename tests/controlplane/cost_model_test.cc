@@ -123,14 +123,6 @@ TEST(CostModelTest, InvalidConfigFatal)
     EXPECT_THROW(makeModel(cfg), FatalError);
 }
 
-TEST(CostModelTest, DbScalingNames)
-{
-    EXPECT_STREQ(dbScalingName(DbScaling::Constant), "constant");
-    EXPECT_STREQ(dbScalingName(DbScaling::Logarithmic),
-                 "logarithmic");
-    EXPECT_STREQ(dbScalingName(DbScaling::Linear), "linear");
-}
-
 TEST(OpTypesTest, NamesAreDistinct)
 {
     std::set<std::string> names;

@@ -37,7 +37,6 @@ TEST(HostTest, CommitAndRelease)
     EXPECT_EQ(h.committedVcpus(), 4);
     EXPECT_EQ(h.committedMemory(), gib(8));
     EXPECT_DOUBLE_EQ(h.cpuLoad(), 0.5);
-    EXPECT_DOUBLE_EQ(h.memLoad(), 0.5);
     h.release(4, gib(8));
     EXPECT_EQ(h.committedVcpus(), 0);
 }

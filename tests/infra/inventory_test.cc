@@ -151,21 +151,6 @@ TEST_F(InventoryTest, CannotDestroyReferencedBase)
     EXPECT_EQ(inv.datastore(ds).used(), 0);
 }
 
-TEST_F(InventoryTest, GrowDiskReservesSpace)
-{
-    DiskConfig dc;
-    dc.kind = DiskKind::Flat;
-    dc.datastore = ds;
-    dc.capacity = gib(10);
-    dc.initial_allocation = gib(1);
-    DiskId d = inv.createDisk(dc);
-    EXPECT_TRUE(inv.growDisk(d, gib(2)));
-    EXPECT_EQ(inv.disk(d).allocated, gib(3));
-    EXPECT_EQ(inv.datastore(ds).used(), gib(3));
-    EXPECT_FALSE(inv.growDisk(d, gib(1000)));
-    EXPECT_EQ(inv.disk(d).allocated, gib(3));
-}
-
 TEST_F(InventoryTest, DestroyVmReleasesEverything)
 {
     VmConfig vc;

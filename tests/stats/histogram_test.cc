@@ -95,15 +95,6 @@ TEST(HistogramTest, MergeIncompatiblePanics)
     EXPECT_THROW(a.merge(c), PanicError);
 }
 
-TEST(HistogramTest, ResetClears)
-{
-    Histogram h;
-    h.add(5.0);
-    h.reset();
-    EXPECT_EQ(h.count(), 0u);
-    EXPECT_DOUBLE_EQ(h.mean(), 0.0);
-}
-
 TEST(HistogramTest, BucketEdgesGrowGeometrically)
 {
     Histogram h(1.0, 2.0, 16);

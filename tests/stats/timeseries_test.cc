@@ -56,15 +56,5 @@ TEST(TimeSeriesTest, ZeroWidthPanics)
     EXPECT_THROW(TimeSeries(0), PanicError);
 }
 
-TEST(TimeSeriesTest, CsvRendering)
-{
-    TimeSeries ts(seconds(1));
-    ts.add(seconds(0.5), 2.0);
-    std::string csv = ts.toCsv();
-    EXPECT_NE(csv.find("bucket_start_s,count,sum,mean"),
-              std::string::npos);
-    EXPECT_NE(csv.find("0.0,1,2,2"), std::string::npos);
-}
-
 } // namespace
 } // namespace vcp
