@@ -7,6 +7,8 @@
 
 #include "cp_fixture.hh"
 
+#include "cloud/ha_manager.hh"
+
 namespace vcp {
 namespace {
 
@@ -402,6 +404,36 @@ TEST_F(OpsTest, RelocateOutOfSpaceRollsBackReservation)
     EXPECT_EQ(inv->disk(inv->vm(vm).disks[0]).datastore, ds0);
 }
 
+TEST_F(OpsTest, RelocateLosingItsPathReturnsTheReservation)
+{
+    VmId vm = makeVm(h0, ds0, gib(6));
+    Bytes ds0_used = inv->datastore(ds0).used();
+    Bytes ds1_used = inv->datastore(ds1).used();
+    OpRequest req;
+    req.type = OpType::Relocate;
+    req.vm = vm;
+    req.datastore = ds1;
+    std::optional<Task> result;
+    srv->submit(req, [&](const Task &t) { result = t; });
+    // Run until the cross-datastore copy is on the wire; the relock
+    // step has reserved the disk's 6 GiB on ds1 by then.
+    Fabric &fab = net->topology();
+    while (fab.activeTransfers() == 0 && !result)
+        sim->runUntil(sim->now() + msec(100));
+    ASSERT_FALSE(result.has_value());
+    EXPECT_EQ(inv->datastore(ds1).used(), ds1_used + gib(6));
+
+    // The copy's only path goes down.
+    fab.setLinkUp(fab.findLink("net:core"), false);
+    sim->run();
+    ASSERT_TRUE(result.has_value());
+    EXPECT_EQ(result->error(), TaskError::NetworkUnreachable);
+    // finish() gave back exactly the reservation; the disk stayed.
+    EXPECT_EQ(inv->datastore(ds1).used(), ds1_used);
+    EXPECT_EQ(inv->datastore(ds0).used(), ds0_used);
+    EXPECT_EQ(inv->disk(inv->vm(vm).disks[0]).datastore, ds0);
+}
+
 TEST_F(OpsTest, MigrateMovesPoweredOnVm)
 {
     VmId vm = makeVm(h0, ds0);
@@ -420,6 +452,39 @@ TEST_F(OpsTest, MigrateMovesPoweredOnVm)
     EXPECT_EQ(inv->vm(vm).powerState(), PowerState::PoweredOn);
     // Memory image crossed the fabric.
     EXPECT_GT(t.phaseTime(TaskPhase::DataCopy), 0);
+}
+
+TEST_F(OpsTest, MigrateWhoseSourceCrashesReturnsTheCommitment)
+{
+    HaManager ha(*srv);
+    VmId vm = makeVm(h0, ds0, gib(4), 3, gib(6));
+    powerOn(vm);
+    OpRequest req;
+    req.type = OpType::Migrate;
+    req.vm = vm;
+    req.host = h1;
+    std::optional<Task> result;
+    srv->submit(req, [&](const Task &t) { result = t; });
+    // Run until the memory image is on the wire; the relock step has
+    // committed the VM's shape on the destination by then.
+    while (net->topology().activeTransfers() == 0 && !result)
+        sim->runUntil(sim->now() + msec(100));
+    ASSERT_FALSE(result.has_value());
+    EXPECT_EQ(inv->host(h1).committedVcpus(), 3);
+    EXPECT_EQ(inv->host(h1).committedMemory(), gib(6));
+
+    // The source host crashes mid-flight and takes the VM down.
+    ASSERT_EQ(ha.crashHost(h0), 1u);
+    EXPECT_EQ(inv->host(h0).committedVcpus(), 0);
+    sim->run();
+    ASSERT_TRUE(result.has_value());
+    EXPECT_EQ(result->error(), TaskError::InvalidState);
+    // finish() gave back exactly the destination commitment.
+    EXPECT_EQ(inv->host(h1).committedVcpus(), 0);
+    EXPECT_EQ(inv->host(h1).committedMemory(), 0);
+    EXPECT_EQ(inv->vm(vm).host, h0);
+    EXPECT_FALSE(inv->host(h1).hasVm(vm));
+    EXPECT_EQ(inv->vm(vm).powerState(), PowerState::PoweredOff);
 }
 
 TEST_F(OpsTest, MigratePoweredOffFails)
