@@ -53,7 +53,9 @@ struct OpState
     int committed_vcpus = 0;
     Bytes committed_memory = 0;
 
-    /** Provisional disk (a base-disk replica) to destroy on failure. */
+    /** Provisional records to destroy on failure: a clone's VM, a
+     *  base-disk replica. */
+    VmId created_vm;
     DiskId created_disk;
 
     /** Raw datastore reservation to undo if the task fails. */
@@ -98,9 +100,6 @@ struct OpCtx : OpState
     std::vector<LockRequest> locks;
     std::vector<LockRequest> held_locks;
 
-    /** Provisional VM records to destroy if the task fails. */
-    std::vector<VmId> created_vms;
-
     /** Destroy: the disk set the VM had when its locks were built. */
     std::vector<DiskId> disks;
 
@@ -138,7 +137,6 @@ struct OpCtx : OpState
         cb = nullptr;
         locks.clear();
         held_locks.clear();
-        created_vms.clear();
         disks.clear();
     }
 };
@@ -669,9 +667,8 @@ ManagementServer::finish(CtxPtr ctx, TaskError err)
         }
         if (ctx->reserved_ds.valid() && ctx->reserved_bytes > 0)
             inv.datastore(ctx->reserved_ds).release(ctx->reserved_bytes);
-        for (VmId v : ctx->created_vms) {
-            if (!inv.hasVm(v))
-                continue;
+        if (ctx->created_vm.valid() && inv.hasVm(ctx->created_vm)) {
+            VmId v = ctx->created_vm;
             Vm &vm = inv.vm(v);
             if (vm.host.valid()) {
                 if (inv.hasHost(vm.host))
@@ -986,37 +983,6 @@ powerApply(OpCtx &c)
     return kOk;
 }
 
-/** Create a provisional VM record (destroyed if the task fails). */
-VmId
-provisionalVm(OpCtx &c, int vcpus, Bytes memory)
-{
-    const OpRequest &req = c.req();
-    VmConfig vc;
-    vc.name = req.name;
-    vc.vcpus = vcpus;
-    vc.memory = memory;
-    vc.tenant = req.tenant;
-    VmId v = c.inv.createVm(vc);
-    c.created_vms.push_back(v);
-    return v;
-}
-
-/** Give provisional VM @p v its disk and register it on c.host. */
-TaskError
-placeVm(OpCtx &c, VmId v, DiskConfig dc)
-{
-    dc.owner = v;
-    DiskId disk = c.inv.createDisk(dc);
-    if (!disk.valid())
-        return TaskError::OutOfSpace;
-    Vm &vm = c.inv.vm(v);
-    vm.disks.push_back(disk);
-    vm.host = c.host;
-    c.inv.host(c.host).registerVm(v);
-    c.task->setResultVm(v);
-    return kOk;
-}
-
 /*
  * CloneFull / CloneLinked: the paper's pivotal pair.  Both create a
  * provisional VM record and register it; a full clone then pushes the
@@ -1073,8 +1039,14 @@ clonePrepare(OpCtx &c)
 {
     const OpRequest &req = c.req();
     const Vm &src = c.inv.vm(req.vm);
-    // Shape is inherited from the source.
-    VmId v = provisionalVm(c, src.vcpus, src.memory);
+    // A provisional record with the source's shape; finish() destroys
+    // it if the task fails.
+    VmConfig vc;
+    vc.name = req.name;
+    vc.vcpus = src.vcpus;
+    vc.memory = src.memory;
+    vc.tenant = req.tenant;
+    VmId v = c.created_vm = c.inv.createVm(vc);
     c.slot_ds = c.src_ds = c.dst_ds = req.datastore;
     DiskConfig dc;
     dc.datastore = req.datastore;
@@ -1096,7 +1068,16 @@ clonePrepare(OpCtx &c)
             c.costs.linkedDeltaAllocation(base.capacity);
         dc.parent = req.base_disk;
     }
-    return placeVm(c, v, dc);
+    dc.owner = v;
+    DiskId disk = c.inv.createDisk(dc);
+    if (!disk.valid())
+        return TaskError::OutOfSpace;
+    Vm &vm = c.inv.vm(v);
+    vm.disks.push_back(disk);
+    vm.host = c.host;
+    c.inv.host(c.host).registerVm(v);
+    c.task->setResultVm(v);
+    return kOk;
 }
 
 /*
