@@ -23,9 +23,6 @@ class SummaryStats
     /** Merge another accumulator into this one. */
     void merge(const SummaryStats &other);
 
-    /** Discard all samples. */
-    void reset() { *this = SummaryStats(); }
-
     std::uint64_t count() const { return n; }
     double sum() const { return total; }
 

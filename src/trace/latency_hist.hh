@@ -105,13 +105,6 @@ class LatencyHistogram
     double p95() const { return quantile(0.95); }
     double p99() const { return quantile(0.99); }
 
-    /** Discard all samples. */
-    void
-    reset()
-    {
-        *this = LatencyHistogram();
-    }
-
     /**
      * Fold @p other into this histogram.  Buckets are fixed and
      * identical for every instance, so the merge is exact: a merged

@@ -86,15 +86,6 @@ TEST(SummaryStatsTest, CvOfConstantIsZero)
     EXPECT_DOUBLE_EQ(s.cv(), 0.0);
 }
 
-TEST(SummaryStatsTest, ResetClears)
-{
-    SummaryStats s;
-    s.add(1.0);
-    s.reset();
-    EXPECT_EQ(s.count(), 0u);
-    EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-}
-
 TEST(SummaryStatsTest, NumericallyStableForLargeOffsets)
 {
     // Classic catastrophic-cancellation case: large mean, small
