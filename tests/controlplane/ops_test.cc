@@ -136,6 +136,11 @@ TEST_F(OpsTest, CloneFullCopiesAllocatedBytes)
     // Template has 4 GiB allocated.
     EXPECT_EQ(srv->bytesMoved() - moved_before, gib(4));
     VmId vm = t.resultVm();
+    // A named record, registered on the requested host.
+    EXPECT_EQ(inv->vm(vm).name, "copy");
+    EXPECT_EQ(inv->vm(vm).host, h0);
+    EXPECT_TRUE(inv->host(h0).hasVm(vm));
+    ASSERT_EQ(inv->vm(vm).disks.size(), 1u);
     const VirtualDisk &d = inv->disk(inv->vm(vm).disks[0]);
     EXPECT_EQ(d.kind, DiskKind::Flat);
     EXPECT_EQ(d.capacity, gib(8));
