@@ -194,6 +194,8 @@ class ShardedSimulator
     struct Shard
     {
         Simulator sim;
+        /** Options::lookahead, copied beside the state the worker
+         *  reads on every horizon check. */
         SimDuration lookahead = 0;
         /** inbox[src]: SPSC ring from shard src. */
         std::vector<std::unique_ptr<SpscMailbox<CrossEvent>>> inbox;
