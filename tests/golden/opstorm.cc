@@ -2,9 +2,12 @@
  * @file
  * Prints the finished-task stream of one op-storm seed: one CSV row
  * per task in finish order with its id, op type, error, latency and
- * per-phase times.  The golden suite digests the stream of seed 17
- * (every op type succeeds and fails there); it is the byte-identity
- * oracle for the op types the vcpsim profiles never issue.
+ * per-phase times.  The golden suite digests the stream of seed 17,
+ * in which each of the 14 op types fails and all but migrate also
+ * succeed; it is the byte-identity oracle for the ops' error paths
+ * and for the verbs the vcpsim profiles never issue (clone-full
+ * without --full-clones, relocate, add-host without crashes, the
+ * maintenance pair).
  *
  * Usage: golden_opstorm SEED
  */
